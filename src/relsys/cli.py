@@ -34,19 +34,16 @@ from typing import Sequence
 import numpy as np
 
 from . import io
-from .curves import TimeGrid, mean_time_posterior, reliability_band, system_band
+from .curves import _METHODS, TimeGrid, mean_time_posterior, reliability_band, system_band
 from .dists import GeneratorSpec, weibull_from_moments
 from .errors import DataError, NumericalError, UnsolvableError, UsageError
 from .mcem import ComponentFit, FitConfig, SystemFit, fit_component, fit_system
 from .sampler import McmcConfig, PosteriorDraws
 from .simlab import generate_system_sample, grid_specs, run_scenario
 from .streams import RandomStream
+from .sysmodel import _KINDS, _SIDES
 
 __all__ = ["main"]
-
-_KINDS = ("series", "parallel")
-_SIDES = ("right", "left")
-_METHODS = ("hpd", "quantile")
 
 # default chain settings; per-iteration chains re-burn at a tenth of the
 # final burn-in
@@ -278,7 +275,8 @@ def _fit_settings(args) -> dict:
     if s["k"] is not None:
         _require_positive("--k", s["k"], minimum=1)
     _require_positive("--v", s["v"])
-    _require_positive("--np", s["np"], minimum=1)
+    # the posterior standard deviations need two draws
+    _require_positive("--np", s["np"], minimum=2)
     _require_positive("--burnin", s["burnin"], minimum=0)
     _require_positive("--thin", s["thin"], minimum=1)
     _require_positive("--tol", s["tol"])
@@ -609,10 +607,11 @@ def cmd_study(args) -> int:
     except ValueError as e:
         raise UsageError(f"invalid study grid: {e}") from None
     replicates = kwargs["replicates"]
+    workers = min(workers, len(specs))
 
     master = RandomStream(seed)
     runner = functools.partial(run_scenario, cfg=cfg, source=master)
-    if workers > 1 and len(specs) > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = tuple(pool.map(runner, specs))
     else:
@@ -663,7 +662,7 @@ def _add_chain_flags(p: argparse.ArgumentParser) -> None:
         dest="n_p",
         type=int,
         default=None,
-        help="posterior draws kept per chain (default 1000)",
+        help="posterior draws kept per chain, at least 2 (default 1000)",
     )
     p.add_argument(
         "--burnin",
@@ -783,7 +782,7 @@ def _build_parser() -> _Parser:
         "--workers",
         type=int,
         default=None,
-        help="process pool size for cells (default: CPU count)",
+        help="process pool size for cells, at most one per cell (default: CPU count)",
     )
     study.add_argument("--out", required=True, help="output directory")
     study.set_defaults(func=cmd_study)

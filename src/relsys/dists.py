@@ -34,30 +34,6 @@ __all__ = [
     "sample",
 ]
 
-_LN_SQRT_2PI = 0.9189385332046727417803297364056176
-_LN_PI = math.log(math.pi)
-
-# Lanczos approximation, g = 607/128, 15 terms (Godfrey's coefficient set).
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_COEF = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-
 def log_gamma_fn(x: float) -> float:
     """Natural log of the gamma function for positive real ``x``.
 
@@ -69,9 +45,10 @@ def log_gamma_fn(x: float) -> float:
     Returns
     -------
     float
-        ``ln(Gamma(x))``, accurate to about 1e-13 relative over
-        ``x in [1e-3, 1e3]`` (measured against the function magnitude,
-        or absolutely where ``ln(Gamma)`` crosses zero).
+        ``ln(Gamma(x))`` from the C library's ``lgamma`` (``math.lgamma``),
+        accurate to 2e-15 relative over ``x in [1e-3, 1e3]`` (measured
+        against the function magnitude, or absolutely where ``ln(Gamma)``
+        crosses zero).
 
     Raises
     ------
@@ -81,19 +58,7 @@ def log_gamma_fn(x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"log_gamma_fn requires finite x > 0, got {x}")
-    if x < 0.5:
-        # Reflection keeps the Lanczos sum on its accurate half-line.
-        return _LN_PI - math.log(math.sin(math.pi * x)) - _lanczos_lngamma(1.0 - x)
-    return _lanczos_lngamma(x)
-
-
-def _lanczos_lngamma(x: float) -> float:
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def log1mexp(x):
@@ -114,12 +79,20 @@ def log1mexp(x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("log1mexp requires x >= 0")
-    out = np.empty_like(arr)
-    small = arr <= _LN2
     with np.errstate(divide="ignore"):
-        out[small] = np.log(-np.expm1(-arr[small]))
-    out[~small] = np.log1p(-np.exp(-arr[~small]))
-    return out
+        return log1mexp_unchecked(arr)
+
+
+def log1mexp_unchecked(arr: np.ndarray) -> np.ndarray:
+    """Array ``log1mexp`` without validation, for a float array ``>= 0``.
+
+    Both branches are evaluated everywhere and ``np.where`` picks one per
+    element, which avoids masks and copies.  The unused branch divides by
+    zero where ``exp(-x)`` rounds to 1 (``x`` below about 1e-16), so
+    callers silence ``divide`` unless their inputs are known to be larger.
+    """
+    neg = -arr
+    return np.where(arr <= _LN2, np.log(-np.expm1(neg)), np.log1p(-np.exp(neg)))
 
 
 _LN2 = math.log(2.0)
@@ -178,6 +151,12 @@ class MeanVarGamma:
     @property
     def rate(self) -> float:
         return self.mean / self.variance
+
+    @property
+    def log_normalizer(self) -> float:
+        """``shape * log(rate) - lnGamma(shape)``, the ``x``-free part of the log density."""
+        a = self.shape
+        return a * math.log(self.rate) - log_gamma_fn(a)
 
 
 def weibull_reliability(p: ComponentParams, t: float) -> float:
@@ -241,9 +220,7 @@ def gamma_mv_logpdf(g: MeanVarGamma, x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"gamma_mv_logpdf requires finite x > 0, got {x}")
-    a = g.shape
-    b = g.rate
-    return a * math.log(b) - log_gamma_fn(a) + (a - 1.0) * math.log(x) - b * x
+    return g.log_normalizer + (g.shape - 1.0) * math.log(x) - g.rate * x
 
 
 _SHAPE_LO = 1e-3

@@ -9,9 +9,10 @@ already failed by ``t``.  Masked system data therefore decomposes into one
 single-component censored sample per component, and every likelihood in
 the package is a sum of exact, survived-past and failed-before terms.
 
-Likelihoods are evaluated from cached log-time arrays so that repeated
-calls at new parameters (the Metropolis inner loop) cost a couple of
-vectorized exponentials.
+Each sample binds its likelihood once, from log-time arrays and sums that
+do not depend on the parameters, so that repeated calls at new parameters
+(the Metropolis inner loop) cost one vectorized exponential, two when a
+sample mixes exact records and left censorings.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dists import ComponentParams, MeanVarGamma, gamma_mv_logpdf, log1mexp
+from .dists import ComponentParams, MeanVarGamma, log1mexp_unchecked
 from .errors import NumericalError
 
 __all__ = [
@@ -119,13 +120,11 @@ class ComponentSample:
 
     @property
     def n_exact(self) -> int:
-        return int(self._log_times[0].size)
+        return sum(not r.censored for r in self.records)
 
     @cached_property
-    def _log_times(self) -> tuple[np.ndarray, np.ndarray]:
-        exact = np.array([r.time for r in self.records if not r.censored], dtype=float)
-        cens = np.array([r.time for r in self.records if r.censored], dtype=float)
-        return np.log(exact), np.log(cens)
+    def _loglik(self) -> Callable[[float, float, float], float]:
+        return _bind_loglik(self)
 
 
 def decompose(s: SystemSample) -> tuple[ComponentSample, ...]:
@@ -146,44 +145,82 @@ def decompose(s: SystemSample) -> tuple[ComponentSample, ...]:
     return tuple(out)
 
 
-def _loglik_value(
-    log_exact: np.ndarray, log_cens: np.ndarray, side: str, beta: float, eta: float
-) -> float:
-    """Core likelihood sum over cached log-time arrays.
+# exp() overflows just above _EXP_MAX; below _FAIL_FLOOR a left censoring's
+# exp(-(t/eta)**beta) rounds to 1 and log1mexp's unused branch divides by 0
+_EXP_MAX = 709.0
+_FAIL_FLOOR = -30.0
 
-    Survival exponents are exp() of a log product, so extreme parameters
-    saturate to -inf rather than overflowing; -inf is a legal value (zero
-    likelihood), NaN is not and is diagnosed by the callers.
+
+def _extent(a: np.ndarray) -> tuple[float, float]:
+    return (float(a.min()), float(a.max())) if a.size else (math.inf, -math.inf)
+
+
+def _bind_loglik(c: ComponentSample) -> Callable[[float, float, float], float]:
+    """The log-likelihood of ``c`` as a function of ``(beta, log beta, log eta)``.
+
+    Exact records and right censorings both contribute ``-(t/eta)**beta``,
+    so they share one log-time array and one exponential pass; exact
+    records add ``log(beta/eta) + (beta-1)*log(t/eta)``, which needs only
+    their count and the sum of their log-times.  Left censorings add
+    ``log(1 - exp(-(t/eta)**beta))`` over an array of their own.
+
+    Powers are exp() of a log product, so extreme parameters saturate to
+    -inf rather than overflowing; -inf is a legal value (zero likelihood),
+    NaN is not and is diagnosed by the callers.  Floating-point warnings
+    are silenced only when the exponent range of the call can raise them.
     """
-    log_eta = math.log(eta)
-    total = 0.0
-    with np.errstate(over="ignore", divide="ignore"):
-        if log_exact.size:
-            z = log_exact - log_eta
-            total += (
-                log_exact.size * (math.log(beta) - log_eta)
-                + (beta - 1.0) * float(z.sum())
-                - float(np.exp(beta * z).sum())
-            )
-        if log_cens.size:
-            x = np.exp(beta * (log_cens - log_eta))
-            if side == "right":
-                total -= float(x.sum())
-            else:
-                total += float(log1mexp(x).sum())
+    exact = np.log([r.time for r in c.records if not r.censored])
+    cens = np.log([r.time for r in c.records if r.censored])
+    n_exact = exact.size
+    sum_log_exact = float(exact.sum())
+    if c.side == "right":
+        log_pow, log_fail = np.concatenate([exact, cens]), cens[:0]
+    else:
+        log_pow, log_fail = exact, cens
+    pow_lo, pow_hi = _extent(log_pow)
+    fail_lo, fail_hi = _extent(log_fail)
+    # below this exponent the sum of the powers stays finite too
+    pow_ceiling = _EXP_MAX - math.log(max(log_pow.size, 1))
+
+    def survival_terms(beta: float, log_eta: float) -> float:
+        total = 0.0
+        if log_pow.size:
+            total -= float(np.exp(beta * (log_pow - log_eta)).sum())
+        if log_fail.size:
+            x = np.exp(beta * (log_fail - log_eta))
+            total += float(log1mexp_unchecked(x).sum())
+        return total
+
+    def loglik(beta: float, log_beta: float, log_eta: float) -> float:
+        total = n_exact * (log_beta - log_eta) + (beta - 1.0) * (
+            sum_log_exact - n_exact * log_eta
+        )
+        if (
+            beta * (pow_hi - log_eta) < pow_ceiling
+            and beta * (pow_lo - log_eta) > -math.inf
+            and beta * (fail_hi - log_eta) < _EXP_MAX
+            and beta * (fail_lo - log_eta) > _FAIL_FLOOR
+        ):
+            return total + survival_terms(beta, log_eta)
+        with np.errstate(over="ignore", divide="ignore"):
+            return total + survival_terms(beta, log_eta)
+
+    return loglik
+
+
+def _checked_loglik(
+    c: ComponentSample, p: ComponentParams, log_beta: float, log_eta: float
+) -> float:
+    total = c._loglik(p.beta, log_beta, log_eta)
+    if math.isnan(total):
+        raise NumericalError(_diagnose_nan(c, p))
     return total
 
 
 def _diagnose_nan(c: ComponentSample, p: ComponentParams) -> str:
-    one = np.empty(1)
-    empty = np.empty(0)
+    log_beta, log_eta = math.log(p.beta), math.log(p.eta)
     for i, r in enumerate(c.records):
-        one[0] = math.log(r.time)
-        if r.censored:
-            term = _loglik_value(empty, one, c.side, p.beta, p.eta)
-        else:
-            term = _loglik_value(one, empty, c.side, p.beta, p.eta)
-        if math.isnan(term):
+        if math.isnan(ComponentSample(c.side, (r,))._loglik(p.beta, log_beta, log_eta)):
             return (
                 f"log-likelihood is NaN at record {i} (time={r.time}, "
                 f"censored={r.censored}) for beta={p.beta}, eta={p.eta}"
@@ -200,11 +237,7 @@ def component_loglik(c: ComponentSample, p: ComponentParams) -> float:
     the sample has zero likelihood under ``p``; raises only if the value
     is NaN, naming the offending record.
     """
-    log_exact, log_cens = c._log_times
-    total = _loglik_value(log_exact, log_cens, c.side, p.beta, p.eta)
-    if math.isnan(total):
-        raise NumericalError(_diagnose_nan(c, p))
-    return total
+    return _checked_loglik(c, p, math.log(p.beta), math.log(p.eta))
 
 
 def system_loglik(s: SystemSample, params: Sequence[ComponentParams]) -> float:
@@ -223,30 +256,33 @@ def log_posterior_kernel(
 
     ``priors`` is the (shape prior, scale prior) pair.
     """
-    prior_beta, prior_eta = priors
-    return (
-        component_loglik(c, p)
-        + gamma_mv_logpdf(prior_beta, p.beta)
-        + gamma_mv_logpdf(prior_eta, p.eta)
-    )
+    return make_log_kernel(c, priors)(p)
 
 
 def make_log_kernel(
     c: ComponentSample, priors: tuple[MeanVarGamma, MeanVarGamma]
 ) -> Callable[[ComponentParams], float]:
-    """Bind sample and priors into a fast posterior-kernel callable."""
+    """Bind sample and priors into a fast posterior-kernel callable.
+
+    The gamma normalizers are constant while the priors are, so a call
+    evaluates the likelihood plus ``(a-1)*log(x) - b*x`` for each prior,
+    sharing ``log(beta)`` and ``log(eta)`` with the likelihood.
+    """
     prior_beta, prior_eta = priors
-    log_exact, log_cens = c._log_times
-    side = c.side
+    const = prior_beta.log_normalizer + prior_eta.log_normalizer
+    a1_beta, b_beta = prior_beta.shape - 1.0, prior_beta.rate
+    a1_eta, b_eta = prior_eta.shape - 1.0, prior_eta.rate
 
     def kernel(p: ComponentParams) -> float:
-        total = _loglik_value(log_exact, log_cens, side, p.beta, p.eta)
-        if math.isnan(total):
-            raise NumericalError(_diagnose_nan(c, p))
+        beta, eta = p.beta, p.eta
+        log_beta, log_eta = math.log(beta), math.log(eta)
         return (
-            total
-            + gamma_mv_logpdf(prior_beta, p.beta)
-            + gamma_mv_logpdf(prior_eta, p.eta)
+            _checked_loglik(c, p, log_beta, log_eta)
+            + const
+            + a1_beta * log_beta
+            - b_beta * beta
+            + a1_eta * log_eta
+            - b_eta * eta
         )
 
     return kernel

@@ -11,6 +11,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import json
 import math
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -369,7 +370,13 @@ def test_10_reruns_are_byte_identical_except_timestamps(tmp_path):
         if file_a.name == "manifest.json":
             ma = json.loads(file_a.read_text())
             mb = json.loads(file_b.read_text())
-            assert ma.pop("timestamps") != mb.pop("timestamps") or True
+            for m in (ma, mb):
+                stamps = m.pop("timestamps")
+                assert set(stamps) == {"started", "finished"}
+                started, finished = (
+                    datetime.fromisoformat(stamps[key]) for key in ("started", "finished")
+                )
+                assert started.tzinfo is not None and started <= finished
             assert ma == mb
             manifests += 1
         else:

@@ -190,6 +190,16 @@ class TestFitCommand:
         assert rc == 1
         assert "--kind" in capsys.readouterr().err
 
+    def test_single_draw_is_usage_error(self, tmp_path, capsys):
+        # one draw has no standard deviation, which would be written as NaN
+        sim = simulate(tmp_path)
+        out = tmp_path / "fit"
+        rc = cli("fit", sim / "sample.csv", "--kind", "series", "--k", "2",
+                 "--np", "1", "--out", out)
+        assert rc == 1
+        assert "--np must be >= 2" in capsys.readouterr().err
+        assert not (out / "hyper_estimates.json").exists()
+
     def test_cause_outside_range_reports_line(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text("time,cause\n1.0,1\n2.0,5\n3.0,2\n")
@@ -368,6 +378,11 @@ class TestStudyCommand:
         serial = self.run_subset(tmp_path, "serial", subset, "--workers", "1")
         pooled = self.run_subset(tmp_path, "pooled", subset, "--workers", "2")
         assert (serial / "study.csv").read_bytes() == (pooled / "study.csv").read_bytes()
+
+    def test_workers_capped_at_cell_count(self, tmp_path):
+        subset = self.SUBSET + "censor-fractions = 0.0\nmeans = 2.0\n"
+        out = self.run_subset(tmp_path, "study", subset, "--workers", "4")
+        assert manifest_of(out)["config"]["workers"] == 1
 
     def test_manifest_counts_cells(self, tmp_path):
         out = self.run_subset(tmp_path)

@@ -76,11 +76,31 @@ class TestLog1mexp:
         with pytest.raises(ValueError):
             log1mexp(-0.1)
 
+    # around 0, the ln 2 branch point and 700, where exp(-x) nears underflow
+    ARRAY_XS = np.concatenate([
+        [0.0, 5e-324, 1e-300, 1e-10, 0.3, 0.6931, 0.6932, 2.0, 50.0],
+        np.logspace(-20, -1, 39),
+        math.log(2.0) + np.linspace(-1e-12, 1e-12, 41),
+        math.log(2.0) + np.linspace(-1e-3, 1e-3, 41),
+        np.linspace(690.0, 760.0, 71),
+        [math.inf],
+    ])
+
     def test_array_matches_scalar(self):
-        xs = np.array([1e-10, 0.3, 0.6931, 0.6932, 2.0, 50.0])
-        out = log1mexp(xs)
-        for x, o in zip(xs, out):
-            assert o == pytest.approx(log1mexp(float(x)), rel=1e-14)
+        out = log1mexp(self.ARRAY_XS)
+        for x, o in zip(self.ARRAY_XS, out):
+            expect = log1mexp(float(x))
+            # numpy's vectorized log may round differently from the C library
+            assert o == expect or abs(o - expect) <= math.ulp(expect), x
+
+    def test_array_matches_masked_branch_split(self):
+        xs = self.ARRAY_XS
+        ref = np.empty_like(xs)
+        small = xs <= math.log(2.0)
+        with np.errstate(divide="ignore"):
+            ref[small] = np.log(-np.expm1(-xs[small]))
+        ref[~small] = np.log1p(-np.exp(-xs[~small]))
+        assert np.array_equal(log1mexp(xs), ref)
 
 
 class TestWeibull:

@@ -1,10 +1,11 @@
 """Tests for masked-system decomposition and censored likelihoods."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import weibull_min
+from scipy.stats import gamma, weibull_min
 
 from relsys.dists import ComponentParams, MeanVarGamma, gamma_mv_logpdf, weibull_logpdf
 from relsys.errors import NumericalError
@@ -192,3 +193,54 @@ class TestPosteriorKernel:
         for _ in range(10):
             p = ComponentParams(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0)))
             assert kernel(p) == pytest.approx(log_posterior_kernel(c, p, priors), rel=1e-13)
+
+
+class TestKernelAgainstScipy:
+    PRIORS = (MeanVarGamma(1.5, 4.0), MeanVarGamma(2.0, 4.0))
+    # (beta, eta) where (t/eta)**beta overflows or underflows for every record,
+    # so survival or failure terms saturate to -inf, or is far below 1e-16
+    EXTREMES = [
+        (50.0, 1e-8), (50.0, 1e8), (800.0, 0.9), (800.0, 1.1), (0.02, 1e-200), (10.0, 1e3)
+    ]
+
+    @staticmethod
+    def oracle(c, p, priors):
+        prior_terms = sum(
+            gamma.logpdf(x, g.shape, scale=1.0 / g.rate)
+            for g, x in zip(priors, (p.beta, p.eta))
+        )
+        with np.errstate(all="ignore"):
+            return scipy_loglik(c, p) + prior_terms
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize("n", [1, 15, 200])
+    @pytest.mark.parametrize("status", ["mixed", "exact", "censored"])
+    def test_matches_per_record_scipy_sum(self, side, n, status):
+        rng = np.random.default_rng(n)
+        times = rng.gamma(2.0, 1.5, n)
+        censored = {
+            "mixed": rng.random(n) < 0.4,
+            "exact": np.zeros(n, bool),
+            "censored": np.ones(n, bool),
+        }[status]
+        c = ComponentSample(
+            side, tuple(ComponentRecord(float(t), bool(z)) for t, z in zip(times, censored))
+        )
+        kernel = make_log_kernel(c, self.PRIORS)
+        points = [
+            (float(b), float(e))
+            for b, e in zip(rng.uniform(0.2, 6.0, 25), rng.uniform(0.2, 8.0, 25))
+        ] + self.EXTREMES
+        saturated = 0
+        for beta, eta in points:
+            p = ComponentParams(beta, eta)
+            expect = self.oracle(c, p, self.PRIORS)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # saturation must stay silent
+                got = kernel(p)
+            if expect == -math.inf:
+                saturated += 1
+                assert got == -math.inf, (beta, eta)
+            else:
+                assert got == pytest.approx(expect, rel=1e-11, abs=1e-11), (beta, eta)
+        assert saturated > 0
