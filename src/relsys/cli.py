@@ -406,10 +406,11 @@ _REL_KEYS = {
 }
 
 
-def _draws_shell(params, meta: dict) -> ComponentFit:
+def _draws_shell(betas, etas, meta: dict) -> ComponentFit:
     """Rebuild the fit objects band computation needs from saved files."""
     d = PosteriorDraws(
-        draws=params,
+        betas=betas,
+        etas=etas,
         acceptance_rate=float(meta.get("acceptance_rate", math.nan)),
         step_final=float(meta.get("step_final", math.nan)),
         lag1_beta=float(meta.get("lag1_beta", math.nan)),
@@ -481,9 +482,9 @@ def cmd_reliability(args) -> int:
     inputs = {hyper_path.name: io.sha256_file(hyper_path)}
     for j in range(1, k + 1):
         name = io.draws_filename(j)
-        params = io.read_draws_csv(src / name, j)
+        betas, etas = io.read_draws_csv(src / name, j)
         meta = metas[j - 1] if j - 1 < len(metas) and isinstance(metas[j - 1], dict) else {}
-        comp_fits.append(_draws_shell(params, meta))
+        comp_fits.append(_draws_shell(betas, etas, meta))
         inputs[name] = io.sha256_file(src / name)
 
     out = _out_dir(args)
@@ -574,6 +575,17 @@ def _grid_settings(grid_arg: str, replicates: int) -> tuple[dict, dict]:
     return kwargs, {Path(grid_arg).name: io.sha256_file(grid_arg)}
 
 
+def _cell_coords(spec) -> dict:
+    """A study cell's coordinates, keyed as the ``study.csv`` columns."""
+    return {
+        "side": spec.side,
+        "family": spec.generator.family,
+        "censor_pct": spec.censor_fraction * 100.0,
+        "true_mean": spec.true_mean,
+        "n": spec.n,
+    }
+
+
 def cmd_study(args) -> int:
     started = _now()
     replicates = args.replicates if args.replicates is not None else 100
@@ -618,14 +630,17 @@ def cmd_study(args) -> int:
         results = tuple(runner(spec) for spec in specs)
 
     for r in results:
-        line = (
+        cell = (
             f"{r.spec.side} {r.spec.generator.family} "
             f"censor={r.spec.censor_fraction * 100:.0f}% mean={r.spec.true_mean:g} "
-            f"n={r.spec.n}: bias={r.bias:.4f} mse={r.mse:.4f}"
+            f"n={r.spec.n}"
         )
+        line = f"{cell}: bias={r.bias:.4f} mse={r.mse:.4f}"
         if r.n_failed:
             line += f" ({r.n_failed} of {replicates} replicates failed)"
         print(line)
+        for rep, reason in r.failures:
+            print(f"{cell}: replicate {rep} failed: {reason}", file=sys.stderr)
 
     out = _out_dir(args)
     io.write_study_csv(out / "study.csv", results)
@@ -647,6 +662,14 @@ def cmd_study(args) -> int:
         extras={
             "cells": len(results),
             "failed_replicates": sum(r.n_failed for r in results),
+            "replicate_failures": [
+                {
+                    **_cell_coords(r.spec),
+                    "failures": [{"replicate": rep, "reason": why} for rep, why in r.failures],
+                }
+                for r in results
+                if r.failures
+            ],
         },
     )
     return 0

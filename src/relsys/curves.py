@@ -169,7 +169,7 @@ def mean_time_posterior(d: PosteriorDraws) -> tuple[float, float]:
 
     Each draw contributes its own closed-form mean ``eta * Gamma(1 + 1/beta)``.
     """
-    gl = np.array([log_gamma_fn(1.0 + 1.0 / b) for b in d.betas])
+    gl = np.array([log_gamma_fn(1.0 + 1.0 / b) for b in d.betas.tolist()])
     values = d.etas * np.exp(gl)
     return float(values.mean()), float(values.std(ddof=1))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,9 +99,16 @@ def log1mexp_unchecked(arr: np.ndarray) -> np.ndarray:
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class ComponentParams:
+class _ShapeScale(NamedTuple):
+    beta: float
+    eta: float
+
+
+class ComponentParams(_ShapeScale):
     """Weibull shape/scale pair for one component.
+
+    A validated ``(beta, eta)`` tuple: anything that accepts a plain pair,
+    such as a posterior kernel, accepts it too.
 
     Parameters
     ----------
@@ -110,14 +118,14 @@ class ComponentParams:
         Scale, > 0 (time units).
     """
 
-    beta: float
-    eta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise ValueError(f"shape must be finite and > 0, got {self.beta}")
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ValueError(f"scale must be finite and > 0, got {self.eta}")
+    def __new__(cls, beta: float, eta: float):
+        if not (math.isfinite(beta) and beta > 0.0):
+            raise ValueError(f"shape must be finite and > 0, got {beta}")
+        if not (math.isfinite(eta) and eta > 0.0):
+            raise ValueError(f"scale must be finite and > 0, got {eta}")
+        return super().__new__(cls, beta, eta)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ import math
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .curves import ReliabilityBand
 from .dists import ComponentParams
 from .errors import DataError, UsageError
@@ -199,13 +201,20 @@ def write_draws_csv(path: str | Path, j: int, d: PosteriorDraws) -> None:
     write_table(
         path,
         DRAWS_HEADER,
-        ((j, i + 1, p.beta, p.eta) for i, p in enumerate(d.draws)),
+        (
+            (j, i, beta, eta)
+            for i, (beta, eta) in enumerate(zip(d.betas.tolist(), d.etas.tolist()), start=1)
+        ),
     )
 
 
-def read_draws_csv(path: str | Path, j: int) -> tuple[ComponentParams, ...]:
-    """Read back a draws table, checking it belongs to component ``j``."""
-    out = []
+def read_draws_csv(path: str | Path, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read back a draws table as ``(betas, etas)`` arrays.
+
+    Checks that every row belongs to component ``j`` and holds a valid
+    :class:`ComponentParams` pair; errors carry the 1-based line number.
+    """
+    betas, etas = [], []
     for ln, row in _rows(path, DRAWS_HEADER):
         comp = _int_field(path, ln, "component", row[0])
         if comp != j:
@@ -215,12 +224,14 @@ def read_draws_csv(path: str | Path, j: int) -> tuple[ComponentParams, ...]:
         beta = _float_field(path, ln, "beta", row[2])
         eta = _float_field(path, ln, "eta", row[3])
         try:
-            out.append(ComponentParams(beta, eta))
+            ComponentParams(beta, eta)
         except ValueError as e:
             raise DataError(f"{path}: line {ln}: {e}") from None
-    if not out:
+        betas.append(beta)
+        etas.append(eta)
+    if not betas:
         raise DataError(f"{path}: no draws")
-    return tuple(out)
+    return np.array(betas), np.array(etas)
 
 
 def write_band_csv(path: str | Path, band: ReliabilityBand) -> None:

@@ -9,13 +9,17 @@ burn-in the scale is frozen so the collected draws come from a fixed
 kernel.  Draw collection consumes one proposal per step regardless of
 thinning, which makes a thinned chain an exact subsequence of the
 corresponding unthinned one.
+
+The kernel is called with a bare ``(beta, eta)`` tuple of floats.  A
+proposal reaches it only inside ``|log beta|, |log eta| < 300``, so both
+values are finite and > 0; that range guard is the validity check, and
+proposals outside it are rejected without a kernel call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -60,33 +64,35 @@ class McmcConfig:
             raise ValueError(f"adapt_target must be in (0, 1), got {self.adapt_target}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorDraws:
     """Thinned posterior draws plus chain diagnostics.
 
-    ``acceptance_rate`` is the accepted fraction over the collection phase,
-    ``step_final`` the frozen proposal scale, and the lag-1 autocorrelations
-    are computed on the thinned series.
+    ``betas`` and ``etas`` are equal-length float arrays, draw ``l`` being
+    the pair ``(betas[l], etas[l])``.  ``acceptance_rate`` is the accepted
+    fraction over the collection phase, ``step_final`` the frozen proposal
+    scale, and the lag-1 autocorrelations are computed on the thinned
+    series.  Instances compare by identity; compare the arrays instead.
     """
 
-    draws: tuple[ComponentParams, ...]
+    betas: np.ndarray
+    etas: np.ndarray
     acceptance_rate: float
     step_final: float
     lag1_beta: float
     lag1_eta: float
     warnings: tuple[str, ...]
 
+    def __post_init__(self):
+        if self.betas.shape != self.etas.shape or self.betas.ndim != 1:
+            raise ValueError(
+                f"draws need two 1-D arrays of one length, got shapes "
+                f"{self.betas.shape} and {self.etas.shape}"
+            )
+
     @property
     def n(self) -> int:
-        return len(self.draws)
-
-    @cached_property
-    def betas(self) -> np.ndarray:
-        return np.array([d.beta for d in self.draws])
-
-    @cached_property
-    def etas(self) -> np.ndarray:
-        return np.array([d.eta for d in self.draws])
+        return self.betas.size
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,7 @@ class ParamSummary:
 
 
 def run_chain(
-    log_kernel: Callable[[ComponentParams], float],
+    log_kernel: Callable[[tuple[float, float]], float],
     cfg: McmcConfig,
     rng: np.random.Generator,
 ) -> PosteriorDraws:
@@ -109,8 +115,11 @@ def run_chain(
     Parameters
     ----------
     log_kernel : callable
-        Unnormalized log posterior density over :class:`ComponentParams`;
-        ``-inf`` marks zero density, NaN raises inside the kernel.
+        Unnormalized log posterior density of a ``(beta, eta)`` tuple;
+        ``-inf`` marks zero density, NaN raises inside the kernel.  It is
+        called with ``cfg.init`` first and then with plain float tuples
+        whose log-magnitudes are below 300, so both entries are finite and
+        > 0 and the kernel need not check them.
     cfg : McmcConfig
         Chain settings.
     rng : numpy.random.Generator
@@ -121,60 +130,72 @@ def run_chain(
     NumericalError
         If the kernel has zero density at the initial point.
     """
-    u = math.log(cfg.init.beta)
-    w = math.log(cfg.init.eta)
+    beta0, eta0 = cfg.init
+    u = math.log(beta0)
+    w = math.log(eta0)
     lk = log_kernel(cfg.init)
     if not math.isfinite(lk):
         raise NumericalError(
             f"posterior kernel is {lk} at the initial point "
-            f"beta={cfg.init.beta}, eta={cfg.init.eta}"
+            f"beta={beta0}, eta={eta0}"
         )
 
-    total = cfg.burn_in + cfg.n_p * cfg.thin
+    burn_in, thin, target = cfg.burn_in, cfg.thin, cfg.adapt_target
+    total = burn_in + cfg.n_p * thin
     normals = rng.standard_normal((total, 2))
-    unifs = rng.random(total)
+    # the same values as Python floats, which the scalar arithmetic below
+    # handles several times faster than numpy scalars
+    du = normals[:, 0].tolist()
+    dw = normals[:, 1].tolist()
+    unifs = rng.random(total).tolist()
 
+    exp = math.exp
+    lim = _LOG_RANGE
     step = cfg.step_init
     log_step = math.log(step)
-    draws: list[ComponentParams] = []
+    betas: list[float] = []
+    etas: list[float] = []
     accepted = 0
 
     for i in range(total):
-        u2 = u + step * normals[i, 0]
-        w2 = w + step * normals[i, 1]
-        if -_LOG_RANGE < u2 < _LOG_RANGE and -_LOG_RANGE < w2 < _LOG_RANGE:
-            lk2 = log_kernel(ComponentParams(math.exp(u2), math.exp(w2)))
+        u2 = u + step * du[i]
+        w2 = w + step * dw[i]
+        if -lim < u2 < lim and -lim < w2 < lim:
+            lk2 = log_kernel((exp(u2), exp(w2)))
             log_ratio = lk2 - lk + (u2 - u) + (w2 - w)
-            accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
+            accept_prob = 1.0 if log_ratio >= 0.0 else exp(log_ratio)
         else:
             lk2 = -math.inf
             accept_prob = 0.0
         moved = unifs[i] < accept_prob
         if moved:
             u, w, lk = u2, w2, lk2
-        if i < cfg.burn_in:
-            log_step += (accept_prob - cfg.adapt_target) / (i + 1) ** 0.6
-            step = math.exp(log_step)
+        if i < burn_in:
+            log_step += (accept_prob - target) / (i + 1) ** 0.6
+            step = exp(log_step)
         else:
             accepted += moved
-            if (i - cfg.burn_in + 1) % cfg.thin == 0:
-                draws.append(ComponentParams(math.exp(u), math.exp(w)))
+            if (i - burn_in + 1) % thin == 0:
+                betas.append(exp(u))
+                etas.append(exp(w))
 
-    acceptance = accepted / (cfg.n_p * cfg.thin)
+    acceptance = accepted / (cfg.n_p * thin)
     warnings = []
     if not 0.05 <= acceptance <= 0.95:
         warnings.append(
             f"acceptance rate {acceptance:.3f} outside [0.05, 0.95] after burn-in"
         )
-    out = PosteriorDraws(
-        draws=tuple(draws),
+    beta_arr = np.array(betas)
+    eta_arr = np.array(etas)
+    return PosteriorDraws(
+        betas=beta_arr,
+        etas=eta_arr,
         acceptance_rate=acceptance,
         step_final=step,
-        lag1_beta=_lag1(np.array([d.beta for d in draws])),
-        lag1_eta=_lag1(np.array([d.eta for d in draws])),
+        lag1_beta=_lag1(beta_arr),
+        lag1_eta=_lag1(eta_arr),
         warnings=tuple(warnings),
     )
-    return out
 
 
 def _lag1(x: np.ndarray) -> float:

@@ -26,7 +26,13 @@ from .dists import GeneratorSpec, sample
 from .errors import RelsysError
 from .mcem import FitConfig, fit_component
 from .streams import RandomStream, as_stream
-from .sysmodel import ComponentRecord, ComponentSample, SystemObservation, SystemSample
+from .sysmodel import (
+    _SIDES,
+    ComponentRecord,
+    ComponentSample,
+    SystemObservation,
+    SystemSample,
+)
 
 __all__ = [
     "ScenarioSpec",
@@ -48,7 +54,7 @@ GRID_FAMILIES = ("weibull", "gamma", "lognormal")
 GRID_MEANS = (2.0, 7.0)
 GRID_CENSOR_FRACTIONS = (0.0, 0.2, 0.4)
 GRID_SIZES = (30, 100, 1000)
-GRID_SIDES = ("right", "left")
+GRID_SIDES = _SIDES
 GRID_VARIANCE = 5.0
 
 
@@ -90,13 +96,21 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Replicate estimates of the mean lifetime and their error summary."""
+    """Replicate estimates of the mean lifetime and their error summary.
+
+    ``failures`` holds one ``(replicate index, error message)`` pair per
+    replicate whose fit raised, in replicate order.
+    """
 
     spec: ScenarioSpec
     estimates: tuple[float, ...]
     bias: float
     mse: float
-    n_failed: int
+    failures: tuple[tuple[int, str], ...]
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.failures)
 
 
 def _censored_count(fraction: float, n: int) -> int:
@@ -191,11 +205,12 @@ def run_scenario(
     """Replicate one scenario cell and summarize bias and MSE.
 
     Each replicate draws data and fits on its own substream; replicates
-    that fail with a numerical error are counted and skipped.
+    whose fit raises a :class:`RelsysError` are skipped, and the error's
+    message is kept in ``failures``.
     """
     base = as_stream(source).child(*_scenario_key(spec))
     estimates = []
-    n_failed = 0
+    failures = []
     for r in range(spec.replicates):
         rep = base.child(r)
         data = generate_censored_sample(
@@ -207,8 +222,8 @@ def run_scenario(
         )
         try:
             fit = fit_component(data, cfg, rep.child(1))
-        except RelsysError:
-            n_failed += 1
+        except RelsysError as e:
+            failures.append((r, str(e)))
             continue
         estimates.append(mean_time_posterior(fit.draws)[0])
     if estimates:
@@ -223,7 +238,7 @@ def run_scenario(
         estimates=tuple(estimates),
         bias=bias,
         mse=mse,
-        n_failed=n_failed,
+        failures=tuple(failures),
     )
 
 

@@ -11,7 +11,7 @@ the package is a sum of exact, survived-past and failed-before terms.
 
 Each sample binds its likelihood once, from log-time arrays and sums that
 do not depend on the parameters, so that repeated calls at new parameters
-(the Metropolis inner loop) cost one vectorized exponential, two when a
+(the Metropolis inner loop) cost one in-place exponential pass, two when a
 sample mixes exact records and left censorings.
 """
 
@@ -177,18 +177,30 @@ def _bind_loglik(c: ComponentSample) -> Callable[[float, float, float], float]:
         log_pow, log_fail = np.concatenate([exact, cens]), cens[:0]
     else:
         log_pow, log_fail = exact, cens
+    n_pow, n_fail = log_pow.size, log_fail.size
     pow_lo, pow_hi = _extent(log_pow)
     fail_lo, fail_hi = _extent(log_fail)
     # below this exponent the sum of the powers stays finite too
-    pow_ceiling = _EXP_MAX - math.log(max(log_pow.size, 1))
+    pow_ceiling = _EXP_MAX - math.log(max(n_pow, 1))
+    # (t/eta)**beta is formed in place in these buffers, reused by every
+    # call, so the bound likelihood must not run in two threads at once;
+    # the out arguments are positional, which numpy parses faster
+    pow_buf = np.empty_like(log_pow)
+    fail_buf = np.empty_like(log_fail)
+    subtract, multiply, exp, add_reduce = np.subtract, np.multiply, np.exp, np.add.reduce
 
     def survival_terms(beta: float, log_eta: float) -> float:
         total = 0.0
-        if log_pow.size:
-            total -= float(np.exp(beta * (log_pow - log_eta)).sum())
-        if log_fail.size:
-            x = np.exp(beta * (log_fail - log_eta))
-            total += float(log1mexp_unchecked(x).sum())
+        if n_pow:
+            subtract(log_pow, log_eta, pow_buf)
+            multiply(beta, pow_buf, pow_buf)
+            exp(pow_buf, pow_buf)
+            total -= float(add_reduce(pow_buf))
+        if n_fail:
+            subtract(log_fail, log_eta, fail_buf)
+            multiply(beta, fail_buf, fail_buf)
+            exp(fail_buf, fail_buf)
+            total += float(add_reduce(log1mexp_unchecked(fail_buf)))
         return total
 
     def loglik(beta: float, log_beta: float, log_eta: float) -> float:
@@ -208,24 +220,16 @@ def _bind_loglik(c: ComponentSample) -> Callable[[float, float, float], float]:
     return loglik
 
 
-def _checked_loglik(
-    c: ComponentSample, p: ComponentParams, log_beta: float, log_eta: float
-) -> float:
-    total = c._loglik(p.beta, log_beta, log_eta)
-    if math.isnan(total):
-        raise NumericalError(_diagnose_nan(c, p))
-    return total
-
-
-def _diagnose_nan(c: ComponentSample, p: ComponentParams) -> str:
-    log_beta, log_eta = math.log(p.beta), math.log(p.eta)
+def _diagnose_nan(c: ComponentSample, p: tuple[float, float]) -> str:
+    beta, eta = p
+    log_beta, log_eta = math.log(beta), math.log(eta)
     for i, r in enumerate(c.records):
-        if math.isnan(ComponentSample(c.side, (r,))._loglik(p.beta, log_beta, log_eta)):
+        if math.isnan(ComponentSample(c.side, (r,))._loglik(beta, log_beta, log_eta)):
             return (
                 f"log-likelihood is NaN at record {i} (time={r.time}, "
-                f"censored={r.censored}) for beta={p.beta}, eta={p.eta}"
+                f"censored={r.censored}) for beta={beta}, eta={eta}"
             )
-    return f"log-likelihood is NaN for beta={p.beta}, eta={p.eta}"
+    return f"log-likelihood is NaN for beta={beta}, eta={eta}"
 
 
 def component_loglik(c: ComponentSample, p: ComponentParams) -> float:
@@ -237,7 +241,10 @@ def component_loglik(c: ComponentSample, p: ComponentParams) -> float:
     the sample has zero likelihood under ``p``; raises only if the value
     is NaN, naming the offending record.
     """
-    return _checked_loglik(c, p, math.log(p.beta), math.log(p.eta))
+    total = c._loglik(p.beta, math.log(p.beta), math.log(p.eta))
+    if math.isnan(total):
+        raise NumericalError(_diagnose_nan(c, p))
+    return total
 
 
 def system_loglik(s: SystemSample, params: Sequence[ComponentParams]) -> float:
@@ -261,23 +268,32 @@ def log_posterior_kernel(
 
 def make_log_kernel(
     c: ComponentSample, priors: tuple[MeanVarGamma, MeanVarGamma]
-) -> Callable[[ComponentParams], float]:
+) -> Callable[[tuple[float, float]], float]:
     """Bind sample and priors into a fast posterior-kernel callable.
 
+    The kernel takes a ``(beta, eta)`` pair, a :class:`ComponentParams` or
+    a plain tuple of floats, and does not validate it: the caller supplies
+    finite values > 0 (``run_chain`` guarantees this by its range guard).
     The gamma normalizers are constant while the priors are, so a call
     evaluates the likelihood plus ``(a-1)*log(x) - b*x`` for each prior,
-    sharing ``log(beta)`` and ``log(eta)`` with the likelihood.
+    sharing ``log(beta)`` and ``log(eta)`` with the likelihood.  A NaN
+    likelihood raises :class:`NumericalError` naming the record.
     """
+    loglik = c._loglik
     prior_beta, prior_eta = priors
     const = prior_beta.log_normalizer + prior_eta.log_normalizer
     a1_beta, b_beta = prior_beta.shape - 1.0, prior_beta.rate
     a1_eta, b_eta = prior_eta.shape - 1.0, prior_eta.rate
+    log, isnan = math.log, math.isnan
 
-    def kernel(p: ComponentParams) -> float:
-        beta, eta = p.beta, p.eta
-        log_beta, log_eta = math.log(beta), math.log(eta)
+    def kernel(p: tuple[float, float]) -> float:
+        beta, eta = p
+        log_beta, log_eta = log(beta), log(eta)
+        total = loglik(beta, log_beta, log_eta)
+        if isnan(total):
+            raise NumericalError(_diagnose_nan(c, p))
         return (
-            _checked_loglik(c, p, log_beta, log_eta)
+            total
             + const
             + a1_beta * log_beta
             - b_beta * beta

@@ -233,8 +233,9 @@ def test_07_sampler_reproduces_known_gamma_means():
     g_beta = MeanVarGamma(2.0, 1.0)
     g_eta = MeanVarGamma(3.0, 1.5)
 
-    def kernel(p: ComponentParams) -> float:
-        return gamma_mv_logpdf(g_beta, p.beta) + gamma_mv_logpdf(g_eta, p.eta)
+    def kernel(p: tuple[float, float]) -> float:
+        beta, eta = p
+        return gamma_mv_logpdf(g_beta, beta) + gamma_mv_logpdf(g_eta, eta)
 
     def se(x, rho):
         rho = min(max(rho, 0.0), 0.99)

@@ -8,10 +8,12 @@ paths.  Byte-level determinism across reruns is asserted explicitly.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from relsys import io
+from relsys import io, simlab
 from relsys.cli import main
+from relsys.errors import NumericalError
 from relsys.mcem import FitConfig, McmcConfig, fit_system
 from relsys.simlab import grid_specs
 from relsys.streams import RandomStream
@@ -145,8 +147,9 @@ class TestFitCommand:
         )
         fits = fit_system(sample, cfg, RandomStream(11)).components
         for j, f in enumerate(fits, start=1):
-            loaded = io.read_draws_csv(out / io.draws_filename(j), j)
-            assert loaded == f.draws.draws
+            betas, etas = io.read_draws_csv(out / io.draws_filename(j), j)
+            assert np.array_equal(betas, f.draws.betas)
+            assert np.array_equal(etas, f.draws.etas)
         hyper = json.loads((out / "hyper_estimates.json").read_text())
         assert hyper["kind"] == "series"
         assert hyper["k"] == 2
@@ -383,6 +386,33 @@ class TestStudyCommand:
         subset = self.SUBSET + "censor-fractions = 0.0\nmeans = 2.0\n"
         out = self.run_subset(tmp_path, "study", subset, "--workers", "4")
         assert manifest_of(out)["config"]["workers"] == 1
+
+    def test_failure_reasons_go_to_stderr_and_manifest(self, tmp_path, capsys, monkeypatch):
+        def failing(data, cfg, source):
+            raise NumericalError("log-likelihood is NaN for beta=1.0, eta=1.0")
+
+        monkeypatch.setattr(simlab, "fit_component", failing)
+        subset = self.SUBSET + "censor-fractions = 0.0\nmeans = 2.0\n"
+        out = self.run_subset(tmp_path, "study", subset, "--workers", "1")
+        assert "replicate 1 failed: log-likelihood is NaN" in capsys.readouterr().err
+        lines = (out / "study.csv").read_text().splitlines()
+        assert lines[0] == "side,family,censor_pct,true_mean,n,bias,mse,n_failed"
+        assert lines[1].endswith(",nan,nan,2")
+        m = manifest_of(out)
+        assert m["failed_replicates"] == 2
+        assert m["replicate_failures"] == [
+            {
+                "side": "right",
+                "family": "weibull",
+                "censor_pct": 0.0,
+                "true_mean": 2.0,
+                "n": 8,
+                "failures": [
+                    {"replicate": r, "reason": "log-likelihood is NaN for beta=1.0, eta=1.0"}
+                    for r in (0, 1)
+                ],
+            }
+        ]
 
     def test_manifest_counts_cells(self, tmp_path):
         out = self.run_subset(tmp_path)

@@ -21,7 +21,8 @@ from relsys.sampler import PosteriorDraws
 
 def make_draws(betas, etas):
     return PosteriorDraws(
-        draws=tuple(ComponentParams(float(b), float(e)) for b, e in zip(betas, etas)),
+        betas=np.asarray(betas, dtype=float),
+        etas=np.asarray(etas, dtype=float),
         acceptance_rate=0.3,
         step_final=0.2,
         lag1_beta=0.0,
@@ -106,8 +107,8 @@ class TestReliabilityDraws:
     def test_matches_scalar_reliability(self):
         d = random_draws(10, 50)
         r = reliability_draws(d, 1.7)
-        for rl, p in zip(r, d.draws):
-            assert rl == pytest.approx(weibull_reliability(p, 1.7), rel=1e-12)
+        for rl, b, e in zip(r, d.betas, d.etas):
+            assert rl == pytest.approx(weibull_reliability(ComponentParams(b, e), 1.7), rel=1e-12)
 
     def test_time_zero_gives_certain_survival(self):
         d = random_draws(11, 20)

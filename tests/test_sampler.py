@@ -5,26 +5,31 @@ term, the chain must reproduce the prior means and spreads, which are
 known in closed form by construction.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from relsys.dists import ComponentParams, MeanVarGamma, gamma_mv_logpdf
+from relsys.dists import ComponentParams, GeneratorSpec, MeanVarGamma, gamma_mv_logpdf
 from relsys.errors import NumericalError
 from relsys.sampler import McmcConfig, posterior_summary, run_chain
+from relsys.simlab import generate_censored_sample
+from relsys.sysmodel import make_log_kernel
 
 
 BETA_TARGET = MeanVarGamma(2.0, 0.5)
 ETA_TARGET = MeanVarGamma(3.0, 1.0)
 
 
-def gamma_product_kernel(p: ComponentParams) -> float:
-    return gamma_mv_logpdf(BETA_TARGET, p.beta) + gamma_mv_logpdf(ETA_TARGET, p.eta)
+def gamma_product_kernel(p: tuple[float, float]) -> float:
+    beta, eta = p
+    return gamma_mv_logpdf(BETA_TARGET, beta) + gamma_mv_logpdf(ETA_TARGET, eta)
 
 
-def flat_box_kernel(p: ComponentParams) -> float:
-    if abs(math.log(p.beta)) < 20.0 and abs(math.log(p.eta)) < 20.0:
+def flat_box_kernel(p: tuple[float, float]) -> float:
+    beta, eta = p
+    if abs(math.log(beta)) < 20.0 and abs(math.log(eta)) < 20.0:
         return 0.0
     return -math.inf
 
@@ -65,7 +70,8 @@ class TestChainMechanics:
         cfg = McmcConfig(n_p=50, burn_in=100, thin=2)
         a = run_chain(gamma_product_kernel, cfg, np.random.default_rng(9))
         b = run_chain(gamma_product_kernel, cfg, np.random.default_rng(9))
-        assert a.draws == b.draws
+        assert np.array_equal(a.betas, b.betas)
+        assert np.array_equal(a.etas, b.etas)
         assert a.step_final == b.step_final
         assert a.acceptance_rate == b.acceptance_rate
 
@@ -74,7 +80,8 @@ class TestChainMechanics:
         thin = McmcConfig(n_p=200, burn_in=200, thin=5)
         full = run_chain(gamma_product_kernel, thick, np.random.default_rng(31))
         kept = run_chain(gamma_product_kernel, thin, np.random.default_rng(31))
-        assert kept.draws == full.draws[4::5]
+        assert np.array_equal(kept.betas, full.betas[4::5])
+        assert np.array_equal(kept.etas, full.etas[4::5])
 
     def test_flat_kernel_accepts_nearly_all_small_steps(self):
         # symmetric walk on a flat target: only the log-space volume term
@@ -88,12 +95,34 @@ class TestChainMechanics:
         needle = MeanVarGamma(1.0, 1e-8)
 
         def kernel(p):
-            return gamma_mv_logpdf(needle, p.beta) + gamma_mv_logpdf(needle, p.eta)
+            beta, eta = p
+            return gamma_mv_logpdf(needle, beta) + gamma_mv_logpdf(needle, eta)
 
         cfg = McmcConfig(n_p=300, burn_in=0, thin=1, step_init=8.0)
         d = run_chain(kernel, cfg, np.random.default_rng(3))
         assert d.acceptance_rate < 0.05
         assert any("acceptance" in w for w in d.warnings)
+
+    def test_range_guard_rejects_far_proposals_without_a_kernel_call(self):
+        calls = []
+
+        def kernel(p):
+            beta, eta = p
+            for x in (beta, eta):
+                assert type(x) is float and math.isfinite(x) and x > 0.0
+            calls.append(p)
+            return gamma_product_kernel(p)
+
+        # from log 1 = 0, a step of 400 leaves |log x| < 300 in most
+        # coordinates; no burn-in keeps the step there
+        cfg = McmcConfig(n_p=500, burn_in=0, thin=1, step_init=400.0)
+        d = run_chain(kernel, cfg, np.random.default_rng(4))
+        assert d.n == 500
+        assert d.step_final == 400.0
+        # the initial point plus only the in-range proposals reach the kernel
+        assert 1 < len(calls) < 0.6 * cfg.n_p
+        assert np.all(np.abs(np.log(d.betas)) < 300.0)
+        assert np.all(np.abs(np.log(d.etas)) < 300.0)
 
     def test_zero_density_start_raises(self):
         cfg = McmcConfig(n_p=10, burn_in=0, thin=1, init=ComponentParams(1e9, 1e9))
@@ -106,6 +135,39 @@ class TestChainMechanics:
         assert d.n == 77
         assert np.all(d.betas > 0)
         assert np.all(d.etas > 0)
+
+
+class TestRegression:
+    # recorded with the sampler that built a validated ComponentParams per
+    # proposal; any change to the accept decisions, the adaptation or the
+    # kernel's floating-point operations moves these values
+    @pytest.mark.parametrize(
+        "side, acceptance, step_final, digest",
+        [
+            (
+                "right",
+                0.2625,
+                0.38610855372836783,
+                "6ec1a9d13b263038ea1e0a0b4357a22305a4f8b98880aef6696d70ed1d9539ed",
+            ),
+            (
+                "left",
+                0.2675,
+                0.2879326890066998,
+                "3163484d9adfb079096a797e697a814ca7bc1039eeaa9db24c4e52e50784bc47",
+            ),
+        ],
+    )
+    def test_chain_is_bit_identical_to_recorded_run(self, side, acceptance, step_final, digest):
+        c = generate_censored_sample(
+            GeneratorSpec("weibull", 2.0, 5.0), 40, 0.3, side, np.random.default_rng(7)
+        )
+        kernel = make_log_kernel(c, (MeanVarGamma(1.0, 4.0), MeanVarGamma(2.0, 4.0)))
+        d = run_chain(kernel, McmcConfig(n_p=200, burn_in=500, thin=2), np.random.default_rng(41))
+        assert d.acceptance_rate == acceptance
+        assert d.step_final == step_final
+        raw = np.column_stack([d.betas, d.etas]).astype("<f8").tobytes()
+        assert hashlib.sha256(raw).hexdigest() == digest
 
 
 class TestConfigValidation:

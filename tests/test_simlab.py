@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from relsys import simlab
 from relsys.dists import GeneratorSpec, sample
+from relsys.errors import NumericalError
 from relsys.mcem import FitConfig
 from relsys.sampler import McmcConfig
 from relsys.simlab import (
@@ -125,6 +127,23 @@ class TestRunScenario:
         err = np.array(res.estimates) - 2.0
         assert res.bias == pytest.approx(err.mean(), rel=1e-12)
         assert res.mse == pytest.approx((err**2).mean(), rel=1e-12)
+
+    def test_failed_replicates_keep_their_reason(self, monkeypatch):
+        real = simlab.fit_component
+        calls = []
+
+        def flaky(data, cfg, source):
+            calls.append(source)
+            if len(calls) == 2:
+                raise NumericalError("posterior kernel is -inf at the initial point")
+            return real(data, cfg, source)
+
+        monkeypatch.setattr(simlab, "fit_component", flaky)
+        res = run_scenario(self.spec(), FAST, RandomStream(500))
+        clean = run_scenario(self.spec(), FAST, RandomStream(500))
+        assert res.failures == ((1, "posterior kernel is -inf at the initial point"),)
+        assert res.n_failed == 1
+        assert res.estimates == (clean.estimates[0], clean.estimates[2])
 
     def test_zero_censoring_is_side_blind(self):
         right = run_scenario(self.spec(censor_fraction=0.0, side="right"), FAST, RandomStream(11))
