@@ -48,7 +48,6 @@ from .mcem import (
     EmStep,
     FitConfig,
     SystemFit,
-    e_step_objective,
     fit_component,
     fit_system,
     m_step,
@@ -64,6 +63,7 @@ from .simlab import (
     GRID_CENSOR_FRACTIONS,
     GRID_FAMILIES,
     GRID_MEANS,
+    GRID_REPLICATES,
     GRID_SIDES,
     GRID_SIZES,
     GRID_VARIANCE,
@@ -83,7 +83,6 @@ from .sysmodel import (
     SystemSample,
     component_loglik,
     decompose,
-    log_posterior_kernel,
     make_log_kernel,
     system_loglik,
 )
@@ -91,7 +90,6 @@ from .sysmodel import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "__version__",
     # errors
     "RelsysError",
     "UsageError",
@@ -125,7 +123,6 @@ __all__ = [
     "decompose",
     "component_loglik",
     "system_loglik",
-    "log_posterior_kernel",
     "make_log_kernel",
     # sampler
     "McmcConfig",
@@ -138,7 +135,6 @@ __all__ = [
     "EmStep",
     "ComponentFit",
     "SystemFit",
-    "e_step_objective",
     "m_step",
     "fit_component",
     "fit_system",
@@ -164,4 +160,5 @@ __all__ = [
     "GRID_SIZES",
     "GRID_SIDES",
     "GRID_VARIANCE",
+    "GRID_REPLICATES",
 ]

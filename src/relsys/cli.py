@@ -34,25 +34,31 @@ from typing import Sequence
 import numpy as np
 
 from . import io
-from .curves import _METHODS, TimeGrid, mean_time_posterior, reliability_band, system_band
+from .curves import (
+    _GRID_POINTS,
+    _LEVEL,
+    _METHODS,
+    TimeGrid,
+    mean_time_posterior,
+    reliability_band,
+    system_band,
+)
 from .dists import GeneratorSpec, weibull_from_moments
 from .errors import DataError, NumericalError, UnsolvableError, UsageError
-from .mcem import ComponentFit, FitConfig, SystemFit, fit_component, fit_system
+from .mcem import (
+    ComponentFit,
+    FitConfig,
+    SystemFit,
+    _iteration_mcmc,
+    fit_component,
+    fit_system,
+)
 from .sampler import McmcConfig, PosteriorDraws
-from .simlab import generate_system_sample, grid_specs, run_scenario
+from .simlab import GRID_REPLICATES, generate_system_sample, grid_specs, run_scenario
 from .streams import RandomStream
 from .sysmodel import _KINDS, _SIDES
 
 __all__ = ["main"]
-
-# default chain settings; per-iteration chains re-burn at a tenth of the
-# final burn-in
-_DEF_V = 4.0
-_DEF_NP = 1000
-_DEF_BURNIN = 10_000
-_DEF_THIN = 10
-_DEF_TOL = 1e-3
-_DEF_MAX_ITER = 200
 
 
 class _Parser(argparse.ArgumentParser):
@@ -240,40 +246,30 @@ def cmd_simulate(args) -> int:
 
 # --------------------------------------------------------------------- fit
 
-_FIT_KEYS = {
-    "kind": str,
-    "k": int,
-    "side": str,
-    "v": float,
-    "np": int,
-    "burnin": int,
-    "thin": int,
-    "tol": float,
-    "max-iter": int,
-    "seed": int,
-}
 
-
-def _fit_settings(args) -> dict:
-    cfg = _load_config(args.config, _FIT_KEYS)
-    s = {
-        "kind": _effective(args.kind, cfg, "kind", None),
-        "k": _effective(args.k, cfg, "k", None),
-        "side": _effective(args.side, cfg, "side", None),
-        "v": _effective(args.v, cfg, "v", _DEF_V),
-        "np": _effective(args.n_p, cfg, "np", _DEF_NP),
-        "burnin": _effective(args.burnin, cfg, "burnin", _DEF_BURNIN),
-        "thin": _effective(args.thin, cfg, "thin", _DEF_THIN),
-        "tol": _effective(args.tol, cfg, "tol", _DEF_TOL),
-        "max-iter": _effective(args.max_iter, cfg, "max-iter", _DEF_MAX_ITER),
-        "seed": _effective(args.seed, cfg, "seed", 0),
+def _chain_defaults() -> dict:
+    """The chain settings' defaults, keyed as flags and config keys, from ``FitConfig()``."""
+    d = FitConfig()
+    return {
+        "v": d.prior_variance,
+        "np": d.final_mcmc.n_p,
+        "burnin": d.final_mcmc.burn_in,
+        "thin": d.final_mcmc.thin,
+        "tol": d.tol,
+        "max-iter": d.max_iter,
     }
-    if s["kind"] is not None and s["kind"] not in _KINDS:
-        raise UsageError(f"--kind must be one of {_KINDS}, got {s['kind']!r}")
-    if s["side"] is not None and s["side"] not in _SIDES:
-        raise UsageError(f"--side must be one of {_SIDES}, got {s['side']!r}")
-    if s["k"] is not None:
-        _require_positive("--k", s["k"], minimum=1)
+
+
+def _chain_settings(args, cfg: dict) -> tuple[dict, FitConfig]:
+    """Chain settings from the flags, else ``cfg``, else ``FitConfig()``.
+
+    Returns the settings keyed as the manifest records them, and the
+    :class:`FitConfig` they make.
+    """
+    s = {
+        key: _effective(getattr(args, key.replace("-", "_")), cfg, key, default)
+        for key, default in _chain_defaults().items()
+    }
     _require_positive("--v", s["v"])
     # the posterior standard deviations need two draws
     _require_positive("--np", s["np"], minimum=2)
@@ -281,40 +277,56 @@ def _fit_settings(args) -> dict:
     _require_positive("--thin", s["thin"], minimum=1)
     _require_positive("--tol", s["tol"])
     _require_positive("--max-iter", s["max-iter"], minimum=1)
-    _require_positive("--seed", s["seed"], minimum=0)
-    return s
-
-
-def _fit_config(s: dict) -> FitConfig:
-    return FitConfig(
+    final = McmcConfig(n_p=s["np"], burn_in=s["burnin"], thin=s["thin"])
+    fit_cfg = FitConfig(
         prior_variance=s["v"],
         tol=s["tol"],
         max_iter=s["max-iter"],
-        mcmc=McmcConfig(n_p=s["np"], burn_in=s["burnin"] // 10, thin=s["thin"]),
-        final_mcmc=McmcConfig(n_p=s["np"], burn_in=s["burnin"], thin=s["thin"]),
+        mcmc=_iteration_mcmc(final),
+        final_mcmc=final,
     )
+    return s, fit_cfg
+
+
+_FIT_KEYS = {
+    "kind": str,
+    "k": int,
+    "side": str,
+    **{key: type(default) for key, default in _chain_defaults().items()},
+    "seed": int,
+}
 
 
 def cmd_fit(args) -> int:
     started = _now()
-    s = _fit_settings(args)
+    file_cfg = _load_config(args.config, _FIT_KEYS)
+    kind = _effective(args.kind, file_cfg, "kind", None)
+    k = _effective(args.k, file_cfg, "k", None)
+    side = _effective(args.side, file_cfg, "side", None)
+    seed = _effective(args.seed, file_cfg, "seed", 0)
+    if kind is not None and kind not in _KINDS:
+        raise UsageError(f"--kind must be one of {_KINDS}, got {kind!r}")
+    if side is not None and side not in _SIDES:
+        raise UsageError(f"--side must be one of {_SIDES}, got {side!r}")
+    if k is not None:
+        _require_positive("--k", k, minimum=1)
+    s, cfg = _chain_settings(args, file_cfg)
+    _require_positive("--seed", seed, minimum=0)
     input_digest = io.sha256_file(args.data)
     header = io.read_header(args.data)
-    cfg = _fit_config(s)
-    seed = s["seed"]
     if header == io.SYSTEM_HEADER:
-        if s["kind"] is None:
+        if kind is None:
             raise UsageError("data has a 'time,cause' header; --kind is required")
-        if s["k"] is None:
+        if k is None:
             raise UsageError("data has a 'time,cause' header; --k is required")
-        sample = io.read_system_csv(args.data, s["kind"], s["k"])
+        sample = io.read_system_csv(args.data, kind, k)
         times = [o.time for o in sample.observations]
         fits = fit_system(sample, cfg, RandomStream(seed)).components
-        label = s["kind"]
+        label = kind
     elif header == io.COMPONENT_HEADER:
-        if s["side"] is None:
+        if side is None:
             raise UsageError("data has a 'time,event' header; --side is required")
-        comp = io.read_component_csv(args.data, s["side"])
+        comp = io.read_component_csv(args.data, side)
         times = [r.time for r in comp.records]
         fits = (fit_component(comp, cfg, RandomStream(seed).child(0)),)
         label = "component"
@@ -323,7 +335,7 @@ def cmd_fit(args) -> int:
             f"{args.data}: unrecognized header {','.join(header)!r}; "
             "expected time,cause or time,event"
         )
-    k = len(fits)
+    k = len(fits)  # the component count actually fitted
 
     out = _out_dir(args)
     outputs = []
@@ -374,15 +386,13 @@ def cmd_fit(args) -> int:
         "components": hyper_components,
     }
     if label == "component":
-        hyper["side"] = s["side"]
+        hyper["side"] = side
     io.write_json(out / "hyper_estimates.json", hyper)
     outputs.append("hyper_estimates.json")
 
-    config = {key: s[key] for key in ("v", "np", "burnin", "thin", "tol", "max-iter")}
-    config["kind"] = label
-    config["k"] = k
+    config = {**s, "kind": label, "k": k}
     if label == "component":
-        config["side"] = s["side"]
+        config["side"] = side
     _write_manifest(
         out,
         command="fit",
@@ -431,9 +441,9 @@ def cmd_reliability(args) -> int:
     started = _now()
     cfg = _load_config(args.config, _REL_KEYS)
     grid_max = _effective(args.grid_max, cfg, "grid-max", None)
-    grid_points = _effective(args.grid_points, cfg, "grid-points", 200)
-    level = _effective(args.level, cfg, "level", 0.95)
-    method = _effective(args.method, cfg, "method", "hpd")
+    grid_points = _effective(args.grid_points, cfg, "grid-points", _GRID_POINTS)
+    level = _effective(args.level, cfg, "level", _LEVEL)
+    method = _effective(args.method, cfg, "method", _METHODS[0])
     if not 0.0 < level < 1.0:
         raise UsageError(f"--level must lie strictly between 0 and 1, got {level}")
     if method not in _METHODS:
@@ -472,7 +482,7 @@ def cmd_reliability(args) -> int:
     if not (math.isfinite(grid_max) and grid_max > 0.0):
         raise UsageError(f"--grid-max must be finite and positive, got {grid_max}")
     grid = (
-        TimeGrid((float(grid_max),))
+        TimeGrid(np.array([grid_max]))
         if grid_points == 1
         else TimeGrid.regular(float(grid_max), grid_points)
     )
@@ -545,15 +555,15 @@ def _split(raw: str, conv, name: str, path: str) -> tuple:
     return tuple(_convert(conv, name, c) for c in items)
 
 
-def _grid_settings(grid_arg: str, replicates: int) -> tuple[dict, dict]:
+def _grid_settings(grid_arg: str) -> tuple[dict, dict]:
     """Resolve --grid into grid_specs keyword arguments.
 
     Returns (kwargs, inputs) where inputs maps a subset file to its digest.
     """
     if grid_arg == "full":
-        return {"replicates": replicates}, {}
+        return {}, {}
     cfg = _load_config(grid_arg, _STUDY_GRID_KEYS)
-    kwargs: dict = {"replicates": cfg.get("replicates", replicates)}
+    kwargs = {key: cfg[key] for key in ("variance", "replicates") if key in cfg}
     if "families" in cfg:
         kwargs["families"] = _split(cfg["families"], str, "families", grid_arg)
     if "sides" in cfg:
@@ -570,8 +580,6 @@ def _grid_settings(grid_arg: str, replicates: int) -> tuple[dict, dict]:
         )
     if "sizes" in cfg:
         kwargs["sizes"] = _split(cfg["sizes"], int, "sizes", grid_arg)
-    if "variance" in cfg:
-        kwargs["variance"] = cfg["variance"]
     return kwargs, {Path(grid_arg).name: io.sha256_file(grid_arg)}
 
 
@@ -588,37 +596,21 @@ def _cell_coords(spec) -> dict:
 
 def cmd_study(args) -> int:
     started = _now()
-    replicates = args.replicates if args.replicates is not None else 100
-    _require_positive("--replicates", replicates, minimum=1)
     seed = args.seed if args.seed is not None else 0
     _require_positive("--seed", seed, minimum=0)
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     _require_positive("--workers", workers, minimum=1)
+    s, cfg = _chain_settings(args, {})
 
-    chain = argparse.Namespace(
-        config=None,
-        kind=None,
-        k=None,
-        side=None,
-        v=args.v,
-        n_p=args.n_p,
-        burnin=args.burnin,
-        thin=args.thin,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        seed=None,
-    )
-    s = _fit_settings(chain)
-    cfg = _fit_config(s)
-
-    kwargs, inputs = _grid_settings(args.grid, replicates)
+    kwargs, inputs = _grid_settings(args.grid)
     if args.replicates is not None:
-        kwargs["replicates"] = replicates
+        _require_positive("--replicates", args.replicates, minimum=1)
+        kwargs["replicates"] = args.replicates
     try:
         specs = grid_specs(**kwargs)
     except ValueError as e:
         raise UsageError(f"invalid study grid: {e}") from None
-    replicates = kwargs["replicates"]
+    replicates = specs[0].replicates
     workers = min(workers, len(specs))
 
     master = RandomStream(seed)
@@ -638,6 +630,8 @@ def cmd_study(args) -> int:
         line = f"{cell}: bias={r.bias:.4f} mse={r.mse:.4f}"
         if r.n_failed:
             line += f" ({r.n_failed} of {replicates} replicates failed)"
+        if r.not_converged:
+            line += f" ({len(r.not_converged)} of {replicates} fits not converged)"
         print(line)
         for rep, reason in r.failures:
             print(f"{cell}: replicate {rep} failed: {reason}", file=sys.stderr)
@@ -649,7 +643,7 @@ def cmd_study(args) -> int:
         "grid": args.grid if args.grid == "full" else Path(args.grid).name,
         "replicates": replicates,
         "workers": workers,
-        **{key: s[key] for key in ("v", "np", "burnin", "thin", "tol", "max-iter")},
+        **s,
     }
     _write_manifest(
         out,
@@ -670,6 +664,11 @@ def cmd_study(args) -> int:
                 for r in results
                 if r.failures
             ],
+            "not_converged": [
+                {**_cell_coords(r.spec), "replicates": list(r.not_converged)}
+                for r in results
+                if r.not_converged
+            ],
         },
     )
     return 0
@@ -679,35 +678,35 @@ def cmd_study(args) -> int:
 
 
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--v", type=float, default=None, help="prior variance (default 4)")
+    d = _chain_defaults()
+    p.add_argument("--v", type=float, default=None, help=f"prior variance (default {d['v']:g})")
     p.add_argument(
         "--np",
-        dest="n_p",
         type=int,
         default=None,
-        help="posterior draws kept per chain, at least 2 (default 1000)",
+        help=f"posterior draws kept per chain, at least 2 (default {d['np']})",
     )
     p.add_argument(
         "--burnin",
         type=int,
         default=None,
-        help="final-chain burn-in; per-iteration chains use a tenth (default 10000)",
+        help=f"final-chain burn-in; per-iteration chains use a tenth (default {d['burnin']})",
     )
     p.add_argument(
-        "--thin", type=int, default=None, help="keep every thin-th state (default 10)"
+        "--thin", type=int, default=None, help=f"keep every thin-th state (default {d['thin']})"
     )
     p.add_argument(
         "--tol",
         type=float,
         default=None,
-        help="stop when both prior means move less than this (default 1e-3)",
+        help=f"stop when both prior means move less than this (default {d['tol']:g})",
     )
     p.add_argument(
         "--max-iter",
         dest="max_iter",
         type=int,
         default=None,
-        help="cap on EM iterations (default 200)",
+        help=f"cap on EM iterations (default {d['max-iter']})",
     )
 
 
@@ -771,14 +770,16 @@ def _build_parser() -> _Parser:
         dest="grid_points",
         type=int,
         default=None,
-        help="number of grid times from 0 (default 200)",
+        help=f"number of grid times from 0 (default {_GRID_POINTS})",
     )
-    rel.add_argument("--level", type=float, default=None, help="credible level (default 0.95)")
+    rel.add_argument(
+        "--level", type=float, default=None, help=f"credible level (default {_LEVEL:g})"
+    )
     rel.add_argument(
         "--method",
         choices=_METHODS,
         default=None,
-        help="interval rule (default hpd)",
+        help=f"interval rule (default {_METHODS[0]})",
     )
     rel.add_argument("--out", required=True, help="output directory")
     rel.set_defaults(func=cmd_reliability)
@@ -797,7 +798,10 @@ def _build_parser() -> _Parser:
         "(families/sides/means/censor-fractions/sizes/variance)",
     )
     study.add_argument(
-        "--replicates", type=int, default=None, help="replicates per cell (default 100)"
+        "--replicates",
+        type=int,
+        default=None,
+        help=f"replicates per cell (default {GRID_REPLICATES})",
     )
     _add_chain_flags(study)
     study.add_argument("--seed", type=int, default=None, help="root seed (default 0)")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,68 +30,75 @@ __all__ = [
     "system_band",
 ]
 
+# the first method is the default
 _METHODS = ("hpd", "quantile")
+_LEVEL = 0.95
+_GRID_POINTS = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Strictly increasing evaluation times, starting at or after zero."""
+    """Strictly increasing evaluation times, starting at or after zero.
 
-    points: tuple[float, ...]
+    ``points`` is a 1-D float array.  Instances compare by identity;
+    compare the arrays instead.
+    """
+
+    points: np.ndarray
 
     def __post_init__(self):
-        if not self.points:
-            raise ValueError("time grid must contain at least one point")
-        arr = np.asarray(self.points, dtype=float)
-        if not np.all(np.isfinite(arr)):
+        p = self.points
+        if p.ndim != 1 or p.size == 0:
+            raise ValueError("time grid must be a 1-D array of at least one point")
+        if not np.all(np.isfinite(p)):
             raise ValueError("time grid points must be finite")
-        if arr[0] < 0.0:
-            raise ValueError(f"time grid must start at >= 0, got {arr[0]}")
-        if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
+        if p[0] < 0.0:
+            raise ValueError(f"time grid must start at >= 0, got {p[0]}")
+        if not np.all(np.diff(p) > 0.0):
             raise ValueError("time grid points must be strictly increasing")
 
     @classmethod
-    def regular(cls, t_max: float, n: int = 200) -> "TimeGrid":
+    def regular(cls, t_max: float, n: int = _GRID_POINTS) -> "TimeGrid":
         """Evenly spaced grid of ``n`` points from 0 to ``t_max``."""
         if not (math.isfinite(t_max) and t_max > 0.0):
             raise ValueError(f"t_max must be finite and > 0, got {t_max}")
         if n < 2:
             raise ValueError(f"regular grid needs at least 2 points, got {n}")
-        return cls(tuple(float(t) for t in np.linspace(0.0, t_max, n)))
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
+        return cls(np.linspace(0.0, t_max, n))
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return self.points.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReliabilityBand:
-    """Pointwise mean curve with credible bounds on a time grid."""
+    """Pointwise mean curve with credible bounds on a time grid.
+
+    ``mean``, ``lower`` and ``upper`` are float arrays of the grid's
+    length.  Instances compare by identity; compare the arrays instead.
+    """
 
     grid: TimeGrid
-    mean: tuple[float, ...]
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
+    mean: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     level: float
     method: str
 
     def __post_init__(self):
-        n = self.grid.n
-        if not (len(self.mean) == len(self.lower) == len(self.upper) == n):
+        shape = self.grid.points.shape
+        if not (self.mean.shape == self.lower.shape == self.upper.shape == shape):
             raise ValueError("band arrays must match the grid length")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {self.level}")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         for name in ("mean", "lower", "upper"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = getattr(self, name)
             if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
                 raise ValueError(f"band {name} values must lie in [0, 1]")
-        if np.any(np.asarray(self.lower) > np.asarray(self.upper)):
+        if np.any(self.lower > self.upper):
             raise ValueError("band lower bound exceeds upper bound")
 
 
@@ -147,21 +153,14 @@ def _band_from_matrix(
         half = (1.0 - level) / 2.0
         lower = np.quantile(r, half, axis=1)
         upper = np.quantile(r, 1.0 - half, axis=1)
-    return ReliabilityBand(
-        grid=grid,
-        mean=tuple(float(x) for x in mean),
-        lower=tuple(float(x) for x in lower),
-        upper=tuple(float(x) for x in upper),
-        level=level,
-        method=method,
-    )
+    return ReliabilityBand(grid, mean, lower, upper, level, method)
 
 
 def reliability_band(
-    d: PosteriorDraws, grid: TimeGrid, level: float = 0.95, method: str = "hpd"
+    d: PosteriorDraws, grid: TimeGrid, level: float = _LEVEL, method: str = _METHODS[0]
 ) -> ReliabilityBand:
     """Pointwise mean reliability with credible bounds for one component."""
-    return _band_from_matrix(_survival_matrix(d, grid.array), grid, level, method)
+    return _band_from_matrix(_survival_matrix(d, grid.points), grid, level, method)
 
 
 def mean_time_posterior(d: PosteriorDraws) -> tuple[float, float]:
@@ -175,19 +174,25 @@ def mean_time_posterior(d: PosteriorDraws) -> tuple[float, float]:
 
 
 def system_band(
-    f: SystemFit, grid: TimeGrid, level: float = 0.95, method: str = "hpd"
+    f: SystemFit, grid: TimeGrid, level: float = _LEVEL, method: str = _METHODS[0]
 ) -> ReliabilityBand:
     """Credible band for the whole system's reliability.
 
     Component curves are combined within each draw index, so the ``l``-th
-    system curve uses the ``l``-th draw of every component.
+    system curve uses the ``l``-th draw of every component.  The product
+    is formed in place, one component matrix at a time, so at most two
+    draw-by-time matrices are alive at once.
     """
     sizes = {c.draws.n for c in f.components}
     if len(sizes) != 1:
         raise ValueError(f"components carry unequal draw counts {sorted(sizes)}")
-    mats = [_survival_matrix(c.draws, grid.array) for c in f.components]
-    if f.kind == "series":
-        r = np.prod(mats, axis=0)
-    else:
-        r = 1.0 - np.prod([1.0 - m for m in mats], axis=0)
+    parallel = f.kind != "series"
+    r = None
+    for c in f.components:
+        m = _survival_matrix(c.draws, grid.points)
+        if parallel:
+            np.subtract(1.0, m, out=m)
+        r = m if r is None else np.multiply(r, m, out=r)
+    if parallel:
+        np.subtract(1.0, r, out=r)
     return _band_from_matrix(r, grid, level, method)

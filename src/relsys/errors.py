@@ -4,6 +4,15 @@ The CLI maps these onto exit codes: usage errors exit 1, data errors exit 2
 and numerical failures exit 3.
 """
 
+__all__ = [
+    "RelsysError",
+    "UsageError",
+    "DataError",
+    "NumericalError",
+    "UnsolvableError",
+    "ConvergenceError",
+]
+
 
 class RelsysError(Exception):
     """Base class for all errors raised by this package."""

@@ -238,7 +238,12 @@ def write_band_csv(path: str | Path, band: ReliabilityBand) -> None:
     write_table(
         path,
         BAND_HEADER,
-        zip(band.grid.points, band.mean, band.lower, band.upper),
+        zip(
+            band.grid.points.tolist(),
+            band.mean.tolist(),
+            band.lower.tolist(),
+            band.upper.tolist(),
+        ),
     )
 
 

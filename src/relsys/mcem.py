@@ -34,29 +34,30 @@ __all__ = [
     "EmStep",
     "ComponentFit",
     "SystemFit",
-    "e_step_objective",
     "m_step",
     "fit_component",
     "fit_system",
 ]
 
 
+def _iteration_mcmc(final: McmcConfig) -> McmcConfig:
+    """Per-iteration chain settings: the final chain's, at a tenth of its burn-in."""
+    return replace(final, burn_in=final.burn_in // 10)
+
+
 @dataclass(frozen=True)
 class FitConfig:
-    """Settings for one component fit.
+    """Settings for one component fit, and the home of their defaults.
 
-    ``prior_variance`` is the fixed variance of every gamma prior; the two
-    optional overrides pin the shape or scale prior separately.  ``mcmc``
+    ``prior_variance`` is the fixed variance of both gamma priors.  ``mcmc``
     configures the per-iteration chains, ``final_mcmc`` the single long
     chain run at the converged prior means.
     """
 
     prior_variance: float = 4.0
-    prior_variance_beta: float | None = None
-    prior_variance_eta: float | None = None
     tol: float = 1e-3
     max_iter: int = 200
-    mcmc: McmcConfig = field(default_factory=lambda: McmcConfig(burn_in=1000))
+    mcmc: McmcConfig = field(default_factory=lambda: _iteration_mcmc(McmcConfig()))
     final_mcmc: McmcConfig = field(default_factory=McmcConfig)
 
     def __post_init__(self):
@@ -64,22 +65,10 @@ class FitConfig:
             raise ValueError(
                 f"prior_variance must be finite and > 0, got {self.prior_variance}"
             )
-        for name in ("prior_variance_beta", "prior_variance_eta"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-
-    @property
-    def v_beta(self) -> float:
-        return self.prior_variance if self.prior_variance_beta is None else self.prior_variance_beta
-
-    @property
-    def v_eta(self) -> float:
-        return self.prior_variance if self.prior_variance_eta is None else self.prior_variance_eta
 
 
 @dataclass(frozen=True)
@@ -120,27 +109,6 @@ def _gamma_mean_objective(m: float, v: float, mean_x: float, mean_log: float) ->
     a = m * m / v
     b = m / v
     return a * math.log(b) - log_gamma_fn(a) + (a - 1.0) * mean_log - b * mean_x
-
-
-def e_step_objective(
-    d: PosteriorDraws, v_beta: float, v_eta: float | None = None
-) -> Callable[[float, float], float]:
-    """Expected complete-data objective as a function of the prior means.
-
-    Returns the average, over the draws, of the two gamma prior log
-    densities; the M step maximizes it one coordinate at a time.
-    """
-    if v_eta is None:
-        v_eta = v_beta
-    bx, blog = float(d.betas.mean()), float(np.log(d.betas).mean())
-    ex, elog = float(d.etas.mean()), float(np.log(d.etas).mean())
-
-    def q(m_beta: float, m_eta: float) -> float:
-        return _gamma_mean_objective(m_beta, v_beta, bx, blog) + _gamma_mean_objective(
-            m_eta, v_eta, ex, elog
-        )
-
-    return q
 
 
 _MAX_CHAIN_GROWTHS = 5
@@ -219,11 +187,9 @@ def _initial_priors(
 ) -> tuple[float, float, tuple[MeanVarGamma, MeanVarGamma]]:
     m_beta = 1.0
     m_eta = float(np.mean([r.time for r in c.records]))
+    v = cfg.prior_variance
     try:
-        priors = (
-            MeanVarGamma(m_beta, cfg.v_beta),
-            MeanVarGamma(m_eta, cfg.v_eta),
-        )
+        priors = (MeanVarGamma(m_beta, v), MeanVarGamma(m_eta, v))
     except ValueError as e:
         raise NumericalError(f"initial hyper-means are unusable: {e}") from e
     return m_beta, m_eta, priors
@@ -246,6 +212,7 @@ def fit_component(
         )
 
     m_beta, m_eta, priors = _initial_priors(c, cfg)
+    v = cfg.prior_variance
     # every iteration replays the same noise from the same start, so the
     # iteration is a map of the hyper-means only; feeding the previous
     # chain's state back in would re-inject Monte Carlo jitter and keep
@@ -265,12 +232,12 @@ def fit_component(
     for it in range(1, cfg.max_iter + 1):
         kernel = make_log_kernel(c, priors)
         d = run_chain(kernel, chain_cfg, em_stream.generator())
-        new_beta = m_step(d.betas, cfg.v_beta)
-        new_eta = m_step(d.etas, cfg.v_eta)
+        new_beta = m_step(d.betas, v)
+        new_eta = m_step(d.etas, v)
         trace.append(EmStep(it, new_beta, new_eta))
         delta = max(abs(new_beta - m_beta), abs(new_eta - m_eta))
         m_beta, m_eta = new_beta, new_eta
-        priors = (MeanVarGamma(m_beta, cfg.v_beta), MeanVarGamma(m_eta, cfg.v_eta))
+        priors = (MeanVarGamma(m_beta, v), MeanVarGamma(m_eta, v))
         if delta < cfg.tol:
             converged = True
             break

@@ -32,6 +32,8 @@ __all__ = ["McmcConfig", "PosteriorDraws", "ParamSummary", "run_chain", "posteri
 # proposals beyond this log-magnitude are rejected outright; exp() is safe
 # inside and any proper posterior is vanishing there anyway
 _LOG_RANGE = 300.0
+# burn-in steers the acceptance probability toward this value
+_ADAPT_TARGET = 0.30
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,8 @@ class McmcConfig:
 
     ``n_p`` draws are collected after ``burn_in`` adaptation steps, keeping
     every ``thin``-th state.  ``step_init`` is the initial proposal scale in
-    log space; during burn-in it is steered toward the ``adapt_target``
-    acceptance probability and then frozen.
+    log space; during burn-in it is steered toward an acceptance probability
+    of 0.3 and then frozen.
     """
 
     n_p: int = 1000
@@ -49,7 +51,6 @@ class McmcConfig:
     thin: int = 10
     init: ComponentParams = field(default_factory=lambda: ComponentParams(1.0, 1.0))
     step_init: float = 0.5
-    adapt_target: float = 0.30
 
     def __post_init__(self):
         if self.n_p < 1:
@@ -60,8 +61,6 @@ class McmcConfig:
             raise ValueError(f"thin must be >= 1, got {self.thin}")
         if not (math.isfinite(self.step_init) and self.step_init > 0.0):
             raise ValueError(f"step_init must be finite and > 0, got {self.step_init}")
-        if not 0.0 < self.adapt_target < 1.0:
-            raise ValueError(f"adapt_target must be in (0, 1), got {self.adapt_target}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +139,7 @@ def run_chain(
             f"beta={beta0}, eta={eta0}"
         )
 
-    burn_in, thin, target = cfg.burn_in, cfg.thin, cfg.adapt_target
+    burn_in, thin, target = cfg.burn_in, cfg.thin, _ADAPT_TARGET
     total = burn_in + cfg.n_p * thin
     normals = rng.standard_normal((total, 2))
     # the same values as Python floats, which the scalar arithmetic below

@@ -22,11 +22,12 @@ from typing import Sequence
 import numpy as np
 
 from .curves import mean_time_posterior
-from .dists import GeneratorSpec, sample
+from .dists import _FAMILIES, GeneratorSpec, sample
 from .errors import RelsysError
 from .mcem import FitConfig, fit_component
 from .streams import RandomStream, as_stream
 from .sysmodel import (
+    _KINDS,
     _SIDES,
     ComponentRecord,
     ComponentSample,
@@ -48,14 +49,16 @@ __all__ = [
     "GRID_SIZES",
     "GRID_SIDES",
     "GRID_VARIANCE",
+    "GRID_REPLICATES",
 ]
 
-GRID_FAMILIES = ("weibull", "gamma", "lognormal")
+GRID_FAMILIES = _FAMILIES
 GRID_MEANS = (2.0, 7.0)
 GRID_CENSOR_FRACTIONS = (0.0, 0.2, 0.4)
 GRID_SIZES = (30, 100, 1000)
 GRID_SIDES = _SIDES
 GRID_VARIANCE = 5.0
+GRID_REPLICATES = 100
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,9 @@ class ScenarioResult:
     """Replicate estimates of the mean lifetime and their error summary.
 
     ``failures`` holds one ``(replicate index, error message)`` pair per
-    replicate whose fit raised, in replicate order.
+    replicate whose fit raised, in replicate order.  ``not_converged``
+    lists, in order, the replicates whose fit stopped at the iteration
+    cap; their estimates are kept.
     """
 
     spec: ScenarioSpec
@@ -107,6 +112,7 @@ class ScenarioResult:
     bias: float
     mse: float
     failures: tuple[tuple[int, str], ...]
+    not_converged: tuple[int, ...]
 
     @property
     def n_failed(self) -> int:
@@ -132,8 +138,8 @@ def generate_system_sample(
     probability zero under continuous generators and are not arbitrated
     beyond first index.
     """
-    if kind not in ("series", "parallel"):
-        raise ValueError(f"kind must be 'series' or 'parallel', got {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     if not generators:
         raise ValueError("at least one component generator is required")
     if n < 1:
@@ -211,6 +217,7 @@ def run_scenario(
     base = as_stream(source).child(*_scenario_key(spec))
     estimates = []
     failures = []
+    not_converged = []
     for r in range(spec.replicates):
         rep = base.child(r)
         data = generate_censored_sample(
@@ -225,6 +232,8 @@ def run_scenario(
         except RelsysError as e:
             failures.append((r, str(e)))
             continue
+        if not fit.converged:
+            not_converged.append(r)
         estimates.append(mean_time_posterior(fit.draws)[0])
     if estimates:
         err = np.asarray(estimates) - spec.true_mean
@@ -239,6 +248,7 @@ def run_scenario(
         bias=bias,
         mse=mse,
         failures=tuple(failures),
+        not_converged=tuple(not_converged),
     )
 
 
@@ -249,7 +259,7 @@ def grid_specs(
     sizes: Sequence[int] = GRID_SIZES,
     sides: Sequence[str] = GRID_SIDES,
     variance: float = GRID_VARIANCE,
-    replicates: int = 100,
+    replicates: int = GRID_REPLICATES,
 ) -> tuple[ScenarioSpec, ...]:
     """Enumerate the scenario cross product in canonical order.
 
@@ -275,23 +285,13 @@ def grid_specs(
 
 
 def run_grid(
-    cfg: FitConfig,
-    source: RandomStream | int,
-    families: Sequence[str] = GRID_FAMILIES,
-    means: Sequence[float] = GRID_MEANS,
-    censor_fractions: Sequence[float] = GRID_CENSOR_FRACTIONS,
-    sizes: Sequence[int] = GRID_SIZES,
-    sides: Sequence[str] = GRID_SIDES,
-    variance: float = GRID_VARIANCE,
-    replicates: int = 100,
+    cfg: FitConfig, source: RandomStream | int, **grid
 ) -> tuple[ScenarioResult, ...]:
     """Run every scenario in the cross product, in canonical order.
 
-    Each cell's substream depends only on its own coordinates, so
-    subsetting the grid never changes a cell's result.
+    ``grid`` takes the keyword arguments of :func:`grid_specs`.  Each
+    cell's substream depends only on its own coordinates, so subsetting
+    the grid never changes a cell's result.
     """
     st = as_stream(source)
-    specs = grid_specs(
-        families, means, censor_fractions, sizes, sides, variance, replicates
-    )
-    return tuple(run_scenario(spec, cfg, st) for spec in specs)
+    return tuple(run_scenario(spec, cfg, st) for spec in grid_specs(**grid))

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["RandomStream", "as_stream"]
+
 
 @dataclass(frozen=True)
 class RandomStream:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dists import ComponentParams, MeanVarGamma, log1mexp_unchecked
+from .dists import _EXP_MAX, ComponentParams, MeanVarGamma, log1mexp_unchecked
 from .errors import NumericalError
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "decompose",
     "component_loglik",
     "system_loglik",
-    "log_posterior_kernel",
     "make_log_kernel",
 ]
 
@@ -145,9 +144,8 @@ def decompose(s: SystemSample) -> tuple[ComponentSample, ...]:
     return tuple(out)
 
 
-# exp() overflows just above _EXP_MAX; below _FAIL_FLOOR a left censoring's
-# exp(-(t/eta)**beta) rounds to 1 and log1mexp's unused branch divides by 0
-_EXP_MAX = 709.0
+# below this exponent a left censoring's exp(-(t/eta)**beta) rounds to 1
+# and log1mexp's unused branch divides by 0
 _FAIL_FLOOR = -30.0
 
 
@@ -254,26 +252,16 @@ def system_loglik(s: SystemSample, params: Sequence[ComponentParams]) -> float:
     return sum(component_loglik(c, p) for c, p in zip(decompose(s), params))
 
 
-def log_posterior_kernel(
-    c: ComponentSample,
-    p: ComponentParams,
-    priors: tuple[MeanVarGamma, MeanVarGamma],
-) -> float:
-    """Unnormalized log posterior: likelihood plus both gamma prior terms.
-
-    ``priors`` is the (shape prior, scale prior) pair.
-    """
-    return make_log_kernel(c, priors)(p)
-
-
 def make_log_kernel(
     c: ComponentSample, priors: tuple[MeanVarGamma, MeanVarGamma]
 ) -> Callable[[tuple[float, float]], float]:
     """Bind sample and priors into a fast posterior-kernel callable.
 
-    The kernel takes a ``(beta, eta)`` pair, a :class:`ComponentParams` or
-    a plain tuple of floats, and does not validate it: the caller supplies
-    finite values > 0 (``run_chain`` guarantees this by its range guard).
+    The kernel is the unnormalized log posterior: the likelihood plus the
+    log densities of ``priors``, the (shape prior, scale prior) pair.  It
+    takes a ``(beta, eta)`` pair, a :class:`ComponentParams` or a plain
+    tuple of floats, and does not validate it: the caller supplies finite
+    values > 0 (``run_chain`` guarantees this by its range guard).
     The gamma normalizers are constant while the priors are, so a call
     evaluates the likelihood plus ``(a-1)*log(x) - b*x`` for each prior,
     sharing ``log(beta)`` and ``log(eta)`` with the likelihood.  A NaN

@@ -11,7 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from relsys import io, simlab
+from relsys import cli as cli_module
+from relsys import io, mcem, simlab
 from relsys.cli import main
 from relsys.errors import NumericalError
 from relsys.mcem import FitConfig, McmcConfig, fit_system
@@ -251,6 +252,54 @@ class TestFitCommand:
         assert config["burnin"] == 100
         assert manifest_of(out)["seed"] == 5
 
+    def test_defaults_come_from_fit_config(self, tmp_path, monkeypatch, capsys):
+        # a default-chain fit takes minutes, so the fit itself runs short
+        # chains; the settings the command built are recorded and compared
+        built = []
+
+        def recording(comp, cfg, source):
+            built.append(cfg)
+            return mcem.fit_component(comp, FitConfig(
+                tol=0.02,
+                mcmc=McmcConfig(n_p=60, burn_in=20, thin=2),
+                final_mcmc=McmcConfig(n_p=60, burn_in=200, thin=2),
+            ), source)
+
+        monkeypatch.setattr(cli_module, "fit_component", recording)
+        data = tmp_path / "comp.csv"
+        data.write_text(COMPONENT_CSV)
+        out = tmp_path / "fit"
+        assert cli("fit", data, "--side", "right", "--out", out) == 0
+        d = FitConfig()
+        assert built == [d]
+        expect = {
+            "v": d.prior_variance,
+            "np": d.final_mcmc.n_p,
+            "burnin": d.final_mcmc.burn_in,
+            "thin": d.final_mcmc.thin,
+            "tol": d.tol,
+            "max-iter": d.max_iter,
+        }
+        config = manifest_of(out)["config"]
+        assert {key: config[key] for key in expect} == expect
+
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        text = " ".join(help_text[help_text.index("options:"):].split())
+        for flag, value in [
+            ("--v V", f"{d.prior_variance:g}"),
+            ("--np NP", d.final_mcmc.n_p),
+            ("--burnin BURNIN", d.final_mcmc.burn_in),
+            ("--thin THIN", d.final_mcmc.thin),
+            ("--tol TOL", f"{d.tol:g}"),
+            ("--max-iter MAX_ITER", d.max_iter),
+        ]:
+            entry = text[text.index(flag):]
+            assert f"(default {value})" in entry[:entry.index(" --", len(flag))]
+
 
 class TestReliabilityCommand:
     def test_bands_on_default_grid(self, tmp_path):
@@ -413,6 +462,24 @@ class TestStudyCommand:
                 ],
             }
         ]
+
+    def test_non_converged_fits_are_listed(self, tmp_path, capsys):
+        out = self.run_subset(tmp_path, "study", None, "--max-iter", "1", "--tol", "1e-12")
+        assert "(2 of 2 fits not converged)" in capsys.readouterr().out
+        lines = (out / "study.csv").read_text().splitlines()
+        assert lines[0] == "side,family,censor_pct,true_mean,n,bias,mse,n_failed"
+        assert all(line.endswith(",0") for line in lines[1:])
+        m = manifest_of(out)
+        assert m["failed_replicates"] == 0
+        assert len(m["not_converged"]) == m["cells"] == 6
+        assert all(cell["replicates"] == [0, 1] for cell in m["not_converged"])
+        pcts = [cell["censor_pct"] for cell in m["not_converged"]]
+        assert pcts == [0.0, 0.0, 20.0, 20.0, 40.0, 40.0]
+
+    def test_converged_fits_are_not_listed(self, tmp_path, capsys):
+        out = self.run_subset(tmp_path, "study", None, "--tol", "1e6")
+        assert "not converged" not in capsys.readouterr().out
+        assert manifest_of(out)["not_converged"] == []
 
     def test_manifest_counts_cells(self, tmp_path):
         out = self.run_subset(tmp_path)

@@ -8,6 +8,8 @@ import pytest
 from relsys.curves import (
     ReliabilityBand,
     TimeGrid,
+    _band_from_matrix,
+    _survival_matrix,
     hpd_interval,
     mean_time_posterior,
     reliability_band,
@@ -42,6 +44,17 @@ def make_fit(d):
     )
 
 
+def band_arrays(band):
+    return band.mean, band.lower, band.upper
+
+
+def assert_bands_equal(a, b):
+    assert np.array_equal(a.grid.points, b.grid.points)
+    for x, y in zip(band_arrays(a), band_arrays(b)):
+        assert np.array_equal(x, y)
+    assert (a.level, a.method) == (b.level, b.method)
+
+
 def random_draws(seed, n=400):
     rng = np.random.default_rng(seed)
     return make_draws(rng.gamma(4.0, 0.4, n), rng.gamma(5.0, 0.45, n))
@@ -50,18 +63,21 @@ def random_draws(seed, n=400):
 class TestTimeGrid:
     def test_regular(self):
         g = TimeGrid.regular(10.0, 5)
-        assert g.points == (0.0, 2.5, 5.0, 7.5, 10.0)
+        assert np.array_equal(g.points, [0.0, 2.5, 5.0, 7.5, 10.0])
+        assert g.points.dtype == np.float64
         assert g.n == 5
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one"):
-            TimeGrid(())
+            TimeGrid(np.array([]))
+        with pytest.raises(ValueError, match="at least one"):
+            TimeGrid(np.zeros((2, 2)))
         with pytest.raises(ValueError, match=">= 0"):
-            TimeGrid((-1.0, 2.0))
+            TimeGrid(np.array([-1.0, 2.0]))
         with pytest.raises(ValueError, match="increasing"):
-            TimeGrid((0.0, 2.0, 2.0))
+            TimeGrid(np.array([0.0, 2.0, 2.0]))
         with pytest.raises(ValueError, match="finite"):
-            TimeGrid((0.0, math.inf))
+            TimeGrid(np.array([0.0, math.inf]))
         with pytest.raises(ValueError, match="t_max"):
             TimeGrid.regular(0.0)
         with pytest.raises(ValueError, match="points"):
@@ -124,12 +140,13 @@ class TestReliabilityBand:
         d = random_draws(21)
         grid = TimeGrid.regular(6.0, 40)
         band = reliability_band(d, grid)
-        mean = np.array(band.mean)
+        mean = band.mean
+        assert all(a.shape == (40,) and a.dtype == np.float64 for a in band_arrays(band))
         assert band.mean[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(mean) <= 0.0)
-        assert np.all(np.array(band.lower) <= mean + 1e-12)
-        assert np.all(mean <= np.array(band.upper) + 1e-12)
-        assert np.all((0.0 <= np.array(band.lower)) & (np.array(band.upper) <= 1.0))
+        assert np.all(band.lower <= mean + 1e-12)
+        assert np.all(mean <= band.upper + 1e-12)
+        assert np.all((0.0 <= band.lower) & (band.upper <= 1.0))
 
     def test_methods_both_construct(self):
         d = random_draws(22)
@@ -137,7 +154,7 @@ class TestReliabilityBand:
         hpd = reliability_band(d, grid, method="hpd")
         quant = reliability_band(d, grid, method="quantile")
         assert hpd.method == "hpd" and quant.method == "quantile"
-        assert hpd.mean == quant.mean  # bounds differ, the mean curve cannot
+        assert np.array_equal(hpd.mean, quant.mean)  # bounds differ, the mean curve cannot
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
@@ -145,14 +162,19 @@ class TestReliabilityBand:
 
     def test_band_validation(self):
         grid = TimeGrid.regular(1.0, 3)
+
+        def band(mean, lower, upper, level=0.95):
+            arrays = (np.array(mean), np.array(lower), np.array(upper))
+            return ReliabilityBand(grid, *arrays, level, "hpd")
+
         with pytest.raises(ValueError, match="grid length"):
-            ReliabilityBand(grid, (1.0, 0.5), (0.9, 0.4), (1.0, 0.6), 0.95, "hpd")
+            band((1.0, 0.5), (0.9, 0.4), (1.0, 0.6))
         with pytest.raises(ValueError, match="level"):
-            ReliabilityBand(grid, (1.0, 0.5, 0.2), (0.9, 0.4, 0.1), (1.0, 0.6, 0.3), 1.5, "hpd")
+            band((1.0, 0.5, 0.2), (0.9, 0.4, 0.1), (1.0, 0.6, 0.3), level=1.5)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            ReliabilityBand(grid, (1.0, 0.5, 1.2), (0.9, 0.4, 0.1), (1.0, 0.6, 1.3), 0.95, "hpd")
+            band((1.0, 0.5, 1.2), (0.9, 0.4, 0.1), (1.0, 0.6, 1.3))
         with pytest.raises(ValueError, match="exceeds"):
-            ReliabilityBand(grid, (1.0, 0.5, 0.2), (0.9, 0.7, 0.1), (1.0, 0.6, 0.3), 0.95, "hpd")
+            band((1.0, 0.5, 0.2), (0.9, 0.7, 0.1), (1.0, 0.6, 0.3))
 
 
 class TestMeanTimePosterior:
@@ -170,7 +192,7 @@ class TestSystemBand:
         d = random_draws(41)
         f = SystemFit("series", (make_fit(d),))
         grid = TimeGrid.regular(4.0, 25)
-        assert system_band(f, grid) == reliability_band(d, grid)
+        assert_bands_equal(system_band(f, grid), reliability_band(d, grid))
 
     def test_two_identical_components_compose(self):
         d = random_draws(42)
@@ -189,7 +211,23 @@ class TestSystemBand:
         grid = TimeGrid.regular(5.0, 20)
         series = system_band(SystemFit("series", (make_fit(a), make_fit(b))), grid)
         parallel = system_band(SystemFit("parallel", (make_fit(a), make_fit(b))), grid)
-        assert np.all(np.array(parallel.mean) >= np.array(series.mean) - 1e-12)
+        assert np.all(parallel.mean >= series.mean - 1e-12)
+
+    @pytest.mark.parametrize("method", ["hpd", "quantile"])
+    @pytest.mark.parametrize("kind", ["series", "parallel"])
+    def test_three_components_match_stacked_product_bit_for_bit(self, kind, method):
+        draws = [random_draws(seed, 300) for seed in (45, 46, 47)]
+        grid = TimeGrid.regular(5.0, 30)
+        mats = [_survival_matrix(d, grid.points) for d in draws]
+        if kind == "series":
+            r = np.prod(mats, axis=0)
+        else:
+            r = 1.0 - np.prod([1.0 - m for m in mats], axis=0)
+        expect = _band_from_matrix(r, grid, 0.9, method)
+        got = system_band(
+            SystemFit(kind, tuple(make_fit(d) for d in draws)), grid, level=0.9, method=method
+        )
+        assert_bands_equal(got, expect)
 
     def test_draw_count_mismatch_rejected(self):
         f = SystemFit("series", (make_fit(random_draws(1, 100)), make_fit(random_draws(2, 99))))
