@@ -77,9 +77,7 @@ from .simlab import (
 )
 from .streams import RandomStream, as_stream
 from .sysmodel import (
-    ComponentRecord,
     ComponentSample,
-    SystemObservation,
     SystemSample,
     component_loglik,
     decompose,
@@ -116,9 +114,7 @@ __all__ = [
     "lognormal_from_moments",
     "sample",
     # system model
-    "SystemObservation",
     "SystemSample",
-    "ComponentRecord",
     "ComponentSample",
     "decompose",
     "component_loglik",

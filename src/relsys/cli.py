@@ -99,9 +99,10 @@ def _effective(flag_value, cfg: dict, key: str, default):
 
 
 def _require_positive(name: str, value, minimum=None) -> None:
-    bad = (value <= 0) if minimum is None else (value < minimum)
-    if bad:
-        bound = "positive" if minimum is None else f">= {minimum}"
+    """Reject ``value`` unless it is finite and > 0, or >= ``minimum`` if given."""
+    ok = (value > 0) if minimum is None else (value >= minimum)
+    if not (ok and math.isfinite(value)):
+        bound = "finite and positive" if minimum is None else f">= {minimum}"
         raise UsageError(f"{name} must be {bound}, got {value}")
 
 
@@ -214,13 +215,9 @@ def cmd_simulate(args) -> int:
     sample = generate_system_sample(generators, kind, n, RandomStream(seed).generator())
     out = _out_dir(args)
     io.write_table(
-        out / "sample.csv",
-        io.SYSTEM_HEADER,
-        ((o.time, o.cause) for o in sample.observations),
+        out / "sample.csv", io.SYSTEM_HEADER, zip(sample.times.tolist(), sample.causes.tolist())
     )
-    counts = [0] * k
-    for o in sample.observations:
-        counts[o.cause - 1] += 1
+    counts = np.bincount(sample.causes - 1, minlength=k).tolist()
     censoring_pct = [100.0 * (1.0 - counts[j] / n) for j in range(k)]
     for j, pct in enumerate(censoring_pct, start=1):
         print(f"component {j}: {counts[j - 1]} failures observed, {pct:.1f}% censored")
@@ -320,14 +317,14 @@ def cmd_fit(args) -> int:
         if k is None:
             raise UsageError("data has a 'time,cause' header; --k is required")
         sample = io.read_system_csv(args.data, kind, k)
-        times = [o.time for o in sample.observations]
+        times = sample.times
         fits = fit_system(sample, cfg, RandomStream(seed)).components
         label = kind
     elif header == io.COMPONENT_HEADER:
         if side is None:
             raise UsageError("data has a 'time,event' header; --side is required")
         comp = io.read_component_csv(args.data, side)
-        times = [r.time for r in comp.records]
+        times = comp.times
         fits = (fit_component(comp, cfg, RandomStream(seed).child(0)),)
         label = "component"
     else:
@@ -382,7 +379,7 @@ def cmd_fit(args) -> int:
     hyper = {
         "kind": label,
         "k": k,
-        "t99": float(np.percentile(np.asarray(times), 99.0)),
+        "t99": float(np.percentile(times, 99.0)),
         "components": hyper_components,
     }
     if label == "component":

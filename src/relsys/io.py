@@ -25,7 +25,7 @@ from .errors import DataError, UsageError
 from .mcem import ComponentFit
 from .sampler import PosteriorDraws
 from .simlab import ScenarioResult
-from .sysmodel import ComponentRecord, ComponentSample, SystemObservation, SystemSample
+from .sysmodel import ComponentSample, SystemSample
 
 __all__ = [
     "SYSTEM_HEADER",
@@ -91,6 +91,8 @@ def read_header(path: str | Path) -> tuple[str, ...]:
             first = next(csv.reader(fh), None)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not a text file: {e}") from None
     if first is None:
         raise DataError(f"{path}: empty file")
     return tuple(c.strip().lower() for c in first)
@@ -104,22 +106,25 @@ def _rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, list[s
         raise DataError(f"cannot read {path}: {e}") from None
     with fh:
         reader = csv.reader(fh)
-        got = next(reader, None)
-        if got is None:
-            raise DataError(f"{path}: empty file")
-        if tuple(c.strip().lower() for c in got) != tuple(header):
-            raise DataError(
-                f"{path}: line 1: expected header {','.join(header)!r}, "
-                f"got {','.join(got)!r}"
-            )
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+        try:
+            got = next(reader, None)
+            if got is None:
+                raise DataError(f"{path}: empty file")
+            if tuple(c.strip().lower() for c in got) != tuple(header):
                 raise DataError(
-                    f"{path}: line {ln}: expected {len(header)} fields, got {len(row)}"
+                    f"{path}: line 1: expected header {','.join(header)!r}, "
+                    f"got {','.join(got)!r}"
                 )
-            yield ln, row
+            for ln, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}: line {ln}: expected {len(header)} fields, got {len(row)}"
+                    )
+                yield ln, row
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not a text file: {e}") from None
 
 
 def _float_field(path, ln: int, name: str, cell: str) -> float:
@@ -150,23 +155,34 @@ def _time_field(path, ln: int, cell: str) -> float:
     return t
 
 
+def _read_time_table(
+    path: str | Path, header: Sequence[str], lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read a ``time,<label>`` table into a float and an int array.
+
+    Times must be positive and finite and labels integers in ``lo..hi``;
+    errors carry the 1-based line number of the offending row.
+    """
+    name = header[1]
+    times, labels = [], []
+    for ln, row in _rows(path, header):
+        times.append(_time_field(path, ln, row[0]))
+        label = _int_field(path, ln, name, row[1])
+        if not lo <= label <= hi:
+            raise DataError(f"{path}: line {ln}: {name} {label} outside {lo}..{hi}")
+        labels.append(label)
+    return np.array(times), np.array(labels)
+
+
 def read_system_csv(path: str | Path, kind: str, k: int) -> SystemSample:
     """Parse a masked system sample with header ``time,cause``.
 
     ``cause`` is the failing component, numbered 1..k.  Errors carry the
     1-based line number of the offending row.
     """
-    observations = []
-    for ln, row in _rows(path, SYSTEM_HEADER):
-        t = _time_field(path, ln, row[0])
-        cause = _int_field(path, ln, "cause", row[1])
-        if not 1 <= cause <= k:
-            raise DataError(f"{path}: line {ln}: cause {cause} outside 1..{k}")
-        observations.append(SystemObservation(t, cause))
-    if not observations:
-        raise DataError(f"{path}: no observations")
+    times, causes = _read_time_table(path, SYSTEM_HEADER, 1, k)
     try:
-        return SystemSample(kind, k, tuple(observations))
+        return SystemSample(kind, k, times, causes)
     except ValueError as e:
         raise DataError(f"{path}: {e}") from None
 
@@ -177,17 +193,9 @@ def read_component_csv(path: str | Path, side: str) -> ComponentSample:
     ``event`` is 1 for an exact failure time and 0 for a censored record;
     the censoring direction comes from ``side``.
     """
-    records = []
-    for ln, row in _rows(path, COMPONENT_HEADER):
-        t = _time_field(path, ln, row[0])
-        event = _int_field(path, ln, "event", row[1])
-        if event not in (0, 1):
-            raise DataError(f"{path}: line {ln}: event must be 0 or 1, got {event}")
-        records.append(ComponentRecord(t, event == 0))
-    if not records:
-        raise DataError(f"{path}: no records")
+    times, events = _read_time_table(path, COMPONENT_HEADER, 0, 1)
     try:
-        return ComponentSample(side, tuple(records))
+        return ComponentSample(side, times, events == 0)
     except ValueError as e:
         raise DataError(f"{path}: {e}") from None
 
@@ -281,6 +289,8 @@ def read_config(path: str | Path) -> dict[str, str]:
         text = Path(path).read_text()
     except OSError as e:
         raise UsageError(f"cannot read config {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise UsageError(f"config {path} is not a text file: {e}") from None
     out: dict[str, str] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -304,6 +314,8 @@ def read_json(path: str | Path):
             return json.load(fh)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not a text file: {e}") from None
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid JSON: {e}") from None
 

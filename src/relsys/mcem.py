@@ -186,7 +186,7 @@ def _initial_priors(
     c: ComponentSample, cfg: FitConfig
 ) -> tuple[float, float, tuple[MeanVarGamma, MeanVarGamma]]:
     m_beta = 1.0
-    m_eta = float(np.mean([r.time for r in c.records]))
+    m_eta = float(c.times.mean())
     v = cfg.prior_variance
     try:
         priors = (MeanVarGamma(m_beta, v), MeanVarGamma(m_eta, v))

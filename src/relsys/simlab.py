@@ -26,14 +26,7 @@ from .dists import _FAMILIES, GeneratorSpec, sample
 from .errors import RelsysError
 from .mcem import FitConfig, fit_component
 from .streams import RandomStream, as_stream
-from .sysmodel import (
-    _KINDS,
-    _SIDES,
-    ComponentRecord,
-    ComponentSample,
-    SystemObservation,
-    SystemSample,
-)
+from .sysmodel import _KINDS, _SIDES, ComponentSample, SystemSample
 
 __all__ = [
     "ScenarioSpec",
@@ -147,11 +140,7 @@ def generate_system_sample(
     lifetimes = np.column_stack([sample(g, n, rng) for g in generators])
     pick = np.argmin if kind == "series" else np.argmax
     idx = pick(lifetimes, axis=1)
-    times = lifetimes[np.arange(n), idx]
-    obs = tuple(
-        SystemObservation(float(t), int(j) + 1) for t, j in zip(times, idx)
-    )
-    return SystemSample(kind, len(generators), obs)
+    return SystemSample(kind, len(generators), lifetimes[np.arange(n), idx], idx + 1)
 
 
 def generate_censored_sample(
@@ -186,11 +175,7 @@ def generate_censored_sample(
         else:
             threshold = float(x[order[c]])
             censored[order[:c]] = True
-    records = tuple(
-        ComponentRecord(threshold if censored[i] else float(x[i]), bool(censored[i]))
-        for i in range(n)
-    )
-    return ComponentSample(side, records)
+    return ComponentSample(side, np.where(censored, threshold, x), censored)
 
 
 def _scenario_key(spec: ScenarioSpec) -> tuple[int, ...]:

@@ -9,6 +9,11 @@ already failed by ``t``.  Masked system data therefore decomposes into one
 single-component censored sample per component, and every likelihood in
 the package is a sum of exact, survived-past and failed-before terms.
 
+Samples hold arrays, validated once when built: a system sample its
+failure times and causes, a component sample its record times and
+censoring flags.  The decomposition shares the system's time array
+across all components and differs only in the flags.
+
 Each sample binds its likelihood once, from log-time arrays and sums that
 do not depend on the parameters, so that repeated calls at new parameters
 (the Metropolis inner loop) cost one in-place exponential pass, two when a
@@ -28,9 +33,7 @@ from .dists import _EXP_MAX, ComponentParams, MeanVarGamma, log1mexp_unchecked
 from .errors import NumericalError
 
 __all__ = [
-    "SystemObservation",
     "SystemSample",
-    "ComponentRecord",
     "ComponentSample",
     "decompose",
     "component_loglik",
@@ -42,84 +45,83 @@ _KINDS = ("series", "parallel")
 _SIDES = ("right", "left")
 
 
-@dataclass(frozen=True)
-class SystemObservation:
-    """One masked system failure: its time and the component that caused it."""
-
-    time: float
-    cause: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.time) and self.time > 0.0):
-            raise ValueError(f"observation time must be finite and > 0, got {self.time}")
-        if self.cause < 1:
-            raise ValueError(f"cause must be a component index >= 1, got {self.cause}")
+def _check_times(times: np.ndarray, n: int) -> None:
+    if times.shape != (n,):
+        raise ValueError(f"times must be a 1-D array of {n} records, got shape {times.shape}")
+    bad = ~(np.isfinite(times) & (times > 0.0))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"time {i} must be finite and > 0, got {times[i]}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemSample:
-    """Masked failure data for one system of ``k`` components."""
+    """Masked failure data for one system of ``k`` components.
+
+    ``times`` is a float array of system failure times and ``causes`` an
+    int array of the same length naming the failing component, 1..k.
+    Instances compare by identity; compare the arrays instead.
+    """
 
     kind: str
     k: int
-    observations: tuple[SystemObservation, ...]
+    times: np.ndarray
+    causes: np.ndarray
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.k < 1:
             raise ValueError(f"component count must be >= 1, got {self.k}")
-        if not self.observations:
+        if self.causes.ndim != 1 or self.causes.size == 0:
             raise ValueError("system sample must contain at least one observation")
-        for i, obs in enumerate(self.observations):
-            if obs.cause > self.k:
-                raise ValueError(
-                    f"observation {i} names cause {obs.cause} but the system "
-                    f"has only {self.k} components"
-                )
+        if not np.issubdtype(self.causes.dtype, np.integer):
+            raise ValueError(f"causes must be an int array, got {self.causes.dtype}")
+        _check_times(self.times, self.causes.size)
+        bad = (self.causes < 1) | (self.causes > self.k)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(
+                f"observation {i} names cause {self.causes[i]} outside 1..{self.k}"
+            )
 
     @property
     def n(self) -> int:
-        return len(self.observations)
+        return self.times.size
 
 
-@dataclass(frozen=True)
-class ComponentRecord:
-    """One component lifetime record, exact or censored at ``time``."""
-
-    time: float
-    censored: bool
-
-    def __post_init__(self):
-        if not (math.isfinite(self.time) and self.time > 0.0):
-            raise ValueError(f"record time must be finite and > 0, got {self.time}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentSample:
     """Censored lifetime sample for a single component.
 
-    ``side`` fixes how censored records are read: ``"right"`` means the
-    lifetime exceeded the recorded time, ``"left"`` means it had already
-    ended by then.  All censored records in one sample share the side.
+    ``times`` is a float array of record times and ``censored`` a bool
+    array of the same length, true where the record is censored.  ``side``
+    fixes how censored records are read: ``"right"`` means the lifetime
+    exceeded the recorded time, ``"left"`` means it had already ended by
+    then.  All censored records in one sample share the side.  Instances
+    compare by identity; compare the arrays instead.
     """
 
     side: str
-    records: tuple[ComponentRecord, ...]
+    times: np.ndarray
+    censored: np.ndarray
 
     def __post_init__(self):
         if self.side not in _SIDES:
             raise ValueError(f"side must be one of {_SIDES}, got {self.side!r}")
-        if not self.records:
+        if self.censored.ndim != 1 or self.censored.size == 0:
             raise ValueError("component sample must contain at least one record")
+        if self.censored.dtype != bool:
+            raise ValueError(f"censored must be a bool array, got {self.censored.dtype}")
+        _check_times(self.times, self.censored.size)
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return self.times.size
 
     @property
     def n_exact(self) -> int:
-        return sum(not r.censored for r in self.records)
+        return self.n - int(np.count_nonzero(self.censored))
 
     @cached_property
     def _loglik(self) -> Callable[[float, float, float], float]:
@@ -130,18 +132,12 @@ def decompose(s: SystemSample) -> tuple[ComponentSample, ...]:
     """Split masked system data into one censored sample per component.
 
     Series systems censor the non-failing components on the right,
-    parallel systems on the left.  Every returned sample has one record
-    per system observation, exact exactly where that component was the
+    parallel systems on the left.  Every returned sample shares the
+    system's ``times`` and is exact exactly where that component was the
     cause.
     """
     side = "right" if s.kind == "series" else "left"
-    out = []
-    for j in range(1, s.k + 1):
-        records = tuple(
-            ComponentRecord(obs.time, censored=obs.cause != j) for obs in s.observations
-        )
-        out.append(ComponentSample(side, records))
-    return tuple(out)
+    return tuple(ComponentSample(side, s.times, s.causes != j) for j in range(1, s.k + 1))
 
 
 # below this exponent a left censoring's exp(-(t/eta)**beta) rounds to 1
@@ -167,8 +163,8 @@ def _bind_loglik(c: ComponentSample) -> Callable[[float, float, float], float]:
     NaN is not and is diagnosed by the callers.  Floating-point warnings
     are silenced only when the exponent range of the call can raise them.
     """
-    exact = np.log([r.time for r in c.records if not r.censored])
-    cens = np.log([r.time for r in c.records if r.censored])
+    exact = np.log(c.times[~c.censored])
+    cens = np.log(c.times[c.censored])
     n_exact = exact.size
     sum_log_exact = float(exact.sum())
     if c.side == "right":
@@ -221,11 +217,12 @@ def _bind_loglik(c: ComponentSample) -> Callable[[float, float, float], float]:
 def _diagnose_nan(c: ComponentSample, p: tuple[float, float]) -> str:
     beta, eta = p
     log_beta, log_eta = math.log(beta), math.log(eta)
-    for i, r in enumerate(c.records):
-        if math.isnan(ComponentSample(c.side, (r,))._loglik(beta, log_beta, log_eta)):
+    for i in range(c.n):
+        one = ComponentSample(c.side, c.times[i : i + 1], c.censored[i : i + 1])
+        if math.isnan(one._loglik(beta, log_beta, log_eta)):
             return (
-                f"log-likelihood is NaN at record {i} (time={r.time}, "
-                f"censored={r.censored}) for beta={beta}, eta={eta}"
+                f"log-likelihood is NaN at record {i} (time={float(c.times[i])}, "
+                f"censored={bool(c.censored[i])}) for beta={beta}, eta={eta}"
             )
     return f"log-likelihood is NaN for beta={beta}, eta={eta}"
 

@@ -33,9 +33,7 @@ from relsys.sampler import McmcConfig, run_chain
 from relsys.simlab import ScenarioSpec, generate_censored_sample, run_scenario
 from relsys.streams import RandomStream
 from relsys.sysmodel import (
-    ComponentRecord,
     ComponentSample,
-    SystemObservation,
     SystemSample,
     component_loglik,
     decompose,
@@ -155,11 +153,7 @@ def test_05_system_loglik_factorizes_over_components():
         k = int(rng.integers(1, 5))
         n = int(rng.integers(1, 51))
         kind = "series" if i % 2 == 0 else "parallel"
-        obs = tuple(
-            SystemObservation(float(t), int(c))
-            for t, c in zip(rng.gamma(2.0, 1.0, n) + 0.05, rng.integers(1, k + 1, n))
-        )
-        s = SystemSample(kind, k, obs)
+        s = SystemSample(kind, k, rng.gamma(2.0, 1.0, n) + 0.05, rng.integers(1, k + 1, n))
         params = [
             ComponentParams(float(rng.uniform(0.4, 5.0)), float(rng.uniform(0.3, 4.0)))
             for _ in range(k)
@@ -209,7 +203,8 @@ def test_06_tiny_sample_posteriors_match_quadrature():
     )
     worst = 0.0
     for i, (side, recs) in enumerate(TINY_DATASETS):
-        c = ComponentSample(side, tuple(ComponentRecord(t, e) for t, e in recs))
+        times, censored = zip(*recs)
+        c = ComponentSample(side, np.array(times), np.array(censored))
         fit = fit_component(c, cfg, RandomStream(60 + i))
         lb, le = np.log(fit.draws.betas), np.log(fit.draws.etas)
         kernel = make_log_kernel(

@@ -1,11 +1,14 @@
 """Tests for the package's public name lists.
 
 Every module the package re-exports declares ``__all__``; the package's own
-list is exactly their union, and each exported name has one home.
+list is exactly their union, and each exported name has one home.  The
+benchmark's trace mode wraps functions by attribute name, so every name it
+patches must still exist.
 """
 
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -45,3 +48,19 @@ def test_no_name_is_exported_by_two_modules():
             if inspect.isclass(obj) or inspect.isfunction(obj):
                 # classes and functions are defined where they are exported
                 assert obj.__module__ == mod.__name__, f"{name}.{n} is defined elsewhere"
+
+
+def test_benchmark_tracer_finds_every_patch_target(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    from relsys import mcem
+
+    original = mcem.make_log_kernel
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == []
+        assert mcem.make_log_kernel is not original
+    finally:
+        tracer.uninstall()
+    assert mcem.make_log_kernel is original

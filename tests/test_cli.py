@@ -14,7 +14,7 @@ import pytest
 from relsys import cli as cli_module
 from relsys import io, mcem, simlab
 from relsys.cli import main
-from relsys.errors import NumericalError
+from relsys.errors import DataError, NumericalError, UsageError
 from relsys.mcem import FitConfig, McmcConfig, fit_system
 from relsys.simlab import grid_specs
 from relsys.streams import RandomStream
@@ -214,6 +214,17 @@ class TestFitCommand:
         assert "line 3" in err
         assert "cause 5" in err
 
+    @pytest.mark.parametrize(
+        "header, shape",
+        [("time,cause", ("--kind", "series", "--k", "2")), ("time,event", ("--side", "left"))],
+    )
+    def test_header_only_file_is_data_error(self, tmp_path, capsys, header, shape):
+        data = tmp_path / "empty.csv"
+        data.write_text(header + "\n\n")
+        rc = cli("fit", data, *shape, "--out", tmp_path / "fit")
+        assert rc == 2
+        assert "at least one" in capsys.readouterr().err
+
     def test_unrecognized_header_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text("hours,failed\n1.0,1\n")
@@ -300,6 +311,74 @@ class TestFitCommand:
             entry = text[text.index(flag):]
             assert f"(default {value})" in entry[:entry.index(" --", len(flag))]
 
+
+
+@pytest.mark.parametrize("key, value", [("v", "inf"), ("v", "nan"), ("tol", "nan"), ("tol", "inf")])
+@pytest.mark.parametrize("form", ["fit flag", "fit config", "study flag"])
+def test_non_finite_chain_setting_is_usage_error(tmp_path, capsys, key, value, form):
+    out = tmp_path / "out"
+    if form == "study flag":
+        rc = cli("study", f"--{key}", value, "--out", out)
+    else:
+        data = tmp_path / "comp.csv"
+        data.write_text(COMPONENT_CSV)
+        if form == "fit flag":
+            extra = (f"--{key}", value)
+        else:
+            cfg_file = tmp_path / "fit.cfg"
+            cfg_file.write_text(f"{key} = {value}\n")
+            extra = ("--config", cfg_file)
+        rc = cli("fit", data, "--side", "right", *extra, "--out", out)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: --{key} must be finite and positive, got {value}" in err
+    assert "Traceback" not in err
+    assert not (out / "hyper_estimates.json").exists()
+    assert not (out / "study.csv").exists()
+
+
+class TestUndecodableInput:
+    BAD = b"time,cause\n1.0,1\n\xff\xfe,2\n"
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            io.read_header,
+            lambda path: io.read_system_csv(path, "series", 2),
+            lambda path: io.read_component_csv(path, "right"),
+            lambda path: io.read_draws_csv(path, 1),
+            io.read_json,
+        ],
+        ids=["header", "system", "component", "draws", "json"],
+    )
+    def test_data_readers_raise_data_error_naming_the_file(self, tmp_path, read):
+        path = tmp_path / "binary.dat"
+        path.write_bytes(self.BAD)
+        with pytest.raises(DataError, match="binary.dat"):
+            read(path)
+
+    def test_config_reader_raises_usage_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"kind = series\n\xff = 1\n")
+        with pytest.raises(UsageError, match="binary.cfg"):
+            io.read_config(path)
+
+    def test_commands_exit_with_documented_codes(self, tmp_path, capsys):
+        bad = tmp_path / "binary.dat"
+        bad.write_bytes(self.BAD)
+        assert cli("fit", bad, "--kind", "series", "--k", "2", "--out", tmp_path / "a") == 2
+        data = tmp_path / "comp.csv"
+        data.write_text(COMPONENT_CSV)
+        assert cli("fit", data, "--config", bad, "--out", tmp_path / "b") == 1
+        assert cli("simulate", "--spec", bad, "--out", tmp_path / "c") == 1
+        fit_dir = tmp_path / "d"
+        fit_dir.mkdir()
+        (fit_dir / "hyper_estimates.json").write_bytes(b'{"kind": "\xff"}')
+        assert cli("reliability", fit_dir, "--out", tmp_path / "e") == 2
+        err = capsys.readouterr().err
+        assert err.count("binary.dat") == 3
+        assert "hyper_estimates.json" in err
+        assert "Traceback" not in err
 
 class TestReliabilityCommand:
     def test_bands_on_default_grid(self, tmp_path):
@@ -517,3 +596,57 @@ class TestRerunDeterminism:
                 assert file_a.read_bytes() == file_b.read_bytes()
             compared += 1
         assert compared >= 11
+
+
+class TestRecordedOutputs:
+    # SHA-256 digests recorded before samples were stored as arrays; a
+    # change to how samples are parsed, generated, decomposed or summed
+    # moves them
+    RECORDED = {
+        "series": {
+            "sample.csv": "359583e35a82adbdaed9d352b8b4a0f1d3f3bc703c437592a98c3f7b72df51d2",
+            "draws_component1.csv": "518e806a1809cc332165801fb1822202e797541bb1705f519c36df1462d1501f",
+            "draws_component2.csv": "677a6cd6c7f8c6dce2246799d85186c4a32286f7dd7528ca4e73041a6d4d6c9a",
+            "em_trace.csv": "636b5a71804d0e52f409823883c76684537ada3993a642995bb380b9f646052d",
+            "hyper_estimates.json": "31ea85deb087deb54cdc0539a6e349a4209ee90305226386f7cccf884ec2767c",
+        },
+        "parallel": {
+            "sample.csv": "66f3acb3dfa1871a487fcfdabfd38573d2090ffa6573f98a30c7b40a3fefc614",
+            "draws_component1.csv": "ab6f3ac3ed5bd41792740e07018b09f2b6baab0c2c05590d816eef46e23c041b",
+            "draws_component2.csv": "d53b84c20a4a4a56ff12732eda3de0d49134442687e5e0d92f22b01fa4b7cc95",
+            "em_trace.csv": "a666fe45a7cb406b46abf37753e8572426bb26c7749d9ff23f1540110dc925ab",
+            "hyper_estimates.json": "058fe31ce22a03113b0fb30df977d47301ca3f26a4e65f9bd6cef97ebd95cbf4",
+        },
+        "right": {
+            "draws_component1.csv": "029eff2e479340f3fd8b328988eb9a7c1549ce3351ec4fc01b1a26e622d3aeed",
+            "em_trace.csv": "f28f823e27f0382f8858801c620c3c670a0dbc90fd9da8d377ed80c76bb711de",
+            "hyper_estimates.json": "6a3a56ac4c38addd987cf8bae71cf4a17208459ea7d51f578a54f876b0c479f3",
+        },
+        "left": {
+            "draws_component1.csv": "9f7b37c89976b3c02d35d39bfe8b2e87d63c9b009f9f05ac00c38728c50c9105",
+            "em_trace.csv": "90935069ba2014200a084984b7a6ac98866d75031de360b438e4a40698702c3a",
+            "hyper_estimates.json": "6094c47409057aea689e283b6b2b9c7250a5ff92c4c72d58bcde86945b479539",
+        },
+    }
+
+    def outputs(self, tmp_path, case) -> dict:
+        digests = {}
+        if case in ("series", "parallel"):
+            sim = simulate(tmp_path, spec=SPEC.replace("kind = series", f"kind = {case}"))
+            data = sim / "sample.csv"
+            digests["sample.csv"] = hashlib.sha256(data.read_bytes()).hexdigest()
+            shape = ("--kind", case, "--k", "2")
+        else:
+            data = tmp_path / "comp.csv"
+            data.write_text(COMPONENT_CSV)
+            shape = ("--side", case)
+        out = tmp_path / "fit"
+        assert cli("fit", data, *shape, *FAST_FIT, "--seed", 11, "--out", out) == 0
+        for path in sorted(out.iterdir()):
+            if path.name != "manifest.json":
+                digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        return digests
+
+    @pytest.mark.parametrize("case", ["series", "parallel", "right", "left"])
+    def test_outputs_are_bit_identical_to_recorded_run(self, tmp_path, case):
+        assert self.outputs(tmp_path, case) == self.RECORDED[case]

@@ -23,9 +23,7 @@ from relsys.mcem import (
 from relsys.sampler import McmcConfig, run_chain
 from relsys.streams import RandomStream
 from relsys.sysmodel import (
-    ComponentRecord,
     ComponentSample,
-    SystemObservation,
     SystemSample,
     decompose,
     make_log_kernel,
@@ -54,10 +52,7 @@ def average_log_prior(d, v_beta, v_eta):
 def weibull_sample(seed, n, censor_every=3, side="right"):
     rng = np.random.default_rng(seed)
     x = sample(GeneratorSpec("weibull", 2.0, 4.0), n, rng)
-    records = tuple(
-        ComponentRecord(float(t), bool(i % censor_every == 0)) for i, t in enumerate(x)
-    )
-    return ComponentSample(side, records)
+    return ComponentSample(side, x, np.arange(n) % censor_every == 0)
 
 
 class TestMStep:
@@ -192,8 +187,8 @@ class TestFitComponent:
         assert 1.2 < mean_t < 3.2
 
     def test_all_censored_sample_warns(self):
-        records = tuple(ComponentRecord(t, True) for t in (1.0, 1.5, 2.0, 3.0))
-        fit = fit_component(ComponentSample("right", records), FAST, RandomStream(5))
+        c = ComponentSample("right", np.array([1.0, 1.5, 2.0, 3.0]), np.ones(4, bool))
+        fit = fit_component(c, FAST, RandomStream(5))
         assert any("no exact failure" in w for w in fit.warnings)
 
     def test_iteration_cap_reports_nonconvergence(self):
@@ -209,9 +204,9 @@ class TestFitComponent:
         assert any("2 iterations" in w for w in fit.warnings)
 
     def test_unusable_times_raise(self):
-        records = tuple(ComponentRecord(1e300, False) for _ in range(4))
+        c = ComponentSample("right", np.full(4, 1e300), np.zeros(4, bool))
         with pytest.raises(NumericalError, match="hyper-mean"):
-            fit_component(ComponentSample("right", records), FAST, RandomStream(0))
+            fit_component(c, FAST, RandomStream(0))
 
 
 class TestFitSystem:
@@ -219,8 +214,7 @@ class TestFitSystem:
         rng = np.random.default_rng(seed)
         times = rng.gamma(2.0, 1.0, n)
         causes = rng.integers(1, 3, n)
-        obs = tuple(SystemObservation(float(t), int(c)) for t, c in zip(times, causes))
-        return SystemSample("series", 2, obs)
+        return SystemSample("series", 2, times, causes)
 
     def test_components_fit_independently(self):
         s = self.system()
@@ -235,14 +229,13 @@ class TestFitSystem:
 
     def test_parallel_system_fits(self):
         s = self.system()
-        p = SystemSample("parallel", 2, s.observations)
+        p = SystemSample("parallel", 2, s.times, s.causes)
         fit = fit_system(p, FAST, RandomStream(401))
         assert fit.kind == "parallel"
         assert all(c.converged for c in fit.components)
 
     def test_failures_name_components(self):
-        obs = tuple(SystemObservation(1e300, j % 2 + 1) for j in range(4))
-        s = SystemSample("series", 2, obs)
+        s = SystemSample("series", 2, np.full(4, 1e300), np.arange(4) % 2 + 1)
         with pytest.raises(NumericalError, match="component 1.*component 2"):
             fit_system(s, FAST, RandomStream(0))
 

@@ -32,39 +32,36 @@ class TestCensoredSample:
     def test_right_censors_the_largest_at_the_boundary_statistic(self):
         rng = np.random.default_rng(5)
         c = generate_censored_sample(WEIBULL, 30, 0.2, "right", rng)
-        censored = [r.time for r in c.records if r.censored]
-        exact = [r.time for r in c.records if not r.censored]
+        censored, exact = c.times[c.censored], c.times[~c.censored]
         assert len(censored) == 6
         assert len(exact) == 24
-        threshold = max(exact)
-        assert all(t == threshold for t in censored)
+        assert np.all(censored == exact.max())
 
     def test_left_censors_the_smallest_at_the_boundary_statistic(self):
         rng = np.random.default_rng(6)
         c = generate_censored_sample(WEIBULL, 30, 0.2, "left", rng)
-        censored = [r.time for r in c.records if r.censored]
-        exact = [r.time for r in c.records if not r.censored]
+        censored, exact = c.times[c.censored], c.times[~c.censored]
         assert len(censored) == 6
-        threshold = min(exact)
-        assert all(t == threshold for t in censored)
+        assert np.all(censored == exact.min())
 
     def test_rounding_is_half_away_from_zero(self):
         rng = np.random.default_rng(7)
         c = generate_censored_sample(WEIBULL, 30, 0.25, "right", rng)
-        assert sum(r.censored for r in c.records) == 8  # 7.5 rounds up
+        assert np.count_nonzero(c.censored) == 8  # 7.5 rounds up
         c = generate_censored_sample(WEIBULL, 10, 0.45, "right", np.random.default_rng(7))
-        assert sum(r.censored for r in c.records) == 5  # 4.5 rounds up
+        assert np.count_nonzero(c.censored) == 5  # 4.5 rounds up
 
     def test_zero_fraction_keeps_raw_draws_in_order(self):
         raw = sample(WEIBULL, 20, np.random.default_rng(9))
         c = generate_censored_sample(WEIBULL, 20, 0.0, "right", np.random.default_rng(9))
-        assert [r.time for r in c.records] == [float(t) for t in raw]
-        assert not any(r.censored for r in c.records)
+        assert np.array_equal(c.times, raw)
+        assert not c.censored.any()
 
     def test_deterministic_given_stream(self):
         a = generate_censored_sample(WEIBULL, 15, 0.3, "left", np.random.default_rng(3))
         b = generate_censored_sample(WEIBULL, 15, 0.3, "left", np.random.default_rng(3))
-        assert a == b
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.censored, b.censored)
 
     def test_validation(self):
         rng = np.random.default_rng(0)
@@ -91,16 +88,16 @@ class TestSystemSample:
         s = generate_system_sample(self.GENS, "series", 50, np.random.default_rng(77))
         x = self.reconstruct(77, 50)
         assert s.kind == "series" and s.k == 3 and s.n == 50
-        for i, obs in enumerate(s.observations):
-            assert obs.time == pytest.approx(x[i].min(), rel=1e-15)
-            assert obs.cause == int(np.argmin(x[i])) + 1
+        for i, (t, cause) in enumerate(zip(s.times.tolist(), s.causes.tolist())):
+            assert t == pytest.approx(x[i].min(), rel=1e-15)
+            assert cause == int(np.argmin(x[i])) + 1
 
     def test_parallel_takes_maxima(self):
         s = generate_system_sample(self.GENS, "parallel", 40, np.random.default_rng(78))
         x = self.reconstruct(78, 40)
-        for i, obs in enumerate(s.observations):
-            assert obs.time == pytest.approx(x[i].max(), rel=1e-15)
-            assert obs.cause == int(np.argmax(x[i])) + 1
+        for i, (t, cause) in enumerate(zip(s.times.tolist(), s.causes.tolist())):
+            assert t == pytest.approx(x[i].max(), rel=1e-15)
+            assert cause == int(np.argmax(x[i])) + 1
 
     def test_validation(self):
         rng = np.random.default_rng(0)

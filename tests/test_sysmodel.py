@@ -10,9 +10,7 @@ from scipy.stats import gamma, weibull_min
 from relsys.dists import ComponentParams, MeanVarGamma, gamma_mv_logpdf, weibull_logpdf
 from relsys.errors import NumericalError
 from relsys.sysmodel import (
-    ComponentRecord,
     ComponentSample,
-    SystemObservation,
     SystemSample,
     component_loglik,
     decompose,
@@ -23,43 +21,47 @@ from relsys.sysmodel import (
 
 def scipy_loglik(sample: ComponentSample, p: ComponentParams) -> float:
     total = 0.0
-    for r in sample.records:
-        if not r.censored:
-            total += weibull_min.logpdf(r.time, p.beta, scale=p.eta)
+    for t, censored in zip(sample.times.tolist(), sample.censored.tolist()):
+        if not censored:
+            total += weibull_min.logpdf(t, p.beta, scale=p.eta)
         elif sample.side == "right":
-            total += weibull_min.logsf(r.time, p.beta, scale=p.eta)
+            total += weibull_min.logsf(t, p.beta, scale=p.eta)
         else:
-            total += weibull_min.logcdf(r.time, p.beta, scale=p.eta)
+            total += weibull_min.logcdf(t, p.beta, scale=p.eta)
     return total
 
 
+def one_record(side, t, censored):
+    return ComponentSample(side, np.array([t]), np.array([censored]))
+
+
 def random_sample(rng, side, n):
-    records = tuple(
-        ComponentRecord(float(t), bool(c))
-        for t, c in zip(rng.gamma(2.0, 1.5, n), rng.random(n) < 0.4)
-    )
+    times = rng.gamma(2.0, 1.5, n)
+    censored = rng.random(n) < 0.4
     # guarantee at least one of each status
-    records = records[:-2] + (
-        ComponentRecord(float(rng.gamma(2.0, 1.5)), False),
-        ComponentRecord(float(rng.gamma(2.0, 1.5)), True),
-    )
-    return ComponentSample(side, records)
+    times[-2:] = rng.gamma(2.0, 1.5), rng.gamma(2.0, 1.5)
+    censored[-2:] = False, True
+    return ComponentSample(side, times, censored)
+
+
+def system_sample(kind, k, times, causes):
+    return SystemSample(kind, k, np.array(times, dtype=float), np.array(causes))
 
 
 class TestSingleRecordIdentities:
     def test_exact_record_is_the_log_density(self):
         p = ComponentParams(1.7, 3.2)
-        c = ComponentSample("right", (ComponentRecord(2.5, False),))
+        c = one_record("right", 2.5, False)
         assert component_loglik(c, p) == pytest.approx(weibull_logpdf(p, 2.5), rel=1e-13)
 
     def test_right_censoring_is_the_log_survival(self):
         p = ComponentParams(1.7, 3.2)
-        c = ComponentSample("right", (ComponentRecord(2.5, True),))
+        c = one_record("right", 2.5, True)
         assert component_loglik(c, p) == pytest.approx(-((2.5 / 3.2) ** 1.7), rel=1e-13)
 
     def test_left_censoring_is_the_log_failure_probability(self):
         p = ComponentParams(1.7, 3.2)
-        c = ComponentSample("left", (ComponentRecord(2.5, True),))
+        c = one_record("left", 2.5, True)
         expect = math.log1p(-math.exp(-((2.5 / 3.2) ** 1.7)))
         assert component_loglik(c, p) == pytest.approx(expect, rel=1e-13)
 
@@ -80,93 +82,110 @@ class TestComponentLoglik:
         c = random_sample(rng, "left", 12)
         p = ComponentParams(2.2, 1.1)
         parts = sum(
-            component_loglik(ComponentSample(c.side, (r,)), p) for r in c.records
+            component_loglik(one_record(c.side, t, z), p)
+            for t, z in zip(c.times.tolist(), c.censored.tolist())
         )
         assert component_loglik(c, p) == pytest.approx(parts, rel=1e-12, abs=1e-12)
 
     def test_zero_likelihood_is_minus_inf_not_error(self):
         # a left censoring the model says cannot have happened yet
-        c = ComponentSample("left", (ComponentRecord(1e-300, True),))
+        c = one_record("left", 1e-300, True)
         assert component_loglik(c, ComponentParams(5.0, 1.0)) == -math.inf
 
     def test_nan_raises_and_names_the_record(self):
-        c = ComponentSample("right", (ComponentRecord(math.exp(2.0), False),))
+        c = one_record("right", math.exp(2.0), False)
         with pytest.raises(NumericalError, match="record 0"):
             component_loglik(c, ComponentParams(1e308, 1.0))
 
     def test_all_censored_sample_is_finite(self):
-        c = ComponentSample("right", tuple(ComponentRecord(t, True) for t in (1.0, 2.0)))
+        c = ComponentSample("right", np.array([1.0, 2.0]), np.ones(2, bool))
         assert math.isfinite(component_loglik(c, ComponentParams(1.5, 2.0)))
 
 
 class TestDecompose:
-    def obs(self):
-        return (
-            SystemObservation(1.2, 1),
-            SystemObservation(0.7, 3),
-            SystemObservation(2.9, 1),
-            SystemObservation(1.5, 2),
-        )
+    def sample(self, kind, k):
+        return system_sample(kind, k, [1.2, 0.7, 2.9, 1.5], [1, 3, 1, 2])
 
     def test_series_right_censors_the_survivors(self):
-        s = SystemSample("series", 3, self.obs())
+        s = self.sample("series", 3)
         parts = decompose(s)
         assert len(parts) == 3
         for c in parts:
             assert c.side == "right"
             assert c.n == s.n
-            assert [r.time for r in c.records] == [o.time for o in s.observations]
-        assert [r.censored for r in parts[0].records] == [False, True, False, True]
-        assert [r.censored for r in parts[1].records] == [True, True, True, False]
-        assert [r.censored for r in parts[2].records] == [True, False, True, True]
+            assert np.array_equal(c.times, s.times)
+        assert parts[0].censored.tolist() == [False, True, False, True]
+        assert parts[1].censored.tolist() == [True, True, True, False]
+        assert parts[2].censored.tolist() == [True, False, True, True]
 
     def test_parallel_left_censors_the_earlier_failures(self):
-        s = SystemSample("parallel", 3, self.obs())
+        s = self.sample("parallel", 3)
         parts = decompose(s)
         for c in parts:
             assert c.side == "left"
-        assert [r.censored for r in parts[2].records] == [True, False, True, True]
+        assert parts[2].censored.tolist() == [True, False, True, True]
 
     def test_exact_counts_partition_the_observations(self):
-        s = SystemSample("series", 4, self.obs())
+        s = self.sample("series", 4)
         parts = decompose(s)
         assert sum(c.n_exact for c in parts) == s.n
         assert parts[3].n_exact == 0
 
     def test_cause_outside_range_rejected(self):
-        with pytest.raises(ValueError, match="cause"):
-            SystemSample("series", 2, (SystemObservation(1.0, 3),))
-        with pytest.raises(ValueError, match="cause"):
-            SystemObservation(1.0, 0)
+        with pytest.raises(ValueError, match="observation 1 names cause 3"):
+            system_sample("series", 2, [1.0, 2.0], [1, 3])
+        with pytest.raises(ValueError, match="observation 0 names cause 0"):
+            system_sample("series", 2, [1.0], [0])
 
     def test_empty_and_invalid_samples_rejected(self):
         with pytest.raises(ValueError, match="kind"):
-            SystemSample("mixed", 2, (SystemObservation(1.0, 1),))
+            system_sample("mixed", 2, [1.0], [1])
         with pytest.raises(ValueError, match="observation"):
-            SystemSample("series", 2, ())
+            system_sample("series", 2, [], [])
         with pytest.raises(ValueError, match="side"):
-            ComponentSample("up", (ComponentRecord(1.0, False),))
+            one_record("up", 1.0, False)
         with pytest.raises(ValueError, match="record"):
-            ComponentSample("right", ())
-        with pytest.raises(ValueError, match="time"):
-            ComponentRecord(0.0, False)
+            ComponentSample("right", np.array([]), np.array([], bool))
+        with pytest.raises(ValueError, match="time 0"):
+            one_record("right", 0.0, False)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_first_bad_time_is_named(self, bad):
+        times = [1.0, 2.0, bad, 3.0, bad]
+        with pytest.raises(ValueError, match="time 2 "):
+            ComponentSample("right", np.array(times), np.zeros(5, bool))
+        with pytest.raises(ValueError, match="time 2 "):
+            system_sample("series", 2, times, [1] * 5)
+
+    def test_arrays_must_be_one_dimensional_and_equal_length(self):
+        with pytest.raises(ValueError, match="shape"):
+            ComponentSample("right", np.array([1.0, 2.0]), np.zeros(3, bool))
+        with pytest.raises(ValueError, match="shape"):
+            system_sample("series", 2, [1.0, 2.0], [1])
+        with pytest.raises(ValueError, match="record"):
+            ComponentSample("right", np.ones((2, 2)), np.zeros((2, 2), bool))
+        with pytest.raises(ValueError, match="observation"):
+            SystemSample("series", 2, np.ones((2, 2)), np.ones((2, 2), int))
+
+    def test_flag_and_cause_dtypes_are_checked(self):
+        with pytest.raises(ValueError, match="bool"):
+            ComponentSample("right", np.array([1.0, 2.0]), np.array([0, 1]))
+        with pytest.raises(ValueError, match="int"):
+            SystemSample("series", 2, np.array([1.0]), np.array([1.0]))
 
 
 class TestSystemLoglik:
     def test_equals_sum_of_component_logliks(self):
         rng = np.random.default_rng(11)
-        obs = tuple(
-            SystemObservation(float(t), int(c))
-            for t, c in zip(rng.gamma(2.0, 1.0, 25), rng.integers(1, 4, 25))
-        )
+        times, causes = rng.gamma(2.0, 1.0, 25), rng.integers(1, 4, 25)
         for kind in ("series", "parallel"):
-            s = SystemSample(kind, 3, obs)
+            s = SystemSample(kind, 3, times, causes)
             params = [ComponentParams(1.1, 2.0), ComponentParams(2.4, 1.7), ComponentParams(0.8, 3.0)]
             expect = sum(component_loglik(c, p) for c, p in zip(decompose(s), params))
             assert system_loglik(s, params) == pytest.approx(expect, abs=1e-12)
 
     def test_wrong_parameter_count_rejected(self):
-        s = SystemSample("series", 2, (SystemObservation(1.0, 1),))
+        s = system_sample("series", 2, [1.0], [1])
         with pytest.raises(ValueError, match="parameter"):
             system_loglik(s, [ComponentParams(1.0, 1.0)])
 
@@ -227,9 +246,7 @@ class TestKernelAgainstScipy:
             "exact": np.zeros(n, bool),
             "censored": np.ones(n, bool),
         }[status]
-        c = ComponentSample(
-            side, tuple(ComponentRecord(float(t), bool(z)) for t, z in zip(times, censored))
-        )
+        c = ComponentSample(side, times, censored)
         kernel = make_log_kernel(c, self.PRIORS)
         points = [
             (float(b), float(e))
