@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from oracles import quadrature_posterior_means
 from relsys.cli import main
 from relsys.curves import hpd_interval, mean_time_posterior, reliability_draws
 from relsys.dists import (
@@ -175,24 +176,6 @@ TINY_DATASETS = [
 ]
 
 
-def quadrature_posterior_means(kernel, u0, w0, hu, hw, m=200):
-    """Posterior means of shape and scale by trapezoid quadrature in logs."""
-    u = np.linspace(u0 - hu, u0 + hu, m)
-    w = np.linspace(w0 - hw, w0 + hw, m)
-    logf = np.empty((m, m))
-    for i, ui in enumerate(u):
-        for j, wj in enumerate(w):
-            # the log-space volume element adds u + w
-            logf[i, j] = kernel(ComponentParams(math.exp(ui), math.exp(wj))) + ui + wj
-    logf -= logf.max()
-    f = np.exp(logf)
-    du, dw = u[1] - u[0], w[1] - w[0]
-    z = np.trapezoid(np.trapezoid(f, dx=dw, axis=1), dx=du)
-    eb = np.trapezoid(np.trapezoid(f * np.exp(u)[:, None], dx=dw, axis=1), dx=du) / z
-    ee = np.trapezoid(np.trapezoid(f * np.exp(w)[None, :], dx=dw, axis=1), dx=du) / z
-    return eb, ee
-
-
 def test_06_tiny_sample_posteriors_match_quadrature():
     # wide tiny-sample posteriors need a loose EM tolerance; the grid
     # posterior is evaluated at whatever hyper-means the fit settles on
@@ -210,13 +193,9 @@ def test_06_tiny_sample_posteriors_match_quadrature():
         kernel = make_log_kernel(
             c, (MeanVarGamma(fit.m_beta, 4.0), MeanVarGamma(fit.m_eta, 4.0))
         )
-        qb, qe = quadrature_posterior_means(
-            kernel,
-            float(lb.mean()),
-            float(le.mean()),
-            max(6.0 * float(lb.std()), 1.0),
-            max(6.0 * float(le.std()), 1.0),
-        )
+        u0, hu = float(lb.mean()), max(6.0 * float(lb.std()), 1.0)
+        w0, hw = float(le.mean()), max(6.0 * float(le.std()), 1.0)
+        qb, qe = quadrature_posterior_means(kernel, (u0 - hu, u0 + hu), (w0 - hw, w0 + hw))
         rb = abs(float(fit.draws.betas.mean()) - qb) / qb
         re = abs(float(fit.draws.etas.mean()) - qe) / qe
         worst = max(worst, rb, re)

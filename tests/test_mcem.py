@@ -2,7 +2,8 @@
 
 The M step is checked against scipy's bounded scalar optimizer on the
 identical objective; the chain-plus-kernel composition is checked against
-a two-dimensional grid quadrature of the same unnormalized posterior.
+a two-dimensional grid quadrature of the same unnormalized posterior, and
+the fitted hyper-means against the exact EM fixed point on a grid.
 """
 
 import math
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from relsys.dists import ComponentParams, GeneratorSpec, MeanVarGamma, gamma_mv_logpdf, sample
+from oracles import exact_em, hyper_mean_se, quadrature_posterior_means
+from relsys.dists import GeneratorSpec, MeanVarGamma, gamma_mv_logpdf, sample
 from relsys.errors import ConvergenceError, NumericalError
 from relsys.mcem import (
     FitConfig,
@@ -21,6 +23,7 @@ from relsys.mcem import (
     m_step,
 )
 from relsys.sampler import McmcConfig, run_chain
+from relsys.simlab import generate_censored_sample, generate_system_sample
 from relsys.streams import RandomStream
 from relsys.sysmodel import (
     ComponentSample,
@@ -118,25 +121,6 @@ class TestEStepObjective:
         assert got == pytest.approx(expect, rel=1e-12)
 
 
-def quadrature_posterior_means(kernel, log_beta_rng, log_eta_rng, m):
-    """Posterior means of shape and scale by trapezoid quadrature in logs."""
-    u = np.linspace(*log_beta_rng, m)
-    w = np.linspace(*log_eta_rng, m)
-    logf = np.empty((m, m))
-    for i, ui in enumerate(u):
-        for j, wj in enumerate(w):
-            # the log-space volume element adds u + w
-            logf[i, j] = kernel(ComponentParams(math.exp(ui), math.exp(wj))) + ui + wj
-    logf -= logf.max()
-    f = np.exp(logf)
-    du = u[1] - u[0]
-    dw = w[1] - w[0]
-    z = np.trapezoid(np.trapezoid(f, dx=dw, axis=1), dx=du)
-    eb = np.trapezoid(np.trapezoid(f * np.exp(u)[:, None], dx=dw, axis=1), dx=du) / z
-    ee = np.trapezoid(np.trapezoid(f * np.exp(w)[None, :], dx=dw, axis=1), dx=du) / z
-    return eb, ee
-
-
 class TestChainAgreesWithQuadrature:
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_posterior_means_match(self, side):
@@ -207,6 +191,51 @@ class TestFitComponent:
         c = ComponentSample("right", np.full(4, 1e300), np.zeros(4, bool))
         with pytest.raises(NumericalError, match="hyper-mean"):
             fit_component(c, FAST, RandomStream(0))
+
+
+SHOWCASE = (
+    GeneratorSpec("weibull", 2.0, 4.0),
+    GeneratorSpec("gamma", 2.0, 0.667),
+    GeneratorSpec("lognormal", 2.014, 6.968),
+)
+
+
+def oracle_samples():
+    """The README showcase's three components (series, n=100, seed 24) and
+    a left-censored weibull sample (n=100, 30% censored)."""
+    s = generate_system_sample(SHOWCASE, "series", 100, RandomStream(24).generator())
+    left = generate_censored_sample(
+        GeneratorSpec("weibull", 2.0, 4.0), 100, 0.3, "left", RandomStream(5).generator()
+    )
+    return (*decompose(s), left)
+
+
+class TestExactEmOracle:
+    # The bound is Z standard errors of the hyper-means that a 1000-draw EM
+    # chain carries: the delta-method error of the M step on 1000
+    # independent draws of the exact posterior, amplified by the EM map's
+    # Jacobian at the fixed point (oracles.hyper_mean_se), and inflated for
+    # autocorrelation by sqrt((1 + rho) / (1 - rho)) at a lag-1 of LAG1,
+    # which the thinned chain must not exceed.  Bounds per coordinate,
+    # (beta, eta): 0.025/0.048, 0.062/0.032, 0.024/0.028 on the showcase
+    # components and 0.016/0.028 on the left-censored sample.
+    Z = 4.0
+    LAG1 = 0.25
+    DRAWS = 1000
+
+    @pytest.mark.parametrize("index", range(4), ids=["c1", "c2", "c3", "left"])
+    def test_hyper_means_match_exact_em_fixed_point(self, index):
+        c = oracle_samples()[index]
+        cfg = FitConfig()
+        assert cfg.mcmc.n_p == self.DRAWS
+        fit = fit_component(c, cfg, RandomStream(0).child(index))
+        em = exact_em(c, cfg.prior_variance, (fit.em_trace[0].m_beta, fit.em_trace[0].m_eta))
+        inflate = math.sqrt((1 + self.LAG1) / (1 - self.LAG1))
+        se_beta, se_eta = hyper_mean_se(c, cfg.prior_variance, em, self.DRAWS)
+        assert fit.converged
+        assert max(fit.draws.lag1_beta, fit.draws.lag1_eta) < self.LAG1
+        assert abs(fit.m_beta - em.m_beta) <= self.Z * inflate * se_beta
+        assert abs(fit.m_eta - em.m_eta) <= self.Z * inflate * se_eta
 
 
 class TestFitSystem:
