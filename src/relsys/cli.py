@@ -352,6 +352,8 @@ def cmd_fit(args) -> int:
                 "sd_time": sd_time,
                 "converged": f.converged,
                 "iterations": len(f.em_trace) - 1,
+                "chains": f.chains,
+                "min_weight_ess": f.min_weight_ess,
                 "acceptance_rate": f.draws.acceptance_rate,
                 "step_final": f.draws.step_final,
                 "lag1_beta": f.draws.lag1_beta,
@@ -363,6 +365,9 @@ def cmd_fit(args) -> int:
             {
                 "component": j,
                 "converged": f.converged,
+                "iterations": len(f.em_trace) - 1,
+                "chains": f.chains,
+                "min_weight_ess": f.min_weight_ess,
                 "acceptance_rate": f.draws.acceptance_rate,
             }
         )
@@ -431,6 +436,8 @@ def _draws_shell(betas, etas, meta: dict) -> ComponentFit:
         em_trace=(),
         converged=bool(meta.get("converged", True)),
         warnings=(),
+        chains=0,
+        min_weight_ess=math.nan,
     )
 
 
@@ -580,6 +587,11 @@ def _grid_settings(grid_arg: str) -> tuple[dict, dict]:
     return kwargs, {Path(grid_arg).name: io.sha256_file(grid_arg)}
 
 
+def _json_number(x: float) -> float | None:
+    """``x``, or None where JSON has no number for it (NaN, infinities)."""
+    return x if math.isfinite(x) else None
+
+
 def _cell_coords(spec) -> dict:
     """A study cell's coordinates, keyed as the ``study.csv`` columns."""
     return {
@@ -632,6 +644,11 @@ def cmd_study(args) -> int:
         print(line)
         for rep, reason in r.failures:
             print(f"{cell}: replicate {rep} failed: {reason}", file=sys.stderr)
+        for rep, est in r.absurd:
+            print(
+                f"{cell}: replicate {rep} has an absurd mean-lifetime estimate {est:.6g}",
+                file=sys.stderr,
+            )
 
     out = _out_dir(args)
     io.write_study_csv(out / "study.csv", results)
@@ -666,6 +683,26 @@ def cmd_study(args) -> int:
                 for r in results
                 if r.not_converged
             ],
+            "absurd_estimates": [
+                {
+                    **_cell_coords(r.spec),
+                    "replicates": [
+                        {"replicate": rep, "estimate": _json_number(est)}
+                        for rep, est in r.absurd
+                    ],
+                }
+                for r in results
+                if r.absurd
+            ],
+            "work": [
+                {
+                    **_cell_coords(r.spec),
+                    "chains": r.chains,
+                    "iterations": r.iterations,
+                    "min_weight_ess": _json_number(r.min_weight_ess),
+                }
+                for r in results
+            ],
         },
     )
     return 0
@@ -687,7 +724,7 @@ def _add_chain_flags(p: argparse.ArgumentParser) -> None:
         "--burnin",
         type=int,
         default=None,
-        help=f"final-chain burn-in; per-iteration chains use a tenth (default {d['burnin']})",
+        help=f"final-chain burn-in; EM chains use a tenth (default {d['burnin']})",
     )
     p.add_argument(
         "--thin", type=int, default=None, help=f"keep every thin-th state (default {d['thin']})"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import log_gamma_fn
+from .dists import _freeze_arrays, log_gamma_fn
 from .mcem import SystemFit
 from .sampler import PosteriorDraws
 
@@ -40,13 +40,15 @@ _GRID_POINTS = 200
 class TimeGrid:
     """Strictly increasing evaluation times, starting at or after zero.
 
-    ``points`` is a 1-D float array.  Instances compare by identity;
-    compare the arrays instead.
+    ``points`` is a 1-D float array, stored read-only and copied if the
+    caller's is writeable.  Instances compare by identity; compare the
+    arrays instead.
     """
 
     points: np.ndarray
 
     def __post_init__(self):
+        _freeze_arrays(self, "points")
         p = self.points
         if p.ndim != 1 or p.size == 0:
             raise ValueError("time grid must be a 1-D array of at least one point")
@@ -76,7 +78,8 @@ class ReliabilityBand:
     """Pointwise mean curve with credible bounds on a time grid.
 
     ``mean``, ``lower`` and ``upper`` are float arrays of the grid's
-    length.  Instances compare by identity; compare the arrays instead.
+    length, stored read-only and copied if the caller's are writeable.
+    Instances compare by identity; compare the arrays instead.
     """
 
     grid: TimeGrid
@@ -87,6 +90,7 @@ class ReliabilityBand:
     method: str
 
     def __post_init__(self):
+        _freeze_arrays(self, "mean", "lower", "upper")
         shape = self.grid.points.shape
         if not (self.mean.shape == self.lower.shape == self.upper.shape == shape):
             raise ValueError("band arrays must match the grid length")

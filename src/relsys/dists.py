@@ -99,6 +99,20 @@ def log1mexp_unchecked(arr: np.ndarray) -> np.ndarray:
 _LN2 = math.log(2.0)
 
 
+def _freeze_arrays(obj, *names: str) -> None:
+    """Make the named array fields of a frozen dataclass instance read-only.
+
+    An array the caller can still write to is copied first, so a write
+    through the caller's reference cannot bypass the instance's validation.
+    """
+    for name in names:
+        a = getattr(obj, name)
+        if a.flags.writeable:
+            a = a.copy()
+            a.flags.writeable = False
+            object.__setattr__(obj, name, a)
+
+
 class _ShapeScale(NamedTuple):
     beta: float
     eta: float

@@ -1,18 +1,26 @@
 """Hyper-parameter estimation by Monte Carlo EM.
 
 Each component's shape and scale carry independent gamma priors whose
-variances are held fixed, so only the two prior means are estimated.  One
-EM iteration runs a Metropolis chain at the current prior means (the Monte
-Carlo E step), then moves each prior mean to the maximizer of the average
-gamma log density over the drawn values (the M step).  Iterations stop
-when both means move less than the tolerance, after which a longer chain
-at the converged means produces the posterior draws that all downstream
-summaries consume.
+variances are held fixed, so only the two prior means are estimated.  The
+E step needs posterior draws under the current prior means; the M step
+moves each prior mean to the maximizer of the average gamma log density
+over those draws.
 
-Every EM iteration replays the same proposal-noise substream from the
-same starting point.  That makes the iteration a deterministic map of the
-hyper-means alone, so the small-move stopping rule tests actual
-convergence instead of Monte Carlo jitter.
+Between iterations only the priors change, in closed form, so draws made
+under one pair of prior means serve the next pair exactly once they are
+reweighted by the prior ratio ``pi_new(beta) pi_new(eta) / pi_gen(beta)
+pi_gen(eta)`` (importance-sampling MCEM).  One Metropolis chain therefore
+carries many iterations: a fresh chain is drawn at the current means only
+when the Kish effective sample size fraction of the weights,
+``(sum w)^2 / (n sum w^2)``, falls below ``_MIN_WEIGHT_ESS``.  On one draw
+set the iteration is a deterministic map of the hyper-means, so the
+small-move stopping rule tests the convergence of that map rather than
+Monte Carlo jitter.
+
+A fit is ``converged`` when both means move less than the tolerance while
+the weight ESS fraction of the current draws, reweighted to the new means,
+is at least ``_MIN_WEIGHT_ESS``.  A longer chain at the converged means
+then produces the posterior draws that all downstream summaries consume.
 """
 
 from __future__ import annotations
@@ -82,7 +90,13 @@ class EmStep:
 
 @dataclass(frozen=True)
 class ComponentFit:
-    """Estimated prior means and the posterior draws sampled under them."""
+    """Estimated prior means and the posterior draws sampled under them.
+
+    ``chains`` counts the Metropolis chains the fit ran, the EM chains plus
+    the final one.  ``min_weight_ess`` is the smallest Kish effective
+    sample size fraction of the importance weights any M step ran on
+    (1.0 when every M step used a fresh chain).
+    """
 
     m_beta: float
     m_eta: float
@@ -90,6 +104,8 @@ class ComponentFit:
     em_trace: tuple[EmStep, ...]
     converged: bool
     warnings: tuple[str, ...]
+    chains: int
+    min_weight_ess: float
 
 
 @dataclass(frozen=True)
@@ -111,7 +127,9 @@ def _gamma_mean_objective(m: float, v: float, mean_x: float, mean_log: float) ->
     return a * math.log(b) - log_gamma_fn(a) + (a - 1.0) * mean_log - b * mean_x
 
 
-_MAX_CHAIN_GROWTHS = 5
+# a draw set is reused while its importance weights keep at least this
+# effective-sample-size fraction; below it a fresh chain is drawn
+_MIN_WEIGHT_ESS = 0.5
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _M_LO = math.log(1e-3)
@@ -138,27 +156,46 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
     return 0.5 * (lo + hi)
 
 
-def m_step(values: Sequence[float] | np.ndarray, v: float) -> float:
+def m_step(
+    values: Sequence[float] | np.ndarray,
+    v: float,
+    weights: np.ndarray | None = None,
+) -> float:
     """Prior mean maximizing the average gamma log density of ``values``.
 
-    Golden-section search on the log of the mean, to 1e-6, over a bracket
-    that starts at three decades around 1 and widens when the maximizer
-    lands on an edge.
+    With ``weights``, non-negative importance weights of the values in any
+    scale, the average is weighted: the objective needs only the weighted
+    means of ``x`` and ``log x``.  Golden-section search on the log of the
+    mean, to 1e-6, over a bracket that starts at three decades around 1
+    and widens when the maximizer lands on an edge.
 
     Raises
     ------
     ConvergenceError
         If the maximizer stays pinned at the widest bracket edge.
     ValueError
-        If ``values`` is empty or contains non-positive entries.
+        If ``values`` is empty or contains non-positive entries, or if
+        ``weights`` do not match them, are negative or non-finite, or are
+        all zero.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("m_step needs at least one value")
     if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
         raise ValueError("m_step values must be finite and > 0")
-    mean_x = float(arr.mean())
-    mean_log = float(np.log(arr).mean())
+    if weights is None:
+        mean_x = float(arr.mean())
+        mean_log = float(np.log(arr).mean())
+    else:
+        w = np.asarray(weights, dtype=float)
+        total = float(w.sum()) if w.shape == arr.shape else math.nan
+        if not (math.isfinite(total) and total > 0.0 and np.all(w >= 0.0)):
+            raise ValueError(
+                "m_step weights must match the values, be finite and >= 0, "
+                "and not all be 0"
+            )
+        mean_x = float(w @ arr) / total
+        mean_log = float(w @ np.log(arr)) / total
 
     def g(log_m: float) -> float:
         return _gamma_mean_objective(math.exp(log_m), v, mean_x, mean_log)
@@ -195,13 +232,27 @@ def _initial_priors(
     return m_beta, m_eta, priors
 
 
+def _log_prior_ratio(x: np.ndarray, log_x: np.ndarray, m: float, m_gen: float, v: float):
+    """``log pi_m(x) - log pi_gen(x)`` for two gamma priors of variance ``v``, up
+    to a constant: their shapes differ by ``(m^2 - m_gen^2)/v`` and their
+    rates by ``(m - m_gen)/v``, and normalizing the weights removes the rest."""
+    return ((m * m - m_gen * m_gen) / v) * log_x - ((m - m_gen) / v) * x
+
+
+def _kish_ess(w: np.ndarray) -> float:
+    """Effective sample size of importance weights, as a fraction of their count."""
+    total = float(w.sum())
+    return total * total / (w.size * float(w @ w))
+
+
 def fit_component(
     c: ComponentSample, cfg: FitConfig, source: RandomStream | int
 ) -> ComponentFit:
     """Estimate one component's prior means and sample its posterior.
 
-    The EM iterations and the final chain consume separate substreams of
-    ``source``, so results are reproducible from the seed alone.
+    EM chain ``r`` consumes substream ``(0, r)`` of ``source`` and the
+    final chain substream ``1``, so results are reproducible from the
+    seed alone.
     """
     st = as_stream(source)
     warnings: list[str] = []
@@ -213,60 +264,55 @@ def fit_component(
 
     m_beta, m_eta, priors = _initial_priors(c, cfg)
     v = cfg.prior_variance
-    # every iteration replays the same noise from the same start, so the
-    # iteration is a map of the hyper-means only; feeding the previous
-    # chain's state back in would re-inject Monte Carlo jitter and keep
-    # the stopping rule from ever triggering
-    chain_cfg = replace(cfg.mcmc, init=ComponentParams(m_beta, m_eta))
     trace = [EmStep(0, m_beta, m_eta)]
     converged = False
     em_stream = st.child(0)
-    d = None
-
-    # a deterministic map can orbit a limit cycle whose hops exceed the
-    # tolerance; an exactly repeated state proves it never settles at this
-    # chain length, so the chain is lengthened to shrink the hops
-    seen: dict[tuple[float, float], int] = {}
-    growths = 0
+    chains = 0
+    min_ess = 1.0
+    ess = 0.0  # no draws yet, so the first iteration runs a chain
 
     for it in range(1, cfg.max_iter + 1):
-        kernel = make_log_kernel(c, priors)
-        d = run_chain(kernel, chain_cfg, em_stream.generator())
-        new_beta = m_step(d.betas, v)
-        new_eta = m_step(d.etas, v)
+        if ess < _MIN_WEIGHT_ESS:
+            chain_cfg = replace(cfg.mcmc, init=ComponentParams(m_beta, m_eta))
+            d = run_chain(
+                make_log_kernel(c, priors), chain_cfg, em_stream.child(chains).generator()
+            )
+            chains += 1
+            gen_beta, gen_eta = m_beta, m_eta
+            log_betas, log_etas = np.log(d.betas), np.log(d.etas)
+            weights, ess = None, 1.0
+        min_ess = min(min_ess, ess)
+        new_beta = m_step(d.betas, v, weights)
+        new_eta = m_step(d.etas, v, weights)
         trace.append(EmStep(it, new_beta, new_eta))
         delta = max(abs(new_beta - m_beta), abs(new_eta - m_eta))
         m_beta, m_eta = new_beta, new_eta
         priors = (MeanVarGamma(m_beta, v), MeanVarGamma(m_eta, v))
-        if delta < cfg.tol:
+        log_w = _log_prior_ratio(d.betas, log_betas, m_beta, gen_beta, v)
+        log_w += _log_prior_ratio(d.etas, log_etas, m_eta, gen_eta, v)
+        weights = np.exp(log_w - log_w.max())
+        ess = _kish_ess(weights)
+        if delta < cfg.tol and ess >= _MIN_WEIGHT_ESS:
             converged = True
             break
-        if (new_beta, new_eta) in seen:
-            if growths >= _MAX_CHAIN_GROWTHS:
-                break
-            growths += 1
-            chain_cfg = replace(chain_cfg, n_p=2 * chain_cfg.n_p)
-            seen.clear()
-        else:
-            seen[(new_beta, new_eta)] = it
 
     if not converged:
         warnings.append(
-            f"prior-mean moves stayed above {cfg.tol} after {trace[-1].iteration} "
-            f"iterations; the updates cycle between chain realizations"
-            if growths >= _MAX_CHAIN_GROWTHS
-            else f"prior-mean moves stayed above {cfg.tol} through {cfg.max_iter} iterations"
+            f"prior-mean moves did not fall below {cfg.tol} at a weight ESS of "
+            f"at least {_MIN_WEIGHT_ESS} through {cfg.max_iter} iterations"
         )
 
-    # the final chain warm-starts where the last iteration's chain settled;
-    # this is a one-shot handoff, not part of the iteration loop
-    kernel = make_log_kernel(c, priors)
+    # the final chain warm-starts at the posterior mean the last draws,
+    # reweighted to the final priors, estimate
     final_cfg = replace(
         cfg.final_mcmc,
-        init=ComponentParams(float(d.betas.mean()), float(d.etas.mean())),
+        init=ComponentParams(
+            float(np.average(d.betas, weights=weights)),
+            float(np.average(d.etas, weights=weights)),
+        ),
         step_init=d.step_final,
     )
-    d = run_chain(kernel, final_cfg, st.child(1).generator())
+    d = run_chain(make_log_kernel(c, priors), final_cfg, st.child(1).generator())
     warnings.extend(d.warnings)
     return ComponentFit(
         m_beta=m_beta,
@@ -275,6 +321,8 @@ def fit_component(
         em_trace=tuple(trace),
         converged=converged,
         warnings=tuple(warnings),
+        chains=chains + 1,
+        min_weight_ess=min_ess,
     )
 
 

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dists import ComponentParams
+from .dists import ComponentParams, _freeze_arrays
 from .errors import NumericalError
 
 __all__ = ["McmcConfig", "PosteriorDraws", "ParamSummary", "run_chain", "posterior_summary"]
@@ -71,7 +71,8 @@ class PosteriorDraws:
     the pair ``(betas[l], etas[l])``.  ``acceptance_rate`` is the accepted
     fraction over the collection phase, ``step_final`` the frozen proposal
     scale, and the lag-1 autocorrelations are computed on the thinned
-    series.  Instances compare by identity; compare the arrays instead.
+    series.  The arrays are stored read-only, copied if the caller's are
+    writeable.  Instances compare by identity; compare the arrays instead.
     """
 
     betas: np.ndarray
@@ -83,6 +84,7 @@ class PosteriorDraws:
     warnings: tuple[str, ...]
 
     def __post_init__(self):
+        _freeze_arrays(self, "betas", "etas")
         if self.betas.shape != self.etas.shape or self.betas.ndim != 1:
             raise ValueError(
                 f"draws need two 1-D arrays of one length, got shapes "

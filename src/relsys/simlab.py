@@ -52,6 +52,9 @@ GRID_SIZES = (30, 100, 1000)
 GRID_SIDES = _SIDES
 GRID_VARIANCE = 5.0
 GRID_REPLICATES = 100
+# a replicate estimate this many times above or below the true mean is
+# reported as absurd; it still counts toward bias and MSE
+_ABSURD_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,12 @@ class ScenarioResult:
     ``failures`` holds one ``(replicate index, error message)`` pair per
     replicate whose fit raised, in replicate order.  ``not_converged``
     lists, in order, the replicates whose fit stopped at the iteration
-    cap; their estimates are kept.
+    cap; their estimates are kept.  ``absurd`` holds one ``(replicate
+    index, estimate)`` pair per kept estimate that is non-finite or more
+    than 1e3 times above or below the true mean.  ``chains``
+    and ``iterations`` total the fitted replicates' Metropolis chains and
+    EM iterations, and ``min_weight_ess`` is the smallest of their
+    ``min_weight_ess`` (NaN when no replicate was fitted).
     """
 
     spec: ScenarioSpec
@@ -106,6 +114,10 @@ class ScenarioResult:
     mse: float
     failures: tuple[tuple[int, str], ...]
     not_converged: tuple[int, ...]
+    absurd: tuple[tuple[int, float], ...]
+    chains: int
+    iterations: int
+    min_weight_ess: float
 
     @property
     def n_failed(self) -> int:
@@ -203,6 +215,10 @@ def run_scenario(
     estimates = []
     failures = []
     not_converged = []
+    absurd = []
+    chains = iterations = 0
+    weight_ess = []
+    lo, hi = spec.true_mean / _ABSURD_FACTOR, spec.true_mean * _ABSURD_FACTOR
     for r in range(spec.replicates):
         rep = base.child(r)
         data = generate_censored_sample(
@@ -219,7 +235,13 @@ def run_scenario(
             continue
         if not fit.converged:
             not_converged.append(r)
-        estimates.append(mean_time_posterior(fit.draws)[0])
+        chains += fit.chains
+        iterations += len(fit.em_trace) - 1
+        weight_ess.append(fit.min_weight_ess)
+        est = mean_time_posterior(fit.draws)[0]
+        if not lo <= est <= hi:
+            absurd.append((r, est))
+        estimates.append(est)
     if estimates:
         err = np.asarray(estimates) - spec.true_mean
         bias = float(err.mean())
@@ -234,6 +256,10 @@ def run_scenario(
         mse=mse,
         failures=tuple(failures),
         not_converged=tuple(not_converged),
+        absurd=tuple(absurd),
+        chains=chains,
+        iterations=iterations,
+        min_weight_ess=min(weight_ess, default=math.nan),
     )
 
 

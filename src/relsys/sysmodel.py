@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dists import _EXP_MAX, ComponentParams, MeanVarGamma, log1mexp_unchecked
+from .dists import _EXP_MAX, ComponentParams, MeanVarGamma, _freeze_arrays, log1mexp_unchecked
 from .errors import NumericalError
 
 __all__ = [
@@ -60,6 +60,7 @@ class SystemSample:
 
     ``times`` is a float array of system failure times and ``causes`` an
     int array of the same length naming the failing component, 1..k.
+    Both arrays are stored read-only, copied if the caller's are writeable.
     Instances compare by identity; compare the arrays instead.
     """
 
@@ -69,6 +70,7 @@ class SystemSample:
     causes: np.ndarray
 
     def __post_init__(self):
+        _freeze_arrays(self, "times", "causes")
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.k < 1:
@@ -98,8 +100,9 @@ class ComponentSample:
     array of the same length, true where the record is censored.  ``side``
     fixes how censored records are read: ``"right"`` means the lifetime
     exceeded the recorded time, ``"left"`` means it had already ended by
-    then.  All censored records in one sample share the side.  Instances
-    compare by identity; compare the arrays instead.
+    then.  All censored records in one sample share the side.  Both
+    arrays are stored read-only, copied if the caller's are writeable.
+    Instances compare by identity; compare the arrays instead.
     """
 
     side: str
@@ -107,6 +110,7 @@ class ComponentSample:
     censored: np.ndarray
 
     def __post_init__(self):
+        _freeze_arrays(self, "times", "censored")
         if self.side not in _SIDES:
             raise ValueError(f"side must be one of {_SIDES}, got {self.side!r}")
         if self.censored.ndim != 1 or self.censored.size == 0:

@@ -155,11 +155,17 @@ class TestFitCommand:
         assert hyper["kind"] == "series"
         assert hyper["k"] == 2
         assert hyper["t99"] > 0.0
+        manifest = manifest_of(out)
         for j, c in enumerate(hyper["components"], start=1):
+            f = fits[j - 1]
             assert c["component"] == j
-            assert c["m_beta"] == fits[j - 1].m_beta
-            assert c["m_eta"] == fits[j - 1].m_eta
+            assert c["m_beta"] == f.m_beta
+            assert c["m_eta"] == f.m_eta
             assert isinstance(c["converged"], bool)
+            work = {"iterations": len(f.em_trace) - 1, "chains": f.chains,
+                    "min_weight_ess": f.min_weight_ess}
+            assert {key: c[key] for key in work} == work
+            assert {key: manifest["components"][j - 1][key] for key in work} == work
 
     def test_trace_rows_cover_all_components(self, tmp_path):
         sim = simulate(tmp_path)
@@ -566,6 +572,31 @@ class TestStudyCommand:
         assert m["cells"] == 6
         assert m["config"]["replicates"] == 2
         assert "subset.cfg" in m["inputs"]
+        assert m["absurd_estimates"] == []
+        # per-cell work totals: each replicate runs an EM chain and a final one
+        assert [cell["censor_pct"] for cell in m["work"]] == [0.0, 0.0, 20.0, 20.0, 40.0, 40.0]
+        for cell in m["work"]:
+            assert cell["chains"] >= 2 * 2
+            assert cell["iterations"] >= 2
+            assert 0.5 <= cell["min_weight_ess"] <= 1.0
+
+    def test_absurd_estimates_are_flagged(self, tmp_path, capsys):
+        # a variance of 1e6 at mean 2 makes weibull samples whose fitted
+        # mean lifetimes run to 1e4 and beyond
+        subset = ("families = weibull\nsides = right\nsizes = 30\n"
+                  "censor-fractions = 0.0\nmeans = 2.0\nvariance = 1e6\n")
+        out = self.run_subset(tmp_path, "study", subset)
+        err = capsys.readouterr().err
+        m = manifest_of(out)
+        [cell] = m["absurd_estimates"]
+        assert (cell["family"], cell["n"], cell["true_mean"]) == ("weibull", 30, 2.0)
+        assert [r["replicate"] for r in cell["replicates"]] == [0, 1]
+        for r in cell["replicates"]:
+            assert not 2e-3 <= r["estimate"] <= 2e3
+            assert f"replicate {r['replicate']} has an absurd mean-lifetime estimate" in err
+        lines = (out / "study.csv").read_text().splitlines()
+        assert lines[0] == "side,family,censor_pct,true_mean,n,bias,mse,n_failed"
+        assert len(lines) == 2
 
 
 class TestRerunDeterminism:
@@ -599,33 +630,34 @@ class TestRerunDeterminism:
 
 
 class TestRecordedOutputs:
-    # SHA-256 digests recorded before samples were stored as arrays; a
-    # change to how samples are parsed, generated, decomposed or summed
-    # moves them
+    # SHA-256 digests: the sample.csv ones recorded before samples were
+    # stored as arrays, the fit ones with the importance-reweighted EM; a
+    # change to how samples are parsed, generated, decomposed or summed,
+    # or to how the EM draws its chains, moves them
     RECORDED = {
         "series": {
             "sample.csv": "359583e35a82adbdaed9d352b8b4a0f1d3f3bc703c437592a98c3f7b72df51d2",
-            "draws_component1.csv": "518e806a1809cc332165801fb1822202e797541bb1705f519c36df1462d1501f",
-            "draws_component2.csv": "677a6cd6c7f8c6dce2246799d85186c4a32286f7dd7528ca4e73041a6d4d6c9a",
-            "em_trace.csv": "636b5a71804d0e52f409823883c76684537ada3993a642995bb380b9f646052d",
-            "hyper_estimates.json": "31ea85deb087deb54cdc0539a6e349a4209ee90305226386f7cccf884ec2767c",
+            "draws_component1.csv": "0b3c4aa70db9de19178dffb4acba51db989fc9f3b8bd12b2509a9e2bbb211038",
+            "draws_component2.csv": "f23abe3ab99fe729ea7a4baeda035567509ad3145a4977d32684ade649d3b867",
+            "em_trace.csv": "77b4f4c768cb4ffddd9b3ca04e3aef26b4492024d1735e05994a83923216097f",
+            "hyper_estimates.json": "1061b658b6369e78a7c32570dafd939a124b4a3fdcecf52b417e3c1f8cb6b64f",
         },
         "parallel": {
             "sample.csv": "66f3acb3dfa1871a487fcfdabfd38573d2090ffa6573f98a30c7b40a3fefc614",
-            "draws_component1.csv": "ab6f3ac3ed5bd41792740e07018b09f2b6baab0c2c05590d816eef46e23c041b",
-            "draws_component2.csv": "d53b84c20a4a4a56ff12732eda3de0d49134442687e5e0d92f22b01fa4b7cc95",
-            "em_trace.csv": "a666fe45a7cb406b46abf37753e8572426bb26c7749d9ff23f1540110dc925ab",
-            "hyper_estimates.json": "058fe31ce22a03113b0fb30df977d47301ca3f26a4e65f9bd6cef97ebd95cbf4",
+            "draws_component1.csv": "30727902199665554d5d0713945377c205e4a86dd45ca5be650aea74c77c7593",
+            "draws_component2.csv": "941a698f1b6b71eca3bc1eb3634ebfeae59f07c6825dbb95e3e4b8f0f17ea2c4",
+            "em_trace.csv": "569db6cfb03e69a5f7beb329bc00c3736f28a2961d328dfdd6eb554c3764ef77",
+            "hyper_estimates.json": "1d52119b4b7b8fcc1f044d62dffb0477e4b6c9af2e7f4fc7957f42b8723b7936",
         },
         "right": {
-            "draws_component1.csv": "029eff2e479340f3fd8b328988eb9a7c1549ce3351ec4fc01b1a26e622d3aeed",
-            "em_trace.csv": "f28f823e27f0382f8858801c620c3c670a0dbc90fd9da8d377ed80c76bb711de",
-            "hyper_estimates.json": "6a3a56ac4c38addd987cf8bae71cf4a17208459ea7d51f578a54f876b0c479f3",
+            "draws_component1.csv": "30de1dd2d67611389419d8eee6e0d3cc1e21d11d531688e0f127eb76ee7c36f4",
+            "em_trace.csv": "ae94dca04476a926a751473106e2168fa2afc3834f9256e7f27d3c372d2142b4",
+            "hyper_estimates.json": "9743b808f9d392e0ecf4f15078be7de08b9c8c45d01b57ec1819355d72244e3b",
         },
         "left": {
-            "draws_component1.csv": "9f7b37c89976b3c02d35d39bfe8b2e87d63c9b009f9f05ac00c38728c50c9105",
-            "em_trace.csv": "90935069ba2014200a084984b7a6ac98866d75031de360b438e4a40698702c3a",
-            "hyper_estimates.json": "6094c47409057aea689e283b6b2b9c7250a5ff92c4c72d58bcde86945b479539",
+            "draws_component1.csv": "24e98197a24e13e1ff9a0fd1ccfe0cfca163da4e8ad9aec12e1fe54e642fe767",
+            "em_trace.csv": "428e700bf1d3f5ddce4b11d1d9350b7d6e0cfb4fa0708439fa9ba2d623cf7693",
+            "hyper_estimates.json": "480e93202f2e5c000ec92621f4aac7ec75a1c7aadc2875a8b70f0e18b3fc9816",
         },
     }
 

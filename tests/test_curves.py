@@ -41,6 +41,8 @@ def make_fit(d):
         em_trace=(EmStep(0, 1.0, 2.0),),
         converged=True,
         warnings=(),
+        chains=2,
+        min_weight_ess=1.0,
     )
 
 
@@ -82,6 +84,19 @@ class TestTimeGrid:
             TimeGrid.regular(0.0)
         with pytest.raises(ValueError, match="points"):
             TimeGrid.regular(1.0, 1)
+
+
+def test_stored_arrays_are_read_only():
+    points = np.array([0.0, 1.0, 2.0])
+    grid = TimeGrid(points)
+    d = random_draws(1, 20)
+    band = reliability_band(d, grid)
+    for arr in (grid.points, d.betas, d.etas, band.mean, band.lower, band.upper):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = -1.0
+    # the caller's writeable array was copied
+    points[0] = -1.0
+    assert grid.points[0] == 0.0
 
 
 class TestHpdInterval:

@@ -7,6 +7,7 @@ the fitted hyper-means against the exact EM fixed point on a grid.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from oracles import exact_em, hyper_mean_se, quadrature_posterior_means
 from relsys.dists import GeneratorSpec, MeanVarGamma, gamma_mv_logpdf, sample
 from relsys.errors import ConvergenceError, NumericalError
 from relsys.mcem import (
+    _MIN_WEIGHT_ESS,
     FitConfig,
     _gamma_mean_objective,
     fit_component,
@@ -58,6 +60,13 @@ def weibull_sample(seed, n, censor_every=3, side="right"):
     return ComponentSample(side, x, np.arange(n) % censor_every == 0)
 
 
+def far_start_sample():
+    """A near-deterministic lifetime sample (shape about 11) fitted under
+    prior variance 0.05 from the shape mean 1."""
+    x = sample(GeneratorSpec("weibull", 2.0, 0.05), 60, np.random.default_rng(3))
+    return ComponentSample("right", x, np.zeros(60, bool)), replace(FAST, prior_variance=0.05)
+
+
 class TestMStep:
     @pytest.mark.parametrize("seed,v", [(3, 4.0), (4, 4.0), (5, 0.7), (6, 2.0)])
     def test_matches_scipy_bounded_optimizer(self, seed, v):
@@ -89,6 +98,16 @@ class TestMStep:
             assert q(max(mb - eps, 1e-6), me) <= best + 1e-9
             assert q(mb, me + eps) <= best + 1e-9
             assert q(mb, max(me - eps, 1e-6)) <= best + 1e-9
+
+    def test_weights_act_as_repeat_counts(self):
+        vals = np.random.default_rng(9).gamma(2.0, 1.3, 50)
+        counts = np.arange(50) % 3
+        assert m_step(vals, 4.0, 0.25 * counts) == pytest.approx(
+            m_step(np.repeat(vals, counts), 4.0), rel=1e-9
+        )
+        for bad in (np.zeros(50), -np.ones(50), np.full(50, np.nan), np.ones(49)):
+            with pytest.raises(ValueError, match="weights"):
+                m_step(vals, 4.0, bad)
 
     def test_rejects_empty_and_nonpositive(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -139,6 +158,14 @@ class TestChainAgreesWithQuadrature:
         assert abs(d.etas.mean() - qe) < 5 * se(d.etas, d.lag1_eta)
 
 
+def assert_same_fit(a, b):
+    assert np.array_equal(a.draws.betas, b.draws.betas)
+    assert np.array_equal(a.draws.etas, b.draws.etas)
+    assert a.em_trace == b.em_trace
+    assert a.m_beta == b.m_beta and a.m_eta == b.m_eta
+    assert (a.chains, a.min_weight_ess) == (b.chains, b.min_weight_ess)
+
+
 class TestFitComponent:
     def test_converges_and_traces(self):
         fit = fit_component(weibull_sample(31, 60), FAST, RandomStream(101))
@@ -154,10 +181,27 @@ class TestFitComponent:
     def test_deterministic_given_stream(self):
         a = fit_component(weibull_sample(31, 40), FAST, RandomStream(7))
         b = fit_component(weibull_sample(31, 40), FAST, RandomStream(7))
-        assert np.array_equal(a.draws.betas, b.draws.betas)
-        assert np.array_equal(a.draws.etas, b.draws.etas)
-        assert a.em_trace == b.em_trace
-        assert a.m_beta == b.m_beta and a.m_eta == b.m_eta
+        assert_same_fit(a, b)
+
+    def test_well_behaved_sample_runs_one_em_chain(self):
+        fit = fit_component(weibull_sample(31, 60), FAST, RandomStream(101))
+        assert fit.converged
+        # one EM chain carried every iteration, then the final chain
+        assert len(fit.em_trace) > 2
+        assert fit.chains == 2
+        assert _MIN_WEIGHT_ESS <= fit.min_weight_ess < 1.0
+
+    def test_weight_collapse_draws_a_fresh_chain(self):
+        # a tight prior far from the data: the first moves shift the prior
+        # by several of its standard deviations, so the first draw set's
+        # weights collapse and fresh chains are drawn
+        c, cfg = far_start_sample()
+        fit = fit_component(c, cfg, RandomStream(1))
+        assert fit.converged
+        assert fit.chains > 2
+        assert fit.min_weight_ess >= _MIN_WEIGHT_ESS
+        # the fresh chains come from the same stream on a rerun
+        assert_same_fit(fit, fit_component(c, cfg, RandomStream(1)))
 
     def test_recovers_generator_scale_loosely(self):
         # exponential-like data, scale 2; hyper-means are prior means, not

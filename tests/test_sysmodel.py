@@ -167,6 +167,18 @@ class TestDecompose:
         with pytest.raises(ValueError, match="observation"):
             SystemSample("series", 2, np.ones((2, 2)), np.ones((2, 2), int))
 
+    def test_stored_arrays_are_read_only(self):
+        times, causes = np.array([1.0, 2.0, 3.0]), np.array([1, 2, 1])
+        s = SystemSample("series", 2, times, causes)
+        c = decompose(s)[0]
+        for arr in (s.times, s.causes, c.times, c.censored):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = -1
+        # the caller's writeable arrays were copied, a read-only one is shared
+        times[0] = -1.0
+        assert s.times[0] == 1.0
+        assert c.times is s.times
+
     def test_flag_and_cause_dtypes_are_checked(self):
         with pytest.raises(ValueError, match="bool"):
             ComponentSample("right", np.array([1.0, 2.0]), np.array([0, 1]))
