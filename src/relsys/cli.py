@@ -343,6 +343,11 @@ def cmd_fit(args) -> int:
         io.write_draws_csv(out / name, j, f.draws)
         outputs.append(name)
         mean_time, sd_time = mean_time_posterior(f.draws)
+        work = {
+            "iterations": len(f.em_trace) - 1,
+            "chains": f.chains,
+            "min_weight_ess": f.min_weight_ess,
+        }
         hyper_components.append(
             {
                 "component": j,
@@ -351,9 +356,7 @@ def cmd_fit(args) -> int:
                 "mean_time": mean_time,
                 "sd_time": sd_time,
                 "converged": f.converged,
-                "iterations": len(f.em_trace) - 1,
-                "chains": f.chains,
-                "min_weight_ess": f.min_weight_ess,
+                **work,
                 "acceptance_rate": f.draws.acceptance_rate,
                 "step_final": f.draws.step_final,
                 "lag1_beta": f.draws.lag1_beta,
@@ -365,9 +368,7 @@ def cmd_fit(args) -> int:
             {
                 "component": j,
                 "converged": f.converged,
-                "iterations": len(f.em_trace) - 1,
-                "chains": f.chains,
-                "min_weight_ess": f.min_weight_ess,
+                **work,
                 "acceptance_rate": f.draws.acceptance_rate,
             }
         )

@@ -239,12 +239,6 @@ def _log_prior_ratio(x: np.ndarray, log_x: np.ndarray, m: float, m_gen: float, v
     return ((m * m - m_gen * m_gen) / v) * log_x - ((m - m_gen) / v) * x
 
 
-def _kish_ess(w: np.ndarray) -> float:
-    """Effective sample size of importance weights, as a fraction of their count."""
-    total = float(w.sum())
-    return total * total / (w.size * float(w @ w))
-
-
 def fit_component(
     c: ComponentSample, cfg: FitConfig, source: RandomStream | int
 ) -> ComponentFit:
@@ -291,7 +285,8 @@ def fit_component(
         log_w = _log_prior_ratio(d.betas, log_betas, m_beta, gen_beta, v)
         log_w += _log_prior_ratio(d.etas, log_etas, m_eta, gen_eta, v)
         weights = np.exp(log_w - log_w.max())
-        ess = _kish_ess(weights)
+        # Kish effective sample size, as a fraction of the draw count
+        ess = float(weights.sum()) ** 2 / (weights.size * float(weights @ weights))
         if delta < cfg.tol and ess >= _MIN_WEIGHT_ESS:
             converged = True
             break

@@ -102,9 +102,9 @@ class ScenarioResult:
     lists, in order, the replicates whose fit stopped at the iteration
     cap; their estimates are kept.  ``absurd`` holds one ``(replicate
     index, estimate)`` pair per kept estimate that is non-finite or more
-    than 1e3 times above or below the true mean.  ``chains``
-    and ``iterations`` total the fitted replicates' Metropolis chains and
-    EM iterations, and ``min_weight_ess`` is the smallest of their
+    than 1e3 times above or below the true mean.  ``chains`` and
+    ``iterations`` total the fitted replicates' Metropolis chains and EM
+    iterations, and ``min_weight_ess`` is the smallest of their
     ``min_weight_ess`` (NaN when no replicate was fitted).
     """
 

@@ -4,22 +4,21 @@ Two independent references for the estimator:
 
 * :func:`quadrature_posterior_means` integrates any posterior kernel on a
   2-D trapezoid grid in (log shape, log scale);
-* :func:`exact_em` finds the fixed point of the EM over the two gamma
+* :class:`ExactEm` finds the fixed point of the EM over the two gamma
   prior means without Monte Carlo error.  The likelihood is evaluated once
   on a 200x200 log-spaced grid over [0.05, 40]^2, with its own numpy
   formulas rather than the package's kernel; each EM iteration reweights
   that grid by the current gamma priors and maximizes the M step's
   objective on the grid-weighted moments ``E[x]`` and ``E[log x]``.
 
-:func:`hyper_mean_se` turns the exact posterior at the fixed point into
-the Monte Carlo standard error of the hyper-means that a given number of
-draws carries, which is how the tests size their bounds.
+Its ``hyper_mean_se`` turns the exact posterior at the fixed point into the
+Monte Carlo standard error of the hyper-means that a given number of draws
+carries, which is how the tests size their bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -91,48 +90,23 @@ def gamma_mean_argmax(mean_x, mean_log, v):
     return math.exp(res.x)
 
 
-@dataclass(frozen=True)
 class ExactEm:
-    """The EM fixed point and the grid posterior under it."""
+    """Exact EM over the prior means for one ``ComponentSample`` at prior
+    variance ``v``, on a fixed log grid."""
 
-    m_beta: float
-    m_eta: float
-    iterations: int
-    betas: np.ndarray  # grid axes
-    etas: np.ndarray
-    weights: np.ndarray  # normalized posterior mass per grid cell, (beta, eta)
-
-    def moments(self):
-        """``(E beta, E log beta, E eta, E log eta)`` of the grid posterior."""
-        pb, pe = self.weights.sum(axis=1), self.weights.sum(axis=0)
-        lb, le = np.log(self.betas), np.log(self.etas)
-        return (float(pb @ self.betas), float(pb @ lb), float(pe @ self.etas), float(pe @ le))
-
-    def covariance(self):
-        """Covariance of ``(beta, log beta, eta, log eta)`` under the grid posterior."""
-        b, e = np.meshgrid(self.betas, self.etas, indexing="ij")
-        feats = np.stack([b, np.log(b), e, np.log(e)]).reshape(4, -1)
-        p = self.weights.reshape(-1)
-        mu = feats @ p
-        c = feats - mu[:, None]
-        return (c * p) @ c.T
-
-
-class ExactEmFit:
-    """Exact EM for one censored component sample at prior variance ``v``."""
-
-    def __init__(self, times, censored, side, v):
+    def __init__(self, c, v):
         self.v = v
         self.betas = np.geomspace(GRID_LO, GRID_HI, GRID_M)
         self.etas = np.geomspace(GRID_LO, GRID_HI, GRID_M)
         # uniform steps in (log beta, log eta): the volume element is beta * eta
         self.base = (
-            grid_loglik(times, censored, side, self.betas, self.etas)
+            grid_loglik(c.times, c.censored, c.side, self.betas, self.etas)
             + np.log(self.betas)[:, None]
             + np.log(self.etas)[None, :]
         )
 
     def posterior(self, m_beta, m_eta):
+        """Normalized posterior mass per grid cell, indexed ``(beta, eta)``."""
         logp = (
             self.base
             + _gamma_logpdf(self.betas, m_beta, self.v)[:, None]
@@ -151,56 +125,54 @@ class ExactEmFit:
         new_eta = gamma_mean_argmax(float(pe @ self.etas), float(pe @ np.log(self.etas)), self.v)
         return new_beta, new_eta
 
-    def run(self, m_beta, m_eta, tol=1e-10, max_iter=500) -> ExactEm:
+    def fixed_point(self, m_beta, m_eta, tol=1e-10, max_iter=500):
         """Iterate from ``(m_beta, m_eta)`` until both means move less than ``tol``."""
-        for it in range(1, max_iter + 1):
+        for _ in range(max_iter):
             nb, ne = self.step(m_beta, m_eta)
             done = max(abs(nb - m_beta), abs(ne - m_eta)) < tol
             m_beta, m_eta = nb, ne
             if done:
-                return ExactEm(
-                    m_beta, m_eta, it, self.betas, self.etas, self.posterior(m_beta, m_eta)
-                )
+                return m_beta, m_eta
         raise AssertionError(f"exact EM did not settle in {max_iter} iterations")
 
+    def hyper_mean_se(self, m_beta, m_eta, n):
+        """Monte Carlo standard errors of the fixed point ``(m_beta, m_eta)``
+        when it is estimated from ``n`` independent posterior draws.
 
-def exact_em(c, v, start) -> ExactEm:
-    """Fixed point of the exact EM for a ``ComponentSample``, from ``start``."""
-    return ExactEmFit(c.times, c.censored, c.side, v).run(*start)
+        The M step maps each coordinate's draw moments ``(mean x, mean log
+        x)`` to a prior mean.  Its gradient, by central differences of
+        :func:`gamma_mean_argmax`, against the exact posterior covariance of
+        ``(beta, log beta, eta, log eta)`` over ``n`` gives the covariance
+        of one M step (the delta method).  A fixed point of M steps on one
+        draw set carries that error amplified by ``(I - J)^-1``, where ``J``
+        is the Jacobian of the exact EM map at the fixed point, also by
+        central differences.
+        """
+        b, e = np.meshgrid(self.betas, self.etas, indexing="ij")
+        feats = np.stack([b, np.log(b), e, np.log(e)]).reshape(4, -1)
+        p = self.posterior(m_beta, m_eta).reshape(-1)
+        mu = feats @ p
+        centred = feats - mu[:, None]
+        cov = (centred * p) @ centred.T
 
+        grad = np.zeros((2, 4))
+        for row in range(2):
+            mx, ml = mu[2 * row], mu[2 * row + 1]
+            hx, hl = 1e-5 * mx, 1e-5
+            grad[row, 2 * row] = (
+                gamma_mean_argmax(mx + hx, ml, self.v) - gamma_mean_argmax(mx - hx, ml, self.v)
+            ) / (2 * hx)
+            grad[row, 2 * row + 1] = (
+                gamma_mean_argmax(mx, ml + hl, self.v) - gamma_mean_argmax(mx, ml - hl, self.v)
+            ) / (2 * hl)
 
-def hyper_mean_se(c, v, em: ExactEm, n: int) -> tuple[float, float]:
-    """Monte Carlo standard errors of the hyper-means from ``n`` independent draws.
-
-    The M step maps each coordinate's draw moments ``(mean x, mean log x)``
-    to a prior mean.  Its gradient, by central differences of
-    :func:`gamma_mean_argmax`, against the exact posterior covariance of
-    ``(beta, log beta, eta, log eta)`` over ``n`` gives the covariance of
-    one M step (the delta method).  A fixed point of M steps on one draw
-    set carries that error amplified by ``(I - J)^-1``, where ``J`` is the
-    Jacobian of the exact EM map at the fixed point, also by central
-    differences.
-    """
-    mb_x, mb_l, me_x, me_l = em.moments()
-    grad = np.zeros((2, 4))
-    for row, (mx, ml) in enumerate(((mb_x, mb_l), (me_x, me_l))):
-        hx, hl = 1e-5 * mx, 1e-5
-        grad[row, 2 * row] = (
-            gamma_mean_argmax(mx + hx, ml, v) - gamma_mean_argmax(mx - hx, ml, v)
-        ) / (2 * hx)
-        grad[row, 2 * row + 1] = (
-            gamma_mean_argmax(mx, ml + hl, v) - gamma_mean_argmax(mx, ml - hl, v)
-        ) / (2 * hl)
-    step_cov = grad @ em.covariance() @ grad.T / n
-
-    fit = ExactEmFit(c.times, c.censored, c.side, v)
-    jac = np.zeros((2, 2))
-    for col in range(2):
-        h = np.zeros(2)
-        h[col] = 1e-4 * (em.m_beta, em.m_eta)[col]
-        up = fit.step(em.m_beta + h[0], em.m_eta + h[1])
-        down = fit.step(em.m_beta - h[0], em.m_eta - h[1])
-        jac[:, col] = np.subtract(up, down) / (2 * h[col])
-    a = np.linalg.inv(np.eye(2) - jac)
-    cov = a @ step_cov @ a.T
-    return float(math.sqrt(cov[0, 0])), float(math.sqrt(cov[1, 1]))
+        jac = np.zeros((2, 2))
+        for col in range(2):
+            h = np.zeros(2)
+            h[col] = 1e-4 * (m_beta, m_eta)[col]
+            up = self.step(m_beta + h[0], m_eta + h[1])
+            down = self.step(m_beta - h[0], m_eta - h[1])
+            jac[:, col] = np.subtract(up, down) / (2 * h[col])
+        a = np.linalg.inv(np.eye(2) - jac)
+        se_cov = a @ (grad @ cov @ grad.T / n) @ a.T
+        return math.sqrt(se_cov[0, 0]), math.sqrt(se_cov[1, 1])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from oracles import exact_em, hyper_mean_se, quadrature_posterior_means
+from oracles import ExactEm, quadrature_posterior_means
 from relsys.dists import GeneratorSpec, MeanVarGamma, gamma_mv_logpdf, sample
 from relsys.errors import ConvergenceError, NumericalError
 from relsys.mcem import (
@@ -258,7 +258,7 @@ class TestExactEmOracle:
     # The bound is Z standard errors of the hyper-means that a 1000-draw EM
     # chain carries: the delta-method error of the M step on 1000
     # independent draws of the exact posterior, amplified by the EM map's
-    # Jacobian at the fixed point (oracles.hyper_mean_se), and inflated for
+    # Jacobian at the fixed point (ExactEm.hyper_mean_se), and inflated for
     # autocorrelation by sqrt((1 + rho) / (1 - rho)) at a lag-1 of LAG1,
     # which the thinned chain must not exceed.  Bounds per coordinate,
     # (beta, eta): 0.025/0.048, 0.062/0.032, 0.024/0.028 on the showcase
@@ -273,13 +273,14 @@ class TestExactEmOracle:
         cfg = FitConfig()
         assert cfg.mcmc.n_p == self.DRAWS
         fit = fit_component(c, cfg, RandomStream(0).child(index))
-        em = exact_em(c, cfg.prior_variance, (fit.em_trace[0].m_beta, fit.em_trace[0].m_eta))
+        oracle = ExactEm(c, cfg.prior_variance)
+        m_beta, m_eta = oracle.fixed_point(fit.em_trace[0].m_beta, fit.em_trace[0].m_eta)
+        se_beta, se_eta = oracle.hyper_mean_se(m_beta, m_eta, self.DRAWS)
         inflate = math.sqrt((1 + self.LAG1) / (1 - self.LAG1))
-        se_beta, se_eta = hyper_mean_se(c, cfg.prior_variance, em, self.DRAWS)
         assert fit.converged
         assert max(fit.draws.lag1_beta, fit.draws.lag1_eta) < self.LAG1
-        assert abs(fit.m_beta - em.m_beta) <= self.Z * inflate * se_beta
-        assert abs(fit.m_eta - em.m_eta) <= self.Z * inflate * se_eta
+        assert abs(fit.m_beta - m_beta) <= self.Z * inflate * se_beta
+        assert abs(fit.m_eta - m_eta) <= self.Z * inflate * se_eta
 
 
 class TestFitSystem:
