@@ -188,12 +188,11 @@ def m_step(
         mean_log = float(np.log(arr).mean())
     else:
         w = np.asarray(weights, dtype=float)
-        total = float(w.sum()) if w.shape == arr.shape else math.nan
-        if not (math.isfinite(total) and total > 0.0 and np.all(w >= 0.0)):
-            raise ValueError(
-                "m_step weights must match the values, be finite and >= 0, "
-                "and not all be 0"
-            )
+        if w.shape != arr.shape or not (np.all(np.isfinite(w)) and np.all(w >= 0.0)):
+            raise ValueError("m_step weights must match the values and be finite and >= 0")
+        total = float(w.sum())
+        if total == 0.0:
+            raise ValueError("m_step weights must not all be 0")
         mean_x = float(w @ arr) / total
         mean_log = float(w @ np.log(arr)) / total
 
