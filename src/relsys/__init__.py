@@ -16,7 +16,6 @@ from .curves import (
     hpd_interval,
     mean_time_posterior,
     reliability_band,
-    reliability_draws,
     system_band,
 )
 from .dists import (
@@ -24,16 +23,10 @@ from .dists import (
     GeneratorSpec,
     MeanVarGamma,
     gamma_from_moments,
-    gamma_mv_logpdf,
     lognormal_from_moments,
-    log1mexp,
     log_gamma_fn,
     sample,
     weibull_from_moments,
-    weibull_logpdf,
-    weibull_mean,
-    weibull_reliability,
-    weibull_variance,
 )
 from .errors import (
     ConvergenceError,
@@ -54,9 +47,7 @@ from .mcem import (
 )
 from .sampler import (
     McmcConfig,
-    ParamSummary,
     PosteriorDraws,
-    posterior_summary,
     run_chain,
 )
 from .simlab import (
@@ -72,17 +63,14 @@ from .simlab import (
     generate_censored_sample,
     generate_system_sample,
     grid_specs,
-    run_grid,
     run_scenario,
 )
 from .streams import RandomStream, as_stream
 from .sysmodel import (
     ComponentSample,
     SystemSample,
-    component_loglik,
     decompose,
     make_log_kernel,
-    system_loglik,
 )
 
 __version__ = "0.1.0"
@@ -103,12 +91,6 @@ __all__ = [
     "MeanVarGamma",
     "GeneratorSpec",
     "log_gamma_fn",
-    "log1mexp",
-    "weibull_reliability",
-    "weibull_logpdf",
-    "weibull_mean",
-    "weibull_variance",
-    "gamma_mv_logpdf",
     "weibull_from_moments",
     "gamma_from_moments",
     "lognormal_from_moments",
@@ -117,15 +99,11 @@ __all__ = [
     "SystemSample",
     "ComponentSample",
     "decompose",
-    "component_loglik",
-    "system_loglik",
     "make_log_kernel",
     # sampler
     "McmcConfig",
     "PosteriorDraws",
-    "ParamSummary",
     "run_chain",
-    "posterior_summary",
     # estimation
     "FitConfig",
     "EmStep",
@@ -137,7 +115,6 @@ __all__ = [
     # curves
     "TimeGrid",
     "ReliabilityBand",
-    "reliability_draws",
     "hpd_interval",
     "reliability_band",
     "mean_time_posterior",
@@ -149,7 +126,6 @@ __all__ = [
     "generate_censored_sample",
     "run_scenario",
     "grid_specs",
-    "run_grid",
     "GRID_FAMILIES",
     "GRID_MEANS",
     "GRID_CENSOR_FRACTIONS",

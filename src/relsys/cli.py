@@ -419,26 +419,31 @@ _REL_KEYS = {
 }
 
 
-def _draws_shell(betas, etas, meta: dict) -> ComponentFit:
-    """Rebuild the fit objects band computation needs from saved files."""
+def _draws_shell(betas, etas) -> ComponentFit:
+    """Wrap saved draws in the fit object the band code takes.
+
+    Only the draws feed a band; the chain diagnostics and EM results the
+    shell also carries are not read back and stay NaN.
+    """
+    nan = math.nan
     d = PosteriorDraws(
         betas=betas,
         etas=etas,
-        acceptance_rate=float(meta.get("acceptance_rate", math.nan)),
-        step_final=float(meta.get("step_final", math.nan)),
-        lag1_beta=float(meta.get("lag1_beta", math.nan)),
-        lag1_eta=float(meta.get("lag1_eta", math.nan)),
+        acceptance_rate=nan,
+        step_final=nan,
+        lag1_beta=nan,
+        lag1_eta=nan,
         warnings=(),
     )
     return ComponentFit(
-        m_beta=float(meta.get("m_beta", math.nan)),
-        m_eta=float(meta.get("m_eta", math.nan)),
+        m_beta=nan,
+        m_eta=nan,
         draws=d,
         em_trace=(),
-        converged=bool(meta.get("converged", True)),
+        converged=True,
         warnings=(),
         chains=0,
-        min_weight_ess=math.nan,
+        min_weight_ess=nan,
     )
 
 
@@ -492,14 +497,11 @@ def cmd_reliability(args) -> int:
         else TimeGrid.regular(float(grid_max), grid_points)
     )
 
-    metas = hyper.get("components") or []
     comp_fits = []
     inputs = {hyper_path.name: io.sha256_file(hyper_path)}
     for j in range(1, k + 1):
         name = io.draws_filename(j)
-        betas, etas = io.read_draws_csv(src / name, j)
-        meta = metas[j - 1] if j - 1 < len(metas) and isinstance(metas[j - 1], dict) else {}
-        comp_fits.append(_draws_shell(betas, etas, meta))
+        comp_fits.append(_draws_shell(*io.read_draws_csv(src / name, j)))
         inputs[name] = io.sha256_file(src / name)
 
     out = _out_dir(args)

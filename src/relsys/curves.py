@@ -23,7 +23,6 @@ from .sampler import PosteriorDraws
 __all__ = [
     "TimeGrid",
     "ReliabilityBand",
-    "reliability_draws",
     "reliability_band",
     "hpd_interval",
     "mean_time_posterior",
@@ -114,13 +113,6 @@ def _survival_matrix(d: PosteriorDraws, times: np.ndarray) -> np.ndarray:
         # beta * log(t/eta); -inf at t = 0 exponentiates to survival 1
         expo = d.betas[None, :] * (log_t - log_etas[None, :])
         return np.exp(-np.exp(expo))
-
-
-def reliability_draws(d: PosteriorDraws, t: float) -> np.ndarray:
-    """Survival probability at ``t`` under every posterior draw."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and >= 0, got {t}")
-    return _survival_matrix(d, np.array([t]))[0]
 
 
 def hpd_interval(values, level: float) -> tuple[float, float]:

@@ -1,11 +1,11 @@
 """Distributions and special functions used throughout the package.
 
-Everything here is computed in log space: survival exponents like
-``(t/eta)**beta`` are formed as ``exp(beta * log(t/eta))`` so that heavy
-censoring tails neither overflow nor underflow silently, and densities are
-composed by adding log terms.  The module also owns moment inversion (mean
-and variance to native parameters) for the three lifetime families used by
-the simulation laboratory, and the seeded samplers for those families.
+The module holds the parameter types (the Weibull shape/scale pair and the
+mean/variance gamma of the priors), the log-gamma function and the stable
+``log(1 - exp(-x))`` that the likelihood kernel uses, moment inversion
+(mean and variance to native parameters) for the three lifetime families
+used by the simulation laboratory, and the seeded samplers for those
+families.
 """
 
 from __future__ import annotations
@@ -16,19 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnsolvableError
+from .errors import NumericalError, UnsolvableError
 
 __all__ = [
     "ComponentParams",
     "MeanVarGamma",
     "GeneratorSpec",
     "log_gamma_fn",
-    "log1mexp",
-    "weibull_reliability",
-    "weibull_logpdf",
-    "weibull_mean",
-    "weibull_variance",
-    "gamma_mv_logpdf",
     "weibull_from_moments",
     "gamma_from_moments",
     "lognormal_from_moments",
@@ -62,35 +56,15 @@ def log_gamma_fn(x: float) -> float:
     return math.lgamma(x)
 
 
-def log1mexp(x):
-    """Stable ``log(1 - exp(-x))`` for ``x > 0``, scalar or array.
+def log1mexp_unchecked(arr: np.ndarray) -> np.ndarray:
+    """Stable ``log(1 - exp(-x))`` of a float array ``x >= 0``, unvalidated.
 
     Splits at ``ln 2``: below it, ``log(-expm1(-x))`` is accurate; above it,
-    ``log1p(-exp(-x))`` is.  ``x == 0`` maps to ``-inf``.
-    """
-    if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
-        x = float(x)
-        if x < 0.0:
-            raise ValueError(f"log1mexp requires x >= 0, got {x}")
-        if x == 0.0:
-            return -math.inf
-        if x <= _LN2:
-            return math.log(-math.expm1(-x))
-        return math.log1p(-math.exp(-x))
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("log1mexp requires x >= 0")
-    with np.errstate(divide="ignore"):
-        return log1mexp_unchecked(arr)
-
-
-def log1mexp_unchecked(arr: np.ndarray) -> np.ndarray:
-    """Array ``log1mexp`` without validation, for a float array ``>= 0``.
-
-    Both branches are evaluated everywhere and ``np.where`` picks one per
-    element, which avoids masks and copies.  The unused branch divides by
-    zero where ``exp(-x)`` rounds to 1 (``x`` below about 1e-16), so
-    callers silence ``divide`` unless their inputs are known to be larger.
+    ``log1p(-exp(-x))`` is; ``x == 0`` maps to ``-inf``.  Both branches
+    are evaluated everywhere and ``np.where`` picks one per element, which
+    avoids masks and copies.  The unused branch divides by zero where
+    ``exp(-x)`` rounds to 1 (``x`` below about 1e-16), so callers silence
+    ``divide`` unless their inputs are known to be larger.
     """
     neg = -arr
     return np.where(arr <= _LN2, np.log(-np.expm1(neg)), np.log1p(-np.exp(neg)))
@@ -179,70 +153,6 @@ class MeanVarGamma:
         """``shape * log(rate) - lnGamma(shape)``, the ``x``-free part of the log density."""
         a = self.shape
         return a * math.log(self.rate) - log_gamma_fn(a)
-
-
-def weibull_reliability(p: ComponentParams, t: float) -> float:
-    """Survival probability ``exp(-(t/eta)**beta)`` at time ``t >= 0``."""
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError(f"time must be finite and >= 0, got {t}")
-    if t == 0.0:
-        return 1.0
-    x = _pow_exponent(p.beta, math.log(t) - math.log(p.eta))
-    return math.exp(-x) if x < _EXP_MAX else 0.0
-
-
-def weibull_logpdf(p: ComponentParams, t: float) -> float:
-    """Log density of the Weibull lifetime law at ``t > 0``.
-
-    Formed as ``log(beta/eta) + (beta-1)*log(t/eta) - (t/eta)**beta`` with
-    the survival exponent built through ``exp`` of a log, so large exponents
-    saturate to ``-inf`` instead of overflowing.
-    """
-    t = float(t)
-    if not math.isfinite(t) or t <= 0.0:
-        raise ValueError(f"time must be finite and > 0, got {t}")
-    z = math.log(t) - math.log(p.eta)
-    x = _pow_exponent(p.beta, z)
-    return math.log(p.beta) - math.log(p.eta) + (p.beta - 1.0) * z - x
-
-
-_EXP_MAX = 709.0  # exp() overflows just above this
-
-
-def _pow_exponent(beta: float, log_ratio: float) -> float:
-    """``(t/eta)**beta`` as ``exp(beta*log(t/eta))``, saturating to inf."""
-    e = beta * log_ratio
-    if e >= _EXP_MAX:
-        return math.inf
-    return math.exp(e)
-
-
-def weibull_mean(p: ComponentParams) -> float:
-    """Expected lifetime ``eta * Gamma(1 + 1/beta)``."""
-    log_mean = math.log(p.eta) + log_gamma_fn(1.0 + 1.0 / p.beta)
-    return math.exp(log_mean) if log_mean < _EXP_MAX else math.inf
-
-
-def weibull_variance(p: ComponentParams) -> float:
-    """Lifetime variance ``eta**2 * (Gamma(1+2/b) - Gamma(1+1/b)**2)``.
-
-    Computed as ``mean**2 * expm1(lnG(1+2/b) - 2*lnG(1+1/b))`` so the
-    near-cancellation at large shapes stays accurate.
-    """
-    spread = log_gamma_fn(1.0 + 2.0 / p.beta) - 2.0 * log_gamma_fn(1.0 + 1.0 / p.beta)
-    log_m = math.log(p.eta) + log_gamma_fn(1.0 + 1.0 / p.beta)
-    if 2.0 * log_m >= _EXP_MAX:
-        return math.inf
-    return math.exp(2.0 * log_m) * math.expm1(spread)
-
-
-def gamma_mv_logpdf(g: MeanVarGamma, x: float) -> float:
-    """Log density of the mean/variance gamma at ``x > 0``, normalizer included."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"gamma_mv_logpdf requires finite x > 0, got {x}")
-    return g.log_normalizer + (g.shape - 1.0) * math.log(x) - g.rate * x
 
 
 _SHAPE_LO = 1e-3
@@ -336,15 +246,27 @@ def sample(spec: GeneratorSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` lifetimes from ``spec``, deterministically for a given stream.
 
     Moment inversion failures (only possible for the Weibull family)
-    propagate as :class:`UnsolvableError`.
+    propagate as :class:`UnsolvableError`.  A draw that is not finite and
+    > 0, such as a gamma of very large variance underflowing to 0, raises
+    :class:`NumericalError` naming the generator.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     if spec.family == "weibull":
         p = weibull_from_moments(spec.mean, spec.variance)
-        return p.eta * rng.weibull(p.beta, n)
-    if spec.family == "gamma":
+        x = p.eta * rng.weibull(p.beta, n)
+    elif spec.family == "gamma":
         shape, scale = gamma_from_moments(spec.mean, spec.variance)
-        return rng.gamma(shape, scale, n)
-    mu, sigma = lognormal_from_moments(spec.mean, spec.variance)
-    return rng.lognormal(mu, sigma, n)
+        x = rng.gamma(shape, scale, n)
+    else:
+        mu, sigma = lognormal_from_moments(spec.mean, spec.variance)
+        x = rng.lognormal(mu, sigma, n)
+    bad = ~(np.isfinite(x) & (x > 0.0))
+    if bad.any():
+        i = int(bad.argmax())
+        raise NumericalError(
+            f"{spec.family} generator with mean {spec.mean:g} and variance "
+            f"{spec.variance:g} drew lifetime {x[i]} at draw {i}; lifetimes "
+            f"must be finite and > 0"
+        )
+    return x

@@ -27,7 +27,7 @@ import numpy as np
 from .dists import ComponentParams, _freeze_arrays
 from .errors import NumericalError
 
-__all__ = ["McmcConfig", "PosteriorDraws", "ParamSummary", "run_chain", "posterior_summary"]
+__all__ = ["McmcConfig", "PosteriorDraws", "run_chain"]
 
 # proposals beyond this log-magnitude are rejected outright; exp() is safe
 # inside and any proper posterior is vanishing there anyway
@@ -94,16 +94,6 @@ class PosteriorDraws:
     @property
     def n(self) -> int:
         return self.betas.size
-
-
-@dataclass(frozen=True)
-class ParamSummary:
-    """Posterior means and standard deviations of shape and scale."""
-
-    mean_beta: float
-    sd_beta: float
-    mean_eta: float
-    sd_eta: float
 
 
 def run_chain(
@@ -207,15 +197,3 @@ def _lag1(x: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0
     return float(c[:-1] @ c[1:]) / denom
-
-
-def posterior_summary(d: PosteriorDraws) -> ParamSummary:
-    """Means and sample standard deviations of the drawn shape and scale."""
-    if d.n < 2:
-        raise ValueError(f"summary needs at least two draws, got {d.n}")
-    return ParamSummary(
-        mean_beta=float(d.betas.mean()),
-        sd_beta=float(d.betas.std(ddof=1)),
-        mean_eta=float(d.etas.mean()),
-        sd_eta=float(d.etas.std(ddof=1)),
-    )

@@ -35,7 +35,6 @@ __all__ = [
     "generate_censored_sample",
     "run_scenario",
     "grid_specs",
-    "run_grid",
     "GRID_FAMILIES",
     "GRID_MEANS",
     "GRID_CENSOR_FRACTIONS",
@@ -98,9 +97,9 @@ class ScenarioResult:
     """Replicate estimates of the mean lifetime and their error summary.
 
     ``failures`` holds one ``(replicate index, error message)`` pair per
-    replicate whose fit raised, in replicate order.  ``not_converged``
-    lists, in order, the replicates whose fit stopped at the iteration
-    cap; their estimates are kept.  ``absurd`` holds one ``(replicate
+    replicate whose draw or fit raised, in replicate order.
+    ``not_converged`` lists, in order, the replicates whose fit stopped at
+    the iteration cap; their estimates are kept.  ``absurd`` holds one ``(replicate
     index, estimate)`` pair per kept estimate that is non-finite or more
     than 1e3 times above or below the true mean.  ``chains`` and
     ``iterations`` total the fitted replicates' Metropolis chains and EM
@@ -208,8 +207,8 @@ def run_scenario(
     """Replicate one scenario cell and summarize bias and MSE.
 
     Each replicate draws data and fits on its own substream; replicates
-    whose fit raises a :class:`RelsysError` are skipped, and the error's
-    message is kept in ``failures``.
+    whose draw or fit raises a :class:`RelsysError` are skipped, and the
+    error's message is kept in ``failures``.
     """
     base = as_stream(source).child(*_scenario_key(spec))
     estimates = []
@@ -221,14 +220,14 @@ def run_scenario(
     lo, hi = spec.true_mean / _ABSURD_FACTOR, spec.true_mean * _ABSURD_FACTOR
     for r in range(spec.replicates):
         rep = base.child(r)
-        data = generate_censored_sample(
-            spec.generator,
-            spec.n,
-            spec.censor_fraction,
-            spec.side,
-            rep.child(0).generator(),
-        )
         try:
+            data = generate_censored_sample(
+                spec.generator,
+                spec.n,
+                spec.censor_fraction,
+                spec.side,
+                rep.child(0).generator(),
+            )
             fit = fit_component(data, cfg, rep.child(1))
         except RelsysError as e:
             failures.append((r, str(e)))
@@ -293,16 +292,3 @@ def grid_specs(
                             )
                         )
     return tuple(specs)
-
-
-def run_grid(
-    cfg: FitConfig, source: RandomStream | int, **grid
-) -> tuple[ScenarioResult, ...]:
-    """Run every scenario in the cross product, in canonical order.
-
-    ``grid`` takes the keyword arguments of :func:`grid_specs`.  Each
-    cell's substream depends only on its own coordinates, so subsetting
-    the grid never changes a cell's result.
-    """
-    st = as_stream(source)
-    return tuple(run_scenario(spec, cfg, st) for spec in grid_specs(**grid))

@@ -25,19 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .dists import _EXP_MAX, ComponentParams, MeanVarGamma, _freeze_arrays, log1mexp_unchecked
+from .dists import MeanVarGamma, _freeze_arrays, log1mexp_unchecked
 from .errors import NumericalError
 
 __all__ = [
     "SystemSample",
     "ComponentSample",
     "decompose",
-    "component_loglik",
-    "system_loglik",
     "make_log_kernel",
 ]
 
@@ -144,8 +142,9 @@ def decompose(s: SystemSample) -> tuple[ComponentSample, ...]:
     return tuple(ComponentSample(side, s.times, s.causes != j) for j in range(1, s.k + 1))
 
 
+_EXP_MAX = 709.0  # exp() overflows just above this
 # below this exponent a left censoring's exp(-(t/eta)**beta) rounds to 1
-# and log1mexp's unused branch divides by 0
+# and log1mexp_unchecked's unused branch divides by 0
 _FAIL_FLOOR = -30.0
 
 
@@ -164,8 +163,9 @@ def _bind_loglik(c: ComponentSample) -> Callable[[float, float, float], float]:
 
     Powers are exp() of a log product, so extreme parameters saturate to
     -inf rather than overflowing; -inf is a legal value (zero likelihood),
-    NaN is not and is diagnosed by the callers.  Floating-point warnings
-    are silenced only when the exponent range of the call can raise them.
+    NaN is not and is diagnosed by :func:`make_log_kernel`.  Floating-point
+    warnings are silenced only when the exponent range of the call can
+    raise them.
     """
     exact = np.log(c.times[~c.censored])
     cens = np.log(c.times[c.censored])
@@ -229,28 +229,6 @@ def _diagnose_nan(c: ComponentSample, p: tuple[float, float]) -> str:
                 f"censored={bool(c.censored[i])}) for beta={beta}, eta={eta}"
             )
     return f"log-likelihood is NaN for beta={beta}, eta={eta}"
-
-
-def component_loglik(c: ComponentSample, p: ComponentParams) -> float:
-    """Log-likelihood of one component's censored sample.
-
-    Exact records contribute the Weibull log density, right censorings the
-    log survival ``-(t/eta)**beta`` and left censorings the log failure
-    probability ``log(1 - exp(-(t/eta)**beta))``.  Returns ``-inf`` when
-    the sample has zero likelihood under ``p``; raises only if the value
-    is NaN, naming the offending record.
-    """
-    total = c._loglik(p.beta, math.log(p.beta), math.log(p.eta))
-    if math.isnan(total):
-        raise NumericalError(_diagnose_nan(c, p))
-    return total
-
-
-def system_loglik(s: SystemSample, params: Sequence[ComponentParams]) -> float:
-    """Sum of component log-likelihoods over the decomposition of ``s``."""
-    if len(params) != s.k:
-        raise ValueError(f"expected {s.k} parameter pairs, got {len(params)}")
-    return sum(component_loglik(c, p) for c, p in zip(decompose(s), params))
 
 
 def make_log_kernel(

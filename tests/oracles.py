@@ -14,6 +14,11 @@ Two independent references for the estimator:
 Its ``hyper_mean_se`` turns the exact posterior at the fixed point into the
 Monte Carlo standard error of the hyper-means that a given number of draws
 carries, which is how the tests size their bounds.
+
+Two textbook densities stand where the package's own formulas would
+otherwise check themselves: :func:`gamma_logpdf`, the prior log density, and
+:func:`masked_system_loglik`, the masked series or parallel system
+likelihood straight from scipy's Weibull functions.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import math
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.stats import weibull_min
 
 from relsys.dists import ComponentParams
 from relsys.mcem import _gamma_mean_objective
@@ -74,9 +80,31 @@ def grid_loglik(times, censored, side, betas, etas):
     return out
 
 
-def _gamma_logpdf(x, mean, v):
+def gamma_logpdf(x, mean, v):
+    """Log density at ``x > 0`` (a float or an array) of the gamma with
+    ``mean`` and variance ``v``: ``a log b - lnGamma(a) + (a-1) log x - b x``
+    with shape ``a = mean**2 / v`` and rate ``b = mean / v``."""
     a, b = mean * mean / v, mean / v
-    return a * math.log(b) - math.lgamma(a) + (a - 1.0) * np.log(x) - b * x
+    log_x = np.log(x) if isinstance(x, np.ndarray) else math.log(x)
+    return a * math.log(b) - math.lgamma(a) + (a - 1.0) * log_x - b * x
+
+
+def masked_system_loglik(kind, times, causes, params):
+    """Log-likelihood of masked system failures, record by record, by scipy.
+
+    A record at ``t`` caused by component ``j`` has density
+    ``f_j(t) * prod_{i != j} S_i(t)`` in a series system and
+    ``f_j(t) * prod_{i != j} F_i(t)`` in a parallel one, with each
+    component Weibull under ``params[i] = (beta_i, eta_i)``.
+    """
+    times, causes = np.asarray(times, dtype=float), np.asarray(causes)
+    other = weibull_min.logsf if kind == "series" else weibull_min.logcdf
+    total = 0.0
+    for i, (beta, eta) in enumerate(params, start=1):
+        own = causes == i
+        total += weibull_min.logpdf(times[own], beta, scale=eta).sum()
+        total += other(times[~own], beta, scale=eta).sum()
+    return float(total)
 
 
 def gamma_mean_argmax(mean_x, mean_log, v):
@@ -109,8 +137,8 @@ class ExactEm:
         """Normalized posterior mass per grid cell, indexed ``(beta, eta)``."""
         logp = (
             self.base
-            + _gamma_logpdf(self.betas, m_beta, self.v)[:, None]
-            + _gamma_logpdf(self.etas, m_eta, self.v)[None, :]
+            + gamma_logpdf(self.betas, m_beta, self.v)[:, None]
+            + gamma_logpdf(self.etas, m_eta, self.v)[None, :]
         )
         p = np.exp(logp - logp.max())
         return p / p.sum()

@@ -17,30 +17,16 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import quadrature_posterior_means
+from oracles import gamma_logpdf, masked_system_loglik, quadrature_posterior_means
 from relsys.cli import main
-from relsys.curves import hpd_interval, mean_time_posterior, reliability_draws
-from relsys.dists import (
-    ComponentParams,
-    GeneratorSpec,
-    MeanVarGamma,
-    gamma_mv_logpdf,
-    weibull_from_moments,
-    weibull_mean,
-)
+from relsys.curves import TimeGrid, mean_time_posterior, reliability_band
+from relsys.dists import ComponentParams, GeneratorSpec, MeanVarGamma, weibull_from_moments
 from relsys.errors import RelsysError
 from relsys.mcem import FitConfig, fit_component
-from relsys.sampler import McmcConfig, run_chain
+from relsys.sampler import McmcConfig, PosteriorDraws, run_chain
 from relsys.simlab import ScenarioSpec, generate_censored_sample, run_scenario
 from relsys.streams import RandomStream
-from relsys.sysmodel import (
-    ComponentSample,
-    SystemSample,
-    component_loglik,
-    decompose,
-    make_log_kernel,
-    system_loglik,
-)
+from relsys.sysmodel import ComponentSample, SystemSample, decompose, make_log_kernel
 
 # desk-scale chains for replicated studies: short per-iteration chains and
 # a moderate final chain keep Monte-Carlo error well inside the tolerances
@@ -132,7 +118,9 @@ def test_04_closed_form_mean_matches_quadrature():
     worst = 0.0
     for _ in range(20):
         p = ComponentParams(float(rng.uniform(0.3, 10.0)), float(rng.uniform(0.3, 5.0)))
-        closed = weibull_mean(p)
+        # two equal draws: the posterior mean lifetime is the closed form of one
+        pair = np.full(2, p.beta), np.full(2, p.eta)
+        closed = mean_time_posterior(PosteriorDraws(*pair, 0.3, 0.2, 0.0, 0.0, ()))[0]
         quad, err = integrate.quad(
             lambda t: math.exp(-((t / p.eta) ** p.beta)),
             0.0,
@@ -159,8 +147,11 @@ def test_05_system_loglik_factorizes_over_components():
             ComponentParams(float(rng.uniform(0.4, 5.0)), float(rng.uniform(0.3, 4.0)))
             for _ in range(k)
         ]
-        whole = system_loglik(s, params)
-        parts = sum(component_loglik(c, p) for c, p in zip(decompose(s), params))
+        whole = masked_system_loglik(kind, s.times, s.causes, params)
+        parts = sum(
+            c._loglik(p.beta, math.log(p.beta), math.log(p.eta))
+            for c, p in zip(decompose(s), params)
+        )
         assert math.isfinite(whole)
         worst = max(worst, abs(whole - parts) / max(1.0, abs(whole)))
     print(f"\n[05] factorization over 100 systems: worst rel error {worst:.2e} (limit 1e-12)")
@@ -209,7 +200,9 @@ def test_07_sampler_reproduces_known_gamma_means():
 
     def kernel(p: tuple[float, float]) -> float:
         beta, eta = p
-        return gamma_mv_logpdf(g_beta, beta) + gamma_mv_logpdf(g_eta, eta)
+        return gamma_logpdf(beta, g_beta.mean, g_beta.variance) + gamma_logpdf(
+            eta, g_eta.mean, g_eta.variance
+        )
 
     def se(x, rho):
         rho = min(max(rho, 0.0), 0.99)
@@ -236,6 +229,7 @@ def test_08_band_covers_true_reliability_at_median():
     truth = weibull_from_moments(2.0, 4.0)
     t_med = truth.eta * math.log(2.0) ** (1.0 / truth.beta)
     base = RandomStream(7)
+    at_median = TimeGrid(np.array([t_med]))
     hits = fails = 0
     for r in range(50):
         rep = base.child(r)
@@ -245,8 +239,8 @@ def test_08_band_covers_true_reliability_at_median():
         except RelsysError:
             fails += 1
             continue
-        lo, hi = hpd_interval(reliability_draws(fit.draws, t_med), 0.95)
-        hits += lo <= 0.5 <= hi
+        band = reliability_band(fit.draws, at_median, 0.95, "hpd")
+        hits += band.lower[0] <= 0.5 <= band.upper[0]
     print(f"\n[08] median-time band coverage: {hits}/50 (limit >= 40), {fails} failed fits")
     assert hits >= 40
 

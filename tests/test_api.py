@@ -1,13 +1,16 @@
-"""Tests for the package's public name lists.
+"""Tests for the package's public name lists and the README's library code.
 
 Every module the package re-exports declares ``__all__``; the package's own
-list is exactly their union, and each exported name has one home.  The
-benchmark's trace mode wraps functions by attribute name, so every name it
-patches must still exist.
+list is exactly their union, each exported name has one home, and each is
+used by the package itself, not only by tests.  The benchmark's trace mode
+wraps functions by attribute name, so every name it patches must still
+exist.  The README's library examples run as written.
 """
 
+import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ import pytest
 import relsys
 
 MODULES = ("curves", "dists", "errors", "mcem", "sampler", "simlab", "streams", "sysmodel")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def exported(name):
@@ -50,8 +54,32 @@ def test_no_name_is_exported_by_two_modules():
                 assert obj.__module__ == mod.__name__, f"{name}.{n} is defined elsewhere"
 
 
+def test_every_exported_name_is_used_by_the_package():
+    # a name only tests call is a second path beside the one the commands run
+    loaded = set()
+    for path in Path(relsys.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert [n for n in relsys.__all__ if n not in loaded] == []
+
+
+def test_readme_library_examples_run():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```", library, flags=re.M | re.S)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+
+
 def test_benchmark_tracer_finds_every_patch_target(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     tracing = importlib.import_module("tracing")
     from relsys import mcem
 

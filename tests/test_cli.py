@@ -7,6 +7,7 @@ paths.  Byte-level determinism across reruns is asserted explicitly.
 
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -114,6 +115,15 @@ class TestSimulateCommand:
         rc = cli("simulate", "--spec", spec_file, "--out", tmp_path / "out")
         assert rc == 3
         assert "component 1" in capsys.readouterr().err
+
+    def test_zero_lifetimes_exit_numerical(self, tmp_path, capsys):
+        # a gamma of mean 3 and variance 1e6 has shape 9e-6: its draws
+        # underflow to exactly 0
+        spec_file = tmp_path / "system.cfg"
+        spec_file.write_text(SPEC.replace("component2.variance = 2.0", "component2.variance = 1e6"))
+        rc = cli("simulate", "--spec", spec_file, "--out", tmp_path / "out")
+        assert rc == 3
+        assert "gamma generator with mean 3 and variance 1e+06" in capsys.readouterr().err
 
     def test_missing_component_number(self, tmp_path, capsys):
         spec_file = tmp_path / "system.cfg"
@@ -458,6 +468,27 @@ class TestReliabilityCommand:
         assert rc == 0
         assert manifest_of(out)["config"]["method"] == "quantile"
 
+    def test_per_component_metadata_is_not_read(self, tmp_path):
+        sim = simulate(tmp_path)
+        fit_dir = fit(tmp_path, sim)
+        assert cli("reliability", fit_dir, "--grid-points", "20", "--out", tmp_path / "ref") == 0
+        hyper = json.loads((fit_dir / "hyper_estimates.json").read_text())
+        bad_number = json.loads(json.dumps(hyper))
+        bad_number["components"][0]["m_beta"] = "abc"
+        edits = {
+            "bad_number": bad_number,
+            "not_a_list": {**hyper, "components": {"a": 1}},
+            "missing": {k: v for k, v in hyper.items() if k != "components"},
+        }
+        for name, edited in edits.items():
+            src = tmp_path / f"fit_{name}"
+            shutil.copytree(fit_dir, src)
+            (src / "hyper_estimates.json").write_text(json.dumps(edited))
+            out = tmp_path / f"bands_{name}"
+            assert cli("reliability", src, "--grid-points", "20", "--out", out) == 0, name
+            for band in ("band_component1.csv", "band_component2.csv", "band_system.csv"):
+                assert (out / band).read_bytes() == (tmp_path / "ref" / band).read_bytes()
+
     def test_component_fit_directory_composes_as_identity(self, tmp_path):
         data = tmp_path / "comp.csv"
         data.write_text(COMPONENT_CSV)
@@ -547,6 +578,21 @@ class TestStudyCommand:
                 ],
             }
         ]
+
+    def test_zero_lifetimes_are_failed_replicates(self, tmp_path, capsys):
+        # a gamma of mean 2 and variance 1e6 draws lifetimes of exactly 0
+        subset = ("families = gamma\nsides = right\nsizes = 30\n"
+                  "censor-fractions = 0.0\nmeans = 2.0\nvariance = 1e6\n")
+        out = self.run_subset(tmp_path, "study", subset)
+        reason = "gamma generator with mean 2 and variance 1e+06 drew lifetime 0.0"
+        assert f"replicate 0 failed: {reason}" in capsys.readouterr().err
+        m = manifest_of(out)
+        assert m["failed_replicates"] == 2
+        [cell] = m["replicate_failures"]
+        assert [f["replicate"] for f in cell["failures"]] == [0, 1]
+        assert all(f["reason"].startswith(reason) for f in cell["failures"])
+        lines = (out / "study.csv").read_text().splitlines()
+        assert lines[1] == "right,gamma,0.0,2.0,30,nan,nan,2"
 
     def test_non_converged_fits_are_listed(self, tmp_path, capsys):
         out = self.run_subset(tmp_path, "study", None, "--max-iter", "1", "--tol", "1e-12")

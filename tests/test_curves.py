@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import weibull_min
 
 from relsys.curves import (
     ReliabilityBand,
@@ -13,10 +14,8 @@ from relsys.curves import (
     hpd_interval,
     mean_time_posterior,
     reliability_band,
-    reliability_draws,
     system_band,
 )
-from relsys.dists import ComponentParams, weibull_reliability
 from relsys.mcem import ComponentFit, EmStep, SystemFit
 from relsys.sampler import PosteriorDraws
 
@@ -137,17 +136,13 @@ class TestHpdInterval:
 class TestReliabilityDraws:
     def test_matches_scalar_reliability(self):
         d = random_draws(10, 50)
-        r = reliability_draws(d, 1.7)
+        r = _survival_matrix(d, np.array([1.7]))[0]
         for rl, b, e in zip(r, d.betas, d.etas):
-            assert rl == pytest.approx(weibull_reliability(ComponentParams(b, e), 1.7), rel=1e-12)
+            assert rl == pytest.approx(weibull_min.sf(1.7, b, scale=e), rel=1e-12)
 
     def test_time_zero_gives_certain_survival(self):
         d = random_draws(11, 20)
-        assert np.all(reliability_draws(d, 0.0) == 1.0)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError, match="time"):
-            reliability_draws(random_draws(1, 5), -0.1)
+        assert np.all(_survival_matrix(d, np.array([0.0])) == 1.0)
 
 
 class TestReliabilityBand:
@@ -214,8 +209,7 @@ class TestSystemBand:
         grid = TimeGrid.regular(4.0, 15)
         series = system_band(SystemFit("series", (make_fit(d), make_fit(d))), grid)
         parallel = system_band(SystemFit("parallel", (make_fit(d), make_fit(d))), grid)
-        for i, t in enumerate(grid.points):
-            r = reliability_draws(d, t)
+        for i, r in enumerate(_survival_matrix(d, grid.points)):
             assert series.mean[i] == pytest.approx(float(np.mean(r * r)), rel=1e-12)
             assert parallel.mean[i] == pytest.approx(
                 float(np.mean(1.0 - (1.0 - r) ** 2)), rel=1e-12

@@ -1,33 +1,75 @@
 """Tests for distributions, special functions and moment inversion.
 
 Reference values were frozen from high-precision quadrature (mpmath at 40
-digits) or closed forms; scipy appears only as an independent cross-check.
+digits) or closed forms; scipy and mpmath appear as independent
+cross-checks.  The Weibull survival and log density are checked where the
+package computes them, in the band code's survival matrix and in the bound
+likelihood of one exact record.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
 
+from oracles import gamma_logpdf
+from relsys.curves import _survival_matrix, mean_time_posterior
 from relsys.dists import (
     ComponentParams,
     GeneratorSpec,
     MeanVarGamma,
     gamma_from_moments,
-    gamma_mv_logpdf,
-    log1mexp,
+    log1mexp_unchecked,
     log_gamma_fn,
     lognormal_from_moments,
     sample,
     weibull_from_moments,
-    weibull_logpdf,
-    weibull_mean,
-    weibull_reliability,
-    weibull_variance,
 )
-from relsys.errors import UnsolvableError
+from relsys.errors import NumericalError, UnsolvableError
+from relsys.sampler import PosteriorDraws
+from relsys.sysmodel import ComponentSample
+
+
+def log1mexp_scalar(x: float) -> float:
+    """Maechler's scalar ``log(1 - exp(-x))`` for ``x >= 0``, split at ln 2."""
+    if x == 0.0:
+        return -math.inf
+    if x <= math.log(2.0):
+        return math.log(-math.expm1(-x))
+    return math.log1p(-math.exp(-x))
+
+
+def log1mexp(xs):
+    with np.errstate(divide="ignore"):
+        return log1mexp_unchecked(np.asarray(xs, dtype=float))
+
+
+def draws_of(beta, eta, copies=1):
+    return PosteriorDraws(
+        np.full(copies, beta), np.full(copies, eta), 0.3, 0.2, 0.0, 0.0, ()
+    )
+
+
+def survival(p, times):
+    """Survival at each time through the band code's survival path."""
+    return _survival_matrix(draws_of(p.beta, p.eta), np.array(times, dtype=float))[:, 0]
+
+
+def log_density(p, t):
+    """Weibull log density at ``t`` as the bound likelihood of one exact record."""
+    c = ComponentSample("right", np.array([t]), np.array([False]))
+    return c._loglik(p.beta, math.log(p.beta), math.log(p.eta))
+
+
+def weibull_moments(p):
+    """Weibull mean and variance from mpmath's gamma function at 40 digits."""
+    with mpmath.workdps(40):
+        b, e = mpmath.mpf(p.beta), mpmath.mpf(p.eta)
+        g1, g2 = mpmath.gamma(1 + 1 / b), mpmath.gamma(1 + 2 / b)
+        return float(e * g1), float(e * e * (g2 - g1 * g1))
 
 
 class TestLogGammaFn:
@@ -61,20 +103,22 @@ class TestLogGammaFn:
 
 class TestLog1mexp:
     def test_identity(self):
-        for x in (1e-12, 0.1, math.log(2.0), 0.8, 5.0, 40.0):
+        xs = [1e-12, 0.1, math.log(2.0), 0.8, 5.0, 40.0]
+        for x, got in zip(xs, log1mexp(xs)):
             exact = math.log1p(-math.exp(-x)) if x > 0.69 else math.log(-math.expm1(-x))
-            assert log1mexp(x) == pytest.approx(exact, rel=1e-14)
+            assert got == pytest.approx(exact, rel=1e-14)
 
     def test_branch_boundary_continuous(self):
         eps = 1e-9
-        below = log1mexp(math.log(2.0) - eps)
-        above = log1mexp(math.log(2.0) + eps)
+        below, above = log1mexp([math.log(2.0) - eps, math.log(2.0) + eps])
         assert abs(below - above) < 1e-8
 
     def test_zero_and_negative(self):
-        assert log1mexp(0.0) == -math.inf
-        with pytest.raises(ValueError):
-            log1mexp(-0.1)
+        assert log1mexp([0.0])[0] == -math.inf
+        # the function does not validate: a negative x, which has no real
+        # value, gives NaN rather than an error
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(log1mexp([-0.1])[0])
 
     # around 0, the ln 2 branch point and 700, where exp(-x) nears underflow
     ARRAY_XS = np.concatenate([
@@ -89,7 +133,7 @@ class TestLog1mexp:
     def test_array_matches_scalar(self):
         out = log1mexp(self.ARRAY_XS)
         for x, o in zip(self.ARRAY_XS, out):
-            expect = log1mexp(float(x))
+            expect = log1mexp_scalar(float(x))
             # numpy's vectorized log may round differently from the C library
             assert o == expect or abs(o - expect) <= math.ulp(expect), x
 
@@ -105,58 +149,53 @@ class TestLog1mexp:
 
 class TestWeibull:
     def test_reliability_frozen_values(self):
-        p = ComponentParams(1.7, 3.2)
-        assert weibull_reliability(p, 1.0) == pytest.approx(0.87072008718404276, rel=1e-12)
-        assert weibull_reliability(p, 6.4) == pytest.approx(0.038812629395792688, rel=1e-12)
+        r = survival(ComponentParams(1.7, 3.2), [1.0, 6.4])
+        assert r[0] == pytest.approx(0.87072008718404276, rel=1e-12)
+        assert r[1] == pytest.approx(0.038812629395792688, rel=1e-12)
 
     def test_reliability_at_zero_is_one(self):
-        assert weibull_reliability(ComponentParams(0.3, 5.0), 0.0) == 1.0
+        assert survival(ComponentParams(0.3, 5.0), [0.0])[0] == 1.0
 
     def test_logpdf_frozen_values(self):
         p = ComponentParams(1.7, 3.2)
-        assert weibull_logpdf(p, 0.4) == pytest.approx(-2.1172889189049208, rel=1e-12)
-        assert weibull_logpdf(p, 3.2) == pytest.approx(-1.6325225587435105, rel=1e-12)
-        assert weibull_logpdf(p, 11.0) == pytest.approx(-7.9267443365484689, rel=1e-12)
+        assert log_density(p, 0.4) == pytest.approx(-2.1172889189049208, rel=1e-12)
+        assert log_density(p, 3.2) == pytest.approx(-1.6325225587435105, rel=1e-12)
+        assert log_density(p, 11.0) == pytest.approx(-7.9267443365484689, rel=1e-12)
 
     def test_logpdf_exponential_special_case(self):
         p = ComponentParams(1.0, 2.0)
         for t in (0.1, 1.0, 10.0):
-            assert weibull_logpdf(p, t) == pytest.approx(math.log(0.5) - 0.5 * t, rel=1e-13)
+            assert log_density(p, t) == pytest.approx(math.log(0.5) - 0.5 * t, rel=1e-13)
 
     def test_logpdf_extreme_times_saturate(self):
         p = ComponentParams(4.0, 1.0)
-        assert weibull_logpdf(p, 1e80) == -math.inf
-        assert math.isfinite(weibull_logpdf(p, 1e-80))
+        assert log_density(p, 1e80) == -math.inf
+        assert math.isfinite(log_density(p, 1e-80))
 
     def test_reliability_underflows_to_zero(self):
-        assert weibull_reliability(ComponentParams(4.0, 1.0), 1e80) == 0.0
+        assert survival(ComponentParams(4.0, 1.0), [1e80])[0] == 0.0
 
     def test_mean_frozen_quadrature_values(self):
-        # mpmath quad of the survival function, 40 digits
-        assert weibull_mean(ComponentParams(2.0, 1.0)) == pytest.approx(
-            0.88622692545275801, rel=1e-8
-        )
-        assert weibull_mean(ComponentParams(0.5, 1.0)) == pytest.approx(2.0, rel=1e-8)
-        assert weibull_mean(ComponentParams(1.5, 2.5)) == pytest.approx(
-            2.256863232377334, rel=1e-8
-        )
+        # mpmath quad of the survival function, 40 digits; two equal draws
+        # give the closed-form mean of their one (beta, eta)
+        for (beta, eta), mean in [
+            ((2.0, 1.0), 0.88622692545275801),
+            ((0.5, 1.0), 2.0),
+            ((1.5, 2.5), 2.256863232377334),
+        ]:
+            assert mean_time_posterior(draws_of(beta, eta, 2))[0] == pytest.approx(
+                mean, rel=1e-8
+            )
 
     def test_variance_frozen_quadrature_values(self):
-        assert weibull_variance(ComponentParams(2.0, 1.0)) == pytest.approx(
-            0.21460183660255169, rel=1e-8
-        )
-        assert weibull_variance(ComponentParams(1.5, 2.5)) == pytest.approx(
-            2.348064280087075, rel=1e-8
-        )
-
-    def test_rejects_bad_times(self):
-        p = ComponentParams(1.0, 1.0)
-        with pytest.raises(ValueError):
-            weibull_reliability(p, -1.0)
-        with pytest.raises(ValueError):
-            weibull_logpdf(p, 0.0)
-        with pytest.raises(ValueError):
-            weibull_logpdf(p, math.nan)
+        # the frozen (mean, variance) pairs invert to the shapes they came from
+        for (beta, eta), mean, var in [
+            ((2.0, 1.0), 0.88622692545275801, 0.21460183660255169),
+            ((1.5, 2.5), 2.256863232377334, 2.348064280087075),
+        ]:
+            p = weibull_from_moments(mean, var)
+            assert p.beta == pytest.approx(beta, rel=1e-8)
+            assert p.eta == pytest.approx(eta, rel=1e-8)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError, match="shape"):
@@ -169,13 +208,10 @@ class TestWeibull:
 
 class TestGammaMv:
     def test_frozen_values(self):
+        # the test-side density the other modules' tests use for the priors;
         # mean 2, variance 4 is the unit-shape case: logpdf(x) = log(1/2) - x/2
-        assert gamma_mv_logpdf(MeanVarGamma(2.0, 4.0), 3.0) == pytest.approx(
-            -2.1931471805599453, rel=1e-13
-        )
-        assert gamma_mv_logpdf(MeanVarGamma(3.0, 1.2), 2.4) == pytest.approx(
-            -0.97163695490222038, rel=1e-13
-        )
+        assert gamma_logpdf(3.0, 2.0, 4.0) == pytest.approx(-2.1931471805599453, rel=1e-13)
+        assert gamma_logpdf(2.4, 3.0, 1.2) == pytest.approx(-0.97163695490222038, rel=1e-13)
 
     def test_shape_rate_mapping(self):
         g = MeanVarGamma(3.0, 1.2)
@@ -185,10 +221,14 @@ class TestGammaMv:
         assert g.shape / g.rate**2 == pytest.approx(g.variance)
 
     def test_matches_scipy(self):
+        # the log density as the posterior kernel assembles it from the
+        # hoisted normalizer
         g = MeanVarGamma(1.31, 4.0)
         for x in (0.05, 0.7, 2.0, 9.0):
             ref = scipy.stats.gamma.logpdf(x, g.shape, scale=1.0 / g.rate)
-            assert gamma_mv_logpdf(g, x) == pytest.approx(ref, rel=1e-12)
+            got = g.log_normalizer + (g.shape - 1.0) * math.log(x) - g.rate * x
+            assert got == pytest.approx(ref, rel=1e-12)
+            assert gamma_logpdf(x, g.mean, g.variance) == pytest.approx(ref, rel=1e-12)
 
     def test_sampled_moments_match_parametrization(self):
         g = MeanVarGamma(2.0, 4.0)
@@ -198,8 +238,6 @@ class TestGammaMv:
         assert draws.var() == pytest.approx(g.variance, rel=0.05)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            gamma_mv_logpdf(MeanVarGamma(2.0, 4.0), 0.0)
         with pytest.raises(ValueError, match="mean"):
             MeanVarGamma(0.0, 4.0)
         with pytest.raises(ValueError, match="variance"):
@@ -214,9 +252,9 @@ class TestMomentInversion:
 
     def test_round_trip(self):
         for mean, var in [(2.0, 0.667), (7.0, 5.0), (2.0, 5.0), (0.3, 0.01), (50.0, 2.0)]:
-            p = weibull_from_moments(mean, var)
-            assert weibull_mean(p) == pytest.approx(mean, rel=1e-9)
-            assert weibull_variance(p) == pytest.approx(var, rel=1e-9)
+            got_mean, got_var = weibull_moments(weibull_from_moments(mean, var))
+            assert got_mean == pytest.approx(mean, rel=1e-9)
+            assert got_var == pytest.approx(var, rel=1e-9)
 
     def test_shape_monotone_in_cv(self):
         shapes = [weibull_from_moments(2.0, v).beta for v in (0.1, 0.5, 2.0, 8.0, 40.0)]
@@ -234,7 +272,7 @@ class TestMomentInversion:
         # the lower shape bound covers every CV a float can actually express
         p = weibull_from_moments(1.0, 1e12)
         assert 1e-3 < p.beta < 0.1
-        assert weibull_variance(p) == pytest.approx(1e12, rel=1e-9)
+        assert weibull_moments(p)[1] == pytest.approx(1e12, rel=1e-9)
 
     def test_gamma_closed_form(self):
         shape, scale = gamma_from_moments(2.0, 0.667)
@@ -274,6 +312,11 @@ class TestGeneratorSampling:
         a = sample(spec, 50, np.random.default_rng(3))
         b = sample(spec, 50, np.random.default_rng(3))
         assert np.array_equal(a, b)
+
+    def test_non_positive_draws_name_the_generator(self):
+        # shape 4e-6: nearly every draw underflows to exactly 0
+        with pytest.raises(NumericalError, match="gamma generator with mean 2 and variance 1e"):
+            sample(GeneratorSpec("gamma", 2.0, 1e6), 30, np.random.default_rng(0))
 
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError, match="size"):

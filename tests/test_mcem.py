@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from oracles import ExactEm, quadrature_posterior_means
-from relsys.dists import GeneratorSpec, MeanVarGamma, gamma_mv_logpdf, sample
+from oracles import ExactEm, gamma_logpdf, quadrature_posterior_means
+from relsys.dists import GeneratorSpec, MeanVarGamma, sample
 from relsys.errors import ConvergenceError, NumericalError
 from relsys.mcem import (
     _MIN_WEIGHT_ESS,
@@ -45,10 +45,9 @@ def average_log_prior(d, v_beta, v_eta):
     """The E-step objective: the two gamma prior log densities averaged over the draws."""
 
     def q(m_beta, m_eta):
-        gb, ge = MeanVarGamma(m_beta, v_beta), MeanVarGamma(m_eta, v_eta)
         return float(
-            np.mean([gamma_mv_logpdf(gb, b) for b in d.betas])
-            + np.mean([gamma_mv_logpdf(ge, e) for e in d.etas])
+            np.mean([gamma_logpdf(b, m_beta, v_beta) for b in d.betas])
+            + np.mean([gamma_logpdf(e, m_eta, v_eta) for e in d.etas])
         )
 
     return q
@@ -84,8 +83,7 @@ class TestMStep:
     def test_maximizes_e_step_objective_coordinatewise(self):
         rng = np.random.default_rng(8)
         draws = run_chain(
-            lambda p: gamma_mv_logpdf(MeanVarGamma(2.0, 1.0), p[0])
-            + gamma_mv_logpdf(MeanVarGamma(3.0, 1.0), p[1]),
+            lambda p: gamma_logpdf(p[0], 2.0, 1.0) + gamma_logpdf(p[1], 3.0, 1.0),
             McmcConfig(n_p=300, burn_in=500, thin=2),
             rng,
         )
@@ -126,8 +124,7 @@ class TestEStepObjective:
     def test_equals_average_log_prior_density(self):
         rng = np.random.default_rng(12)
         draws = run_chain(
-            lambda p: gamma_mv_logpdf(MeanVarGamma(2.0, 0.5), p[0])
-            + gamma_mv_logpdf(MeanVarGamma(2.5, 0.5), p[1]),
+            lambda p: gamma_logpdf(p[0], 2.0, 0.5) + gamma_logpdf(p[1], 2.5, 0.5),
             McmcConfig(n_p=40, burn_in=200, thin=2),
             rng,
         )

@@ -15,7 +15,7 @@ from relsys.simlab import (
     ScenarioSpec,
     generate_censored_sample,
     generate_system_sample,
-    run_grid,
+    grid_specs,
     run_scenario,
 )
 from relsys.streams import RandomStream
@@ -164,9 +164,7 @@ class TestRunScenario:
 
 class TestRunGrid:
     def test_order_and_side_blind_zero_cells(self):
-        results = run_grid(
-            FAST,
-            RandomStream(31),
+        specs = grid_specs(
             families=("weibull",),
             means=(2.0,),
             censor_fractions=(0.0, 0.2),
@@ -175,6 +173,7 @@ class TestRunGrid:
             variance=5.0,
             replicates=2,
         )
+        results = [run_scenario(spec, FAST, RandomStream(31)) for spec in specs]
         assert len(results) == 4
         coords = [(r.spec.side, r.spec.censor_fraction) for r in results]
         assert coords == [("right", 0.0), ("right", 0.2), ("left", 0.0), ("left", 0.2)]
@@ -191,8 +190,8 @@ class TestRunGrid:
             sides=("right",),
             replicates=2,
         )
-        a = run_grid(FAST, RandomStream(32), **kw)
-        b = run_grid(FAST, RandomStream(32), **kw)
+        a = [run_scenario(spec, FAST, RandomStream(32)) for spec in grid_specs(**kw)]
+        b = [run_scenario(spec, FAST, RandomStream(32)) for spec in grid_specs(**kw)]
         assert a == b
 
 
