@@ -13,7 +13,6 @@ lifetime over a grid of generators, censoring fractions and sample sizes.
 from .curves import (
     ReliabilityBand,
     TimeGrid,
-    hpd_interval,
     mean_time_posterior,
     reliability_band,
     system_band,
@@ -115,7 +114,6 @@ __all__ = [
     # curves
     "TimeGrid",
     "ReliabilityBand",
-    "hpd_interval",
     "reliability_band",
     "mean_time_posterior",
     "system_band",

@@ -447,6 +447,10 @@ def _draws_shell(betas, etas) -> ComponentFit:
     )
 
 
+# a one-component fit composes as a one-element series (identity)
+_BAND_KINDS = {"series": "series", "parallel": "parallel", "component": "series"}
+
+
 def cmd_reliability(args) -> int:
     started = _now()
     cfg = _load_config(args.config, _REL_KEYS)
@@ -474,6 +478,11 @@ def cmd_reliability(args) -> int:
         raise DataError(f"{hyper_path}: missing or malformed 'kind'/'k' entries") from None
     if k < 1:
         raise DataError(f"{hyper_path}: k must be >= 1, got {k}")
+    if not (isinstance(kind, str) and kind in _BAND_KINDS):
+        raise DataError(
+            f"{hyper_path}: kind must be one of {tuple(_BAND_KINDS)}, got {kind!r}"
+        )
+    sys_kind = _BAND_KINDS[kind]
     expected = [io.draws_filename(j) for j in range(1, k + 1)]
     missing = [name for name in expected if not (src / name).exists()]
     if missing:
@@ -511,8 +520,6 @@ def cmd_reliability(args) -> int:
         name = f"band_component{j}.csv"
         io.write_band_csv(out / name, band)
         outputs.append(name)
-    # a single-component fit composes as a one-element series (identity)
-    sys_kind = kind if kind in _KINDS else "series"
     try:
         sband = system_band(
             SystemFit(sys_kind, tuple(comp_fits)), grid, level=level, method=method

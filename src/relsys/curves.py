@@ -24,7 +24,6 @@ __all__ = [
     "TimeGrid",
     "ReliabilityBand",
     "reliability_band",
-    "hpd_interval",
     "mean_time_posterior",
     "system_band",
 ]
@@ -99,7 +98,8 @@ class ReliabilityBand:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         for name in ("mean", "lower", "upper"):
             arr = getattr(self, name)
-            if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+            # written so that NaN fails it
+            if not np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12)):
                 raise ValueError(f"band {name} values must lie in [0, 1]")
         if np.any(self.lower > self.upper):
             raise ValueError("band lower bound exceeds upper bound")
@@ -115,40 +115,28 @@ def _survival_matrix(d: PosteriorDraws, times: np.ndarray) -> np.ndarray:
         return np.exp(-np.exp(expo))
 
 
-def hpd_interval(values, level: float) -> tuple[float, float]:
-    """Shortest interval holding ``ceil(level * n)`` of the ``values``.
-
-    Ties between equally short windows go to the lowest one.
-    """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    arr = np.sort(np.asarray(values, dtype=float))
-    if arr.size == 0:
-        raise ValueError("hpd_interval needs at least one value")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("hpd_interval values must be finite")
-    w = math.ceil(level * arr.size)
-    if w >= arr.size:
-        return float(arr[0]), float(arr[-1])
-    widths = arr[w - 1 :] - arr[: arr.size - w + 1]
-    i = int(np.argmin(widths))
-    return float(arr[i]), float(arr[i + w - 1])
-
-
 def _band_from_matrix(
     r: np.ndarray, grid: TimeGrid, level: float, method: str
 ) -> ReliabilityBand:
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+    """Band over the rows of ``r``, which the hpd method sorts in place.
+
+    The hpd bounds of a row are the shortest window holding
+    ``ceil(level * n)`` of its ``n`` values, the lowest one on ties.
+    """
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+    # before the sort: the pairwise sum depends on the element order
     mean = r.mean(axis=1)
     if method == "hpd":
-        bounds = [hpd_interval(row, level) for row in r]
-        lower = np.array([b[0] for b in bounds])
-        upper = np.array([b[1] for b in bounds])
+        r.sort(axis=1)
+        n = r.shape[1]
+        w = min(math.ceil(level * n), n)
+        i = np.argmin(r[:, w - 1 :] - r[:, : n - w + 1], axis=1)
+        rows = np.arange(r.shape[0])
+        lower, upper = r[rows, i], r[rows, i + w - 1]
     else:
         half = (1.0 - level) / 2.0
-        lower = np.quantile(r, half, axis=1)
-        upper = np.quantile(r, 1.0 - half, axis=1)
+        lower, upper = np.quantile(r, [half, 1.0 - half], axis=1)
     return ReliabilityBand(grid, mean, lower, upper, level, method)
 
 

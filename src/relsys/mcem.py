@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dists import ComponentParams, MeanVarGamma, log_gamma_fn
+from .dists import MeanVarGamma, log_gamma_fn
 from .errors import ConvergenceError, NumericalError, RelsysError
 from .sampler import McmcConfig, PosteriorDraws, run_chain
 from .streams import RandomStream, as_stream
@@ -59,7 +59,8 @@ class FitConfig:
 
     ``prior_variance`` is the fixed variance of both gamma priors.  ``mcmc``
     configures the per-iteration chains, ``final_mcmc`` the single long
-    chain run at the converged prior means.
+    chain run at the converged prior means.  Where each chain starts, and
+    its first proposal scale, follow from the fit itself.
     """
 
     prior_variance: float = 4.0
@@ -266,10 +267,8 @@ def fit_component(
 
     for it in range(1, cfg.max_iter + 1):
         if ess < _MIN_WEIGHT_ESS:
-            chain_cfg = replace(cfg.mcmc, init=ComponentParams(m_beta, m_eta))
-            d = run_chain(
-                make_log_kernel(c, priors), chain_cfg, em_stream.child(chains).generator()
-            )
+            rng = em_stream.child(chains).generator()
+            d = run_chain(make_log_kernel(c, priors), cfg.mcmc, rng, init=(m_beta, m_eta))
             chains += 1
             gen_beta, gen_eta = m_beta, m_eta
             log_betas, log_etas = np.log(d.betas), np.log(d.etas)
@@ -296,17 +295,14 @@ def fit_component(
             f"at least {_MIN_WEIGHT_ESS} through {cfg.max_iter} iterations"
         )
 
-    # the final chain warm-starts at the posterior mean the last draws,
-    # reweighted to the final priors, estimate
-    final_cfg = replace(
-        cfg.final_mcmc,
-        init=ComponentParams(
-            float(np.average(d.betas, weights=weights)),
-            float(np.average(d.etas, weights=weights)),
-        ),
-        step_init=d.step_final,
+    # the final chain warm-starts, at the last EM chain's tuned step, from the
+    # posterior mean the last draws, reweighted to the final priors, estimate
+    init = (
+        float(np.average(d.betas, weights=weights)),
+        float(np.average(d.etas, weights=weights)),
     )
-    d = run_chain(make_log_kernel(c, priors), final_cfg, st.child(1).generator())
+    kernel, rng = make_log_kernel(c, priors), st.child(1).generator()
+    d = run_chain(kernel, cfg.final_mcmc, rng, init=init, step=d.step_final)
     warnings.extend(d.warnings)
     return ComponentFit(
         m_beta=m_beta,

@@ -19,7 +19,7 @@ proposals outside it are rejected without a kernel call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,19 +38,15 @@ _ADAPT_TARGET = 0.30
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Chain-length, initialization and adaptation settings.
+    """Chain-length settings.
 
     ``n_p`` draws are collected after ``burn_in`` adaptation steps, keeping
-    every ``thin``-th state.  ``step_init`` is the initial proposal scale in
-    log space; during burn-in it is steered toward an acceptance probability
-    of 0.3 and then frozen.
+    every ``thin``-th state.
     """
 
     n_p: int = 1000
     burn_in: int = 10_000
     thin: int = 10
-    init: ComponentParams = field(default_factory=lambda: ComponentParams(1.0, 1.0))
-    step_init: float = 0.5
 
     def __post_init__(self):
         if self.n_p < 1:
@@ -59,8 +55,6 @@ class McmcConfig:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.thin < 1:
             raise ValueError(f"thin must be >= 1, got {self.thin}")
-        if not (math.isfinite(self.step_init) and self.step_init > 0.0):
-            raise ValueError(f"step_init must be finite and > 0, got {self.step_init}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,9 +79,9 @@ class PosteriorDraws:
 
     def __post_init__(self):
         _freeze_arrays(self, "betas", "etas")
-        if self.betas.shape != self.etas.shape or self.betas.ndim != 1:
+        if self.betas.shape != self.etas.shape or self.betas.ndim != 1 or not self.betas.size:
             raise ValueError(
-                f"draws need two 1-D arrays of one length, got shapes "
+                f"draws need two 1-D arrays of one length >= 1, got shapes "
                 f"{self.betas.shape} and {self.etas.shape}"
             )
 
@@ -100,6 +94,8 @@ def run_chain(
     log_kernel: Callable[[tuple[float, float]], float],
     cfg: McmcConfig,
     rng: np.random.Generator,
+    init: tuple[float, float] = (1.0, 1.0),
+    step: float = 0.5,
 ) -> PosteriorDraws:
     """Sample ``cfg.n_p`` thinned draws from the posterior kernel.
 
@@ -108,23 +104,33 @@ def run_chain(
     log_kernel : callable
         Unnormalized log posterior density of a ``(beta, eta)`` tuple;
         ``-inf`` marks zero density, NaN raises inside the kernel.  It is
-        called with ``cfg.init`` first and then with plain float tuples
+        called with ``init`` first and then with plain float tuples
         whose log-magnitudes are below 300, so both entries are finite and
         > 0 and the kernel need not check them.
     cfg : McmcConfig
         Chain settings.
     rng : numpy.random.Generator
         Source of proposal noise; the chain is a pure function of it.
+    init : (float, float)
+        The ``(beta, eta)`` state the chain starts from.
+    step : float
+        Initial proposal scale in log space; during burn-in it is steered
+        toward an acceptance probability of 0.3 and then frozen.
 
     Raises
     ------
     NumericalError
         If the kernel has zero density at the initial point.
+    ValueError
+        If ``init`` is not a finite positive pair or ``step`` is not
+        finite and > 0.
     """
-    beta0, eta0 = cfg.init
+    beta0, eta0 = init = ComponentParams(*init)
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
     u = math.log(beta0)
     w = math.log(eta0)
-    lk = log_kernel(cfg.init)
+    lk = log_kernel(init)
     if not math.isfinite(lk):
         raise NumericalError(
             f"posterior kernel is {lk} at the initial point "
@@ -142,7 +148,6 @@ def run_chain(
 
     exp = math.exp
     lim = _LOG_RANGE
-    step = cfg.step_init
     log_step = math.log(step)
     betas: list[float] = []
     etas: list[float] = []

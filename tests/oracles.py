@@ -18,7 +18,8 @@ carries, which is how the tests size their bounds.
 Two textbook densities stand where the package's own formulas would
 otherwise check themselves: :func:`gamma_logpdf`, the prior log density, and
 :func:`masked_system_loglik`, the masked series or parallel system
-likelihood straight from scipy's Weibull functions.
+likelihood straight from scipy's Weibull functions.  :func:`hpd_interval`
+is the scalar reference for the row-wise HPD of the band code.
 """
 
 from __future__ import annotations
@@ -105,6 +106,19 @@ def masked_system_loglik(kind, times, causes, params):
         total += weibull_min.logpdf(times[own], beta, scale=eta).sum()
         total += other(times[~own], beta, scale=eta).sum()
     return float(total)
+
+
+def hpd_interval(values, level):
+    """Shortest window of ``ceil(level * n)`` sorted values, the lowest one
+    on ties, found by trying every window in turn."""
+    arr = sorted(float(x) for x in values)
+    n = len(arr)
+    w = math.ceil(level * n)
+    best = 0
+    for i in range(1, n - w + 1):
+        if arr[i + w - 1] - arr[i] < arr[best + w - 1] - arr[best]:
+            best = i
+    return arr[best], arr[best + w - 1]
 
 
 def gamma_mean_argmax(mean_x, mean_log, v):

@@ -489,6 +489,20 @@ class TestReliabilityCommand:
             for band in ("band_component1.csv", "band_component2.csv", "band_system.csv"):
                 assert (out / band).read_bytes() == (tmp_path / "ref" / band).read_bytes()
 
+    @pytest.mark.parametrize("kind", ["paralel", "Series", "", 2, None, ["series"]])
+    def test_unknown_kind_is_data_error(self, tmp_path, capsys, kind):
+        sim = simulate(tmp_path)
+        fit_dir = fit(tmp_path, sim)
+        hyper_path = fit_dir / "hyper_estimates.json"
+        hyper = json.loads(hyper_path.read_text())
+        hyper_path.write_text(json.dumps({**hyper, "kind": kind}))
+        out = tmp_path / "bands"
+        assert cli("reliability", fit_dir, "--grid-points", "5", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "hyper_estimates.json" in err and repr(kind) in err
+        assert "Traceback" not in err
+        assert not (out / "band_system.csv").exists()
+
     def test_component_fit_directory_composes_as_identity(self, tmp_path):
         data = tmp_path / "comp.csv"
         data.write_text(COMPONENT_CSV)
@@ -677,9 +691,11 @@ class TestRerunDeterminism:
 
 class TestRecordedOutputs:
     # SHA-256 digests: the sample.csv ones recorded before samples were
-    # stored as arrays, the fit ones with the importance-reweighted EM; a
+    # stored as arrays, the fit ones with the importance-reweighted EM, the
+    # band ones with the per-row scalar HPD and two quantile calls; a
     # change to how samples are parsed, generated, decomposed or summed,
-    # or to how the EM draws its chains, moves them
+    # to how the EM draws its chains, or to how a band reduces the drawn
+    # curves moves them
     RECORDED = {
         "series": {
             "sample.csv": "359583e35a82adbdaed9d352b8b4a0f1d3f3bc703c437592a98c3f7b72df51d2",
@@ -687,6 +703,12 @@ class TestRecordedOutputs:
             "draws_component2.csv": "f23abe3ab99fe729ea7a4baeda035567509ad3145a4977d32684ade649d3b867",
             "em_trace.csv": "77b4f4c768cb4ffddd9b3ca04e3aef26b4492024d1735e05994a83923216097f",
             "hyper_estimates.json": "1061b658b6369e78a7c32570dafd939a124b4a3fdcecf52b417e3c1f8cb6b64f",
+            "hpd/band_component1.csv": "3a50d2eb9633e6a2e39e19628e67cff2f650111d5fa9c92a1bc8903d25093fb1",
+            "hpd/band_component2.csv": "9a3aab8417be846207e0cb9d4b2c992778144c3bcaf93c75c47112fe706a3b13",
+            "hpd/band_system.csv": "9d2359f92126ef675330ad0371e2117f9e6cda0b08786f2d1385eab065781c19",
+            "quantile/band_component1.csv": "2e01818d3a035fbe92e9dc7a4912af7cfe4754c2acfd6f0931c9076af8673ade",
+            "quantile/band_component2.csv": "68e44289fc7a5ad426e40dd1118e080aed5f9c78e761bd4795a0d158fe1118d9",
+            "quantile/band_system.csv": "87d7cd81b2f7ea8acdebbfc10dd765842eec81d53bf919dbb5d63b836e488439",
         },
         "parallel": {
             "sample.csv": "66f3acb3dfa1871a487fcfdabfd38573d2090ffa6573f98a30c7b40a3fefc614",
@@ -694,6 +716,12 @@ class TestRecordedOutputs:
             "draws_component2.csv": "941a698f1b6b71eca3bc1eb3634ebfeae59f07c6825dbb95e3e4b8f0f17ea2c4",
             "em_trace.csv": "569db6cfb03e69a5f7beb329bc00c3736f28a2961d328dfdd6eb554c3764ef77",
             "hyper_estimates.json": "1d52119b4b7b8fcc1f044d62dffb0477e4b6c9af2e7f4fc7957f42b8723b7936",
+            "hpd/band_component1.csv": "051ed53e0c33d3eb84f9f55dd0c9f369b4ba7c3d1d58880f7835fe53f85ea6e9",
+            "hpd/band_component2.csv": "4097462f3e6913da42c18770b05fdb6c909c2956cc05177e6da29e4335feb990",
+            "hpd/band_system.csv": "beb42575bd87787962e4c32ad1c954c4c8ed20db1f301f06d0baf866b8027043",
+            "quantile/band_component1.csv": "c825ee729b7e3f71e7adf2f0b3d91c7cf5b60d802eca0fd1152bc3de72261482",
+            "quantile/band_component2.csv": "9cd0f34688d15aa82a31076d8098ca555b5847bc9e7979506c14e12d702f7283",
+            "quantile/band_system.csv": "5582055eb841c5926d238cac2bf3c8178791e669a3750d18f6ed3c93e7771b50",
         },
         "right": {
             "draws_component1.csv": "30de1dd2d67611389419d8eee6e0d3cc1e21d11d531688e0f127eb76ee7c36f4",
@@ -723,6 +751,13 @@ class TestRecordedOutputs:
         for path in sorted(out.iterdir()):
             if path.name != "manifest.json":
                 digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        if case in ("series", "parallel"):
+            for method in ("hpd", "quantile"):
+                bands = tmp_path / method
+                assert cli("reliability", out, "--method", method, "--out", bands) == 0
+                for path in sorted(bands.glob("band_*.csv")):
+                    key = f"{method}/{path.name}"
+                    digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
         return digests
 
     @pytest.mark.parametrize("case", ["series", "parallel", "right", "left"])

@@ -1,4 +1,4 @@
-"""Tests for reliability bands, HPD intervals and lifetime summaries."""
+"""Tests for reliability bands, their HPD and quantile bounds, and lifetime summaries."""
 
 import math
 
@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy.stats import weibull_min
 
+import oracles
 from relsys.curves import (
     ReliabilityBand,
     TimeGrid,
     _band_from_matrix,
     _survival_matrix,
-    hpd_interval,
     mean_time_posterior,
     reliability_band,
     system_band,
@@ -98,39 +98,99 @@ def test_stored_arrays_are_read_only():
     assert grid.points[0] == 0.0
 
 
+def hpd_rows(r, level):
+    """The hpd band's bounds over the rows of ``r``, values in [0, 1]."""
+    grid = TimeGrid(np.arange(float(r.shape[0])))
+    band = _band_from_matrix(np.array(r, dtype=float), grid, level, "hpd")
+    return band.lower, band.upper
+
+
 class TestHpdInterval:
     def test_integers_one_to_hundred(self):
-        lo, hi = hpd_interval(np.arange(1, 101), 0.95)
-        assert (lo, hi) == (1.0, 95.0)
+        lo, hi = hpd_rows(np.arange(1, 101)[None, :] / 100, 0.95)
+        assert (lo[0], hi[0]) == (0.01, 0.95)
 
     def test_skewed_sample_shorter_than_quantile_interval(self):
         rng = np.random.default_rng(3)
         x = rng.exponential(1.0, 5000)
-        lo, hi = hpd_interval(x, 0.9)
-        qlo, qhi = np.quantile(x, [0.05, 0.95])
-        assert hi - lo < qhi - qlo
-        assert lo < 0.05  # mass hugs zero for an exponential
+        scale = x.max()
+        x /= scale  # into [0, 1], where band values lie
+        lo, hi = hpd_rows(x[None, :], 0.9)
+        half = (1.0 - 0.9) / 2.0
+        qlo, qhi = np.quantile(x, [half, 1.0 - half])
+        assert hi[0] - lo[0] < qhi - qlo
+        assert lo[0] * scale < 0.05  # mass hugs zero for an exponential
+        # the quantile band's bounds are those same two quantiles
+        band = _band_from_matrix(x[None, :], TimeGrid(np.zeros(1)), 0.9, "quantile")
+        assert (band.lower[0], band.upper[0]) == (qlo, qhi)
 
     def test_window_covers_requested_mass(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(0.0, 1.0, 2000)
-        lo, hi = hpd_interval(x, 0.5)
-        frac = np.mean((x >= lo) & (x <= hi))
-        assert frac >= 0.5
+        # every row of the drawn curves, hpd and quantile alike
+        d = random_draws(4, 2000)
+        grid = TimeGrid.regular(5.0, 20)
+        r = _survival_matrix(d, grid.points)
+        for level in (0.5, 0.95):
+            for method in ("hpd", "quantile"):
+                band = reliability_band(d, grid, level=level, method=method)
+                inside = (r >= band.lower[:, None]) & (r <= band.upper[:, None])
+                assert np.all(inside.mean(axis=1) >= level - 1.0 / d.n), method
+            lo, hi = hpd_rows(r, level)
+            inside = (r >= lo[:, None]) & (r <= hi[:, None])
+            assert np.all(inside.sum(axis=1) >= math.ceil(level * d.n))
 
     def test_degenerate_sizes(self):
-        assert hpd_interval([3.0], 0.95) == (3.0, 3.0)
-        # window of ceil(0.99 * 50) = 50 is the whole sample
-        x = np.linspace(0, 1, 50)
-        assert hpd_interval(x, 0.99) == (0.0, 1.0)
+        grid = TimeGrid.regular(3.0, 4)
+        one = make_draws([1.5], [2.0])
+        for method in ("hpd", "quantile"):
+            band = reliability_band(one, grid, method=method)
+            assert np.array_equal(band.lower, band.mean)
+            assert np.array_equal(band.upper, band.mean)
+        # a window of ceil(0.99 * 50) = 50 is the whole sample
+        d = random_draws(5, 50)
+        r = _survival_matrix(d, grid.points)
+        band = reliability_band(d, grid, level=0.99)
+        assert np.array_equal(band.lower, r.min(axis=1))
+        assert np.array_equal(band.upper, r.max(axis=1))
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="level"):
-            hpd_interval([1.0, 2.0], 1.0)
-        with pytest.raises(ValueError, match="at least one"):
-            hpd_interval([], 0.9)
-        with pytest.raises(ValueError, match="finite"):
-            hpd_interval([1.0, math.nan], 0.9)
+        d, grid = random_draws(6, 20), TimeGrid.regular(2.0, 4)
+        for method in ("hpd", "quantile"):
+            for level in (0.0, 1.0, math.nan):
+                with pytest.raises(ValueError, match="level"):
+                    reliability_band(d, grid, level=level, method=method)
+
+    @pytest.mark.parametrize("method", ["hpd", "quantile"])
+    def test_zero_draws_rejected(self, method):
+        with pytest.raises(ValueError, match="length >= 1"):
+            reliability_band(make_draws([], []), TimeGrid.regular(2.0, 4), method=method)
+
+    @pytest.mark.parametrize("method", ["hpd", "quantile"])
+    def test_nan_draw_rejected(self, method):
+        d = make_draws([1.5, math.nan, 2.0], [2.0, 2.0, 2.0])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            reliability_band(d, TimeGrid.regular(2.0, 4), method=method)
+
+    # (draws per row, level, value lattice or None for continuous values):
+    # one draw, windows of the whole row (w == n), and coarse lattices
+    # whose many equal values give equally short windows
+    @pytest.mark.parametrize(
+        "n, level, lattice",
+        [(1, 0.95, 10), (3, 0.9, 3), (20, 0.99, 10), (64, 0.5, 3),
+         (64, 0.95, 1000), (7, 0.3, None), (500, 0.95, None)],
+    )
+    def test_rows_match_scalar_oracle_bit_for_bit(self, n, level, lattice):
+        rng = np.random.default_rng(n)
+        if lattice is None:
+            r = rng.random((25, n))
+        else:
+            r = rng.integers(0, lattice + 1, (25, n)) / lattice
+        mean = r.mean(axis=1)
+        band = _band_from_matrix(r.copy(), TimeGrid(np.arange(25.0)), level, "hpd")
+        expect = np.array([oracles.hpd_interval(row, level) for row in r])
+        assert np.array_equal(band.lower, expect[:, 0])
+        assert np.array_equal(band.upper, expect[:, 1])
+        # the mean is taken over the unsorted rows
+        assert np.array_equal(band.mean, mean)
 
 
 class TestReliabilityDraws:

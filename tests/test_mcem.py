@@ -7,7 +7,7 @@ the fitted hyper-means against the exact EM fixed point on a grid.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -311,7 +311,58 @@ class TestFitSystem:
             fit_system(s, FAST, RandomStream(0))
 
 
+# tiny chains, and a tolerance the base fit misses until max_iter stops it,
+# so that both tol and max_iter decide where the EM trace ends
+GUARD_BASE = FitConfig(
+    tol=1e-3,
+    max_iter=3,
+    mcmc=McmcConfig(n_p=40, burn_in=40, thin=1),
+    final_mcmc=McmcConfig(n_p=20, burn_in=20, thin=1),
+)
+# a value differing from GUARD_BASE's for every setting, nested as the configs
+GUARD_CHANGED = {
+    "prior_variance": 2.0,
+    "tol": 0.05,
+    "max_iter": 4,
+    "mcmc": {"n_p": 41, "burn_in": 41, "thin": 2},
+    "final_mcmc": {"n_p": 21, "burn_in": 21, "thin": 2},
+}
+
+
+def setting_paths(cfg, prefix=()):
+    """Every leaf setting of a config, as a path of field names."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            yield from setting_paths(value, prefix + (f.name,))
+        else:
+            yield prefix + (f.name,)
+
+
+def with_setting(cfg, path, value):
+    head, *rest = path
+    if rest:
+        value = with_setting(getattr(cfg, head), rest, value)
+    return replace(cfg, **{head: value})
+
+
 class TestFitConfig:
+    @pytest.mark.parametrize(
+        "path", list(setting_paths(GUARD_BASE)), ids=".".join
+    )
+    def test_every_setting_changes_the_fit(self, path):
+        changed = GUARD_CHANGED
+        for name in path:
+            changed = changed[name]
+        c = weibull_sample(31, 40)
+        base = fit_component(c, GUARD_BASE, RandomStream(7))
+        assert not base.converged and len(base.em_trace) == GUARD_BASE.max_iter + 1
+        fit = fit_component(c, with_setting(GUARD_BASE, path, changed), RandomStream(7))
+        same_draws = np.array_equal(fit.draws.betas, base.draws.betas) and np.array_equal(
+            fit.draws.etas, base.draws.etas
+        )
+        assert fit.em_trace != base.em_trace or not same_draws
+
     def test_rejects_bad_settings(self):
         with pytest.raises(ValueError, match="prior_variance "):
             FitConfig(prior_variance=0.0)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import gamma_logpdf
-from relsys.dists import ComponentParams, GeneratorSpec, MeanVarGamma
+from relsys.dists import GeneratorSpec, MeanVarGamma
 from relsys.errors import NumericalError
 from relsys.sampler import _ADAPT_TARGET, McmcConfig, run_chain
 from relsys.simlab import generate_censored_sample
@@ -54,8 +54,8 @@ class TestCalibration:
         assert d.etas.std(ddof=1) == pytest.approx(math.sqrt(ETA_TARGET.variance), rel=0.2)
 
     def test_adaptation_steers_acceptance_to_target(self):
-        cfg = McmcConfig(n_p=500, burn_in=3000, thin=5, step_init=3.0)
-        d = run_chain(gamma_product_kernel, cfg, np.random.default_rng(2))
+        cfg = McmcConfig(n_p=500, burn_in=3000, thin=5)
+        d = run_chain(gamma_product_kernel, cfg, np.random.default_rng(2), step=3.0)
         assert abs(d.acceptance_rate - _ADAPT_TARGET) < 0.1
         assert 0.0 < d.step_final < 3.0
         assert d.warnings == ()
@@ -89,10 +89,10 @@ class TestChainMechanics:
     def test_flat_kernel_accepts_nearly_all_small_steps(self):
         # symmetric walk on a flat target: only the log-space volume term
         # remains, so tiny steps are accepted almost always
-        cfg = McmcConfig(n_p=1000, burn_in=0, thin=1, step_init=0.05)
-        d = run_chain(flat_box_kernel, cfg, np.random.default_rng(17))
+        cfg = McmcConfig(n_p=1000, burn_in=0, thin=1)
+        d = run_chain(flat_box_kernel, cfg, np.random.default_rng(17), step=0.05)
         assert d.acceptance_rate > 0.9
-        assert d.step_final == cfg.step_init  # no burn-in, no adaptation
+        assert d.step_final == 0.05  # no burn-in, no adaptation
 
     def test_oversized_steps_on_a_needle_target_warn(self):
         def kernel(p):
@@ -100,8 +100,8 @@ class TestChainMechanics:
             beta, eta = p
             return gamma_logpdf(beta, 1.0, 1e-8) + gamma_logpdf(eta, 1.0, 1e-8)
 
-        cfg = McmcConfig(n_p=300, burn_in=0, thin=1, step_init=8.0)
-        d = run_chain(kernel, cfg, np.random.default_rng(3))
+        cfg = McmcConfig(n_p=300, burn_in=0, thin=1)
+        d = run_chain(kernel, cfg, np.random.default_rng(3), step=8.0)
         assert d.acceptance_rate < 0.05
         assert any("acceptance" in w for w in d.warnings)
 
@@ -117,8 +117,8 @@ class TestChainMechanics:
 
         # from log 1 = 0, a step of 400 leaves |log x| < 300 in most
         # coordinates; no burn-in keeps the step there
-        cfg = McmcConfig(n_p=500, burn_in=0, thin=1, step_init=400.0)
-        d = run_chain(kernel, cfg, np.random.default_rng(4))
+        cfg = McmcConfig(n_p=500, burn_in=0, thin=1)
+        d = run_chain(kernel, cfg, np.random.default_rng(4), step=400.0)
         assert d.n == 500
         assert d.step_final == 400.0
         # the initial point plus only the in-range proposals reach the kernel
@@ -127,9 +127,9 @@ class TestChainMechanics:
         assert np.all(np.abs(np.log(d.etas)) < 300.0)
 
     def test_zero_density_start_raises(self):
-        cfg = McmcConfig(n_p=10, burn_in=0, thin=1, init=ComponentParams(1e9, 1e9))
+        cfg = McmcConfig(n_p=10, burn_in=0, thin=1)
         with pytest.raises(NumericalError, match="initial"):
-            run_chain(flat_box_kernel, cfg, np.random.default_rng(0))
+            run_chain(flat_box_kernel, cfg, np.random.default_rng(0), init=(1e9, 1e9))
 
     def test_draw_count_and_positivity(self):
         cfg = McmcConfig(n_p=77, burn_in=50, thin=3)
@@ -180,5 +180,11 @@ class TestConfigValidation:
             McmcConfig(burn_in=-1)
         with pytest.raises(ValueError, match="thin"):
             McmcConfig(thin=0)
-        with pytest.raises(ValueError, match="step_init"):
-            McmcConfig(step_init=0.0)
+        cfg, rng = McmcConfig(n_p=10, burn_in=0, thin=1), np.random.default_rng(0)
+        for step in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="step"):
+                run_chain(gamma_product_kernel, cfg, rng, step=step)
+        with pytest.raises(ValueError, match="shape"):
+            run_chain(gamma_product_kernel, cfg, rng, init=(0.0, 1.0))
+        with pytest.raises(ValueError, match="scale"):
+            run_chain(gamma_product_kernel, cfg, rng, init=(1.0, math.nan))
