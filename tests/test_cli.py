@@ -7,6 +7,7 @@ paths.  Byte-level determinism across reruns is asserted explicitly.
 
 import hashlib
 import json
+import re
 import shutil
 
 import numpy as np
@@ -351,6 +352,100 @@ def test_non_finite_chain_setting_is_usage_error(tmp_path, capsys, key, value, f
     assert "Traceback" not in err
     assert not (out / "hyper_estimates.json").exists()
     assert not (out / "study.csv").exists()
+
+
+class TestConfigFiles:
+    """``--config`` on ``fit`` and ``reliability``: a file of ``key = value``
+    lines acts as the flags it names, and the command line's flags win."""
+
+    FIT_SETTINGS = {"kind": "series", "k": "2", "np": "60", "burnin": "200",
+                    "thin": "2", "tol": "0.02", "seed": "11"}
+    REL_SETTINGS = {"grid-max": "2.5", "grid-points": "15", "level": "0.9",
+                    "method": "quantile"}
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        """The data argument of each command: a sample and a fit of it."""
+        sim = simulate(tmp_path)
+        return {"fit": sim / "sample.csv", "reliability": fit(tmp_path, sim)}
+
+    def run(self, tmp_path, command, data, name, settings=None, flags=None):
+        """Run ``command`` with ``settings`` as a config file and ``flags`` as
+        flags; return every output's bytes, and the manifest less timestamps."""
+        argv = [command, data]
+        if settings is not None:
+            cfg_file = tmp_path / f"{name}.cfg"
+            cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+            argv += ["--config", cfg_file]
+        for key, value in (flags or {}).items():
+            argv += [f"--{key}", value]
+        out = tmp_path / name
+        assert cli(*argv, "--out", out) == 0
+        m = manifest_of(out)
+        m.pop("timestamps")
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        return files, m
+
+    def settings(self, command):
+        return self.FIT_SETTINGS if command == "fit" else self.REL_SETTINGS
+
+    @pytest.mark.parametrize("command", ["fit", "reliability"])
+    def test_config_file_acts_as_its_flags(self, tmp_path, inputs, command):
+        s = self.settings(command)
+        data = inputs[command]
+        by_flags = self.run(tmp_path, command, data, "flags", flags=s)
+        by_config = self.run(tmp_path, command, data, "config", settings=s)
+        assert by_config == by_flags
+
+    @pytest.mark.parametrize("command", ["fit", "reliability"])
+    def test_flag_beats_config_key(self, tmp_path, inputs, command):
+        s = self.settings(command)
+        key, flag_value, config_value = {
+            "fit": ("np", "50", "40"),
+            "reliability": ("level", "0.8", "0.6"),
+        }[command]
+        data = inputs[command]
+        flagged = {**s, key: flag_value}
+        by_flags = self.run(tmp_path, command, data, "flags", flags=flagged)
+        mixed = self.run(tmp_path, command, data, "mixed",
+                         settings={**s, key: config_value}, flags={key: flag_value})
+        assert mixed == by_flags
+
+    @pytest.mark.parametrize("command", ["fit", "reliability"])
+    @pytest.mark.parametrize("key", ["out", "config", "prior-variance"])
+    def test_unknown_key_names_file_and_key(self, tmp_path, capsys, command, key):
+        cfg_file = tmp_path / "settings.cfg"
+        cfg_file.write_text(f"{key} = x\n")
+        out = tmp_path / "out"
+        rc = cli(command, tmp_path, "--config", cfg_file, "--out", out)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "settings.cfg" in err
+        assert repr(key) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("fit", "np", "abc"),
+            ("fit", "tol", "small"),
+            ("fit", "kind", "paralel"),
+            ("reliability", "grid-points", "abc"),
+            ("reliability", "level", "high"),
+            ("reliability", "method", "foo"),
+        ],
+    )
+    def test_bad_value_names_the_key(self, tmp_path, capsys, command, key, value):
+        cfg_file = tmp_path / "settings.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        out = tmp_path / "out"
+        rc = cli(command, tmp_path, "--config", cfg_file, "--out", out)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert re.search(rf"\b{re.escape(key)}\b.*'{value}'", err), err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestUndecodableInput:
