@@ -45,14 +45,7 @@ from .curves import (
 )
 from .dists import GeneratorSpec, weibull_from_moments
 from .errors import DataError, NumericalError, UnsolvableError, UsageError
-from .mcem import (
-    ComponentFit,
-    FitConfig,
-    SystemFit,
-    _iteration_mcmc,
-    fit_component,
-    fit_system,
-)
+from .mcem import ComponentFit, FitConfig, SystemFit, fit_component, fit_system
 from .sampler import McmcConfig, PosteriorDraws
 from .simlab import GRID_REPLICATES, generate_system_sample, grid_specs, run_scenario
 from .streams import RandomStream
@@ -78,24 +71,6 @@ def _convert(conv, name: str, raw: str):
     except ValueError:
         kind = {int: "integer", float: "number"}.get(conv, conv.__name__)
         raise UsageError(f"config value {name}={raw!r} is not a valid {kind}") from None
-
-
-def _load_config(path: str | None, allowed: dict[str, type]) -> dict:
-    """Read a flat key=value file and convert values to their flag types."""
-    if path is None:
-        return {}
-    out = {}
-    for key, value in io.read_config(path).items():
-        if key not in allowed:
-            raise UsageError(f"{path}: unknown config key {key!r}")
-        out[key] = _convert(allowed[key], key, value)
-    return out
-
-
-def _effective(flag_value, cfg: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    return cfg.get(key, default)
 
 
 def _require_positive(name: str, value, minimum=None) -> None:
@@ -144,10 +119,11 @@ def _out_dir(args) -> Path:
 _COMPONENT_KEY = re.compile(r"component(\d+)\.(family|mean|variance)\Z")
 
 
-def _parse_system_spec(path: str) -> tuple[str, int, int | None, list[GeneratorSpec]]:
-    """Parse a simulate spec file into (kind, n, seed, generators)."""
+def _parse_system_spec(path: str) -> tuple[str, int, int, list[GeneratorSpec]]:
+    """Parse a simulate spec file into (kind, n, seed, generators); seed defaults to 0."""
     raw = io.read_config(path)
-    kind = n = seed = None
+    kind = n = None
+    seed = 0
     fields: dict[int, dict[str, str]] = {}
     for key, value in raw.items():
         if key == "kind":
@@ -208,7 +184,7 @@ def _parse_system_spec(path: str) -> tuple[str, int, int | None, list[GeneratorS
 def cmd_simulate(args) -> int:
     started = _now()
     kind, n, spec_seed, generators = _parse_system_spec(args.spec)
-    seed = _effective(args.seed, {"seed": spec_seed} if spec_seed is not None else {}, "seed", 0)
+    seed = spec_seed if args.seed is None else args.seed
     if seed < 0:
         raise UsageError(f"--seed must be non-negative, got {seed}")
     k = len(generators)
@@ -244,28 +220,16 @@ def cmd_simulate(args) -> int:
 # --------------------------------------------------------------------- fit
 
 
-def _chain_defaults() -> dict:
-    """The chain settings' defaults, keyed as flags and config keys, from ``FitConfig()``."""
-    d = FitConfig()
-    return {
-        "v": d.prior_variance,
-        "np": d.final_mcmc.n_p,
-        "burnin": d.final_mcmc.burn_in,
-        "thin": d.final_mcmc.thin,
-        "tol": d.tol,
-        "max-iter": d.max_iter,
-    }
-
-
-def _chain_settings(args, cfg: dict) -> tuple[dict, FitConfig]:
-    """Chain settings from the flags, else ``cfg``, else ``FitConfig()``.
-
-    Returns the settings keyed as the manifest records them, and the
-    :class:`FitConfig` they make.
-    """
+def _chain_settings(args) -> tuple[dict, FitConfig]:
+    """The chain settings keyed as the manifest records them, and the
+    :class:`FitConfig` they make."""
     s = {
-        key: _effective(getattr(args, key.replace("-", "_")), cfg, key, default)
-        for key, default in _chain_defaults().items()
+        "v": args.v,
+        "np": args.np,
+        "burnin": args.burnin,
+        "thin": args.thin,
+        "tol": args.tol,
+        "max-iter": args.max_iter,
     }
     _require_positive("--v", s["v"])
     # the posterior standard deviations need two draws
@@ -276,38 +240,17 @@ def _chain_settings(args, cfg: dict) -> tuple[dict, FitConfig]:
     _require_positive("--max-iter", s["max-iter"], minimum=1)
     final = McmcConfig(n_p=s["np"], burn_in=s["burnin"], thin=s["thin"])
     fit_cfg = FitConfig(
-        prior_variance=s["v"],
-        tol=s["tol"],
-        max_iter=s["max-iter"],
-        mcmc=_iteration_mcmc(final),
-        final_mcmc=final,
+        prior_variance=s["v"], tol=s["tol"], max_iter=s["max-iter"], final_mcmc=final
     )
     return s, fit_cfg
 
 
-_FIT_KEYS = {
-    "kind": str,
-    "k": int,
-    "side": str,
-    **{key: type(default) for key, default in _chain_defaults().items()},
-    "seed": int,
-}
-
-
 def cmd_fit(args) -> int:
     started = _now()
-    file_cfg = _load_config(args.config, _FIT_KEYS)
-    kind = _effective(args.kind, file_cfg, "kind", None)
-    k = _effective(args.k, file_cfg, "k", None)
-    side = _effective(args.side, file_cfg, "side", None)
-    seed = _effective(args.seed, file_cfg, "seed", 0)
-    if kind is not None and kind not in _KINDS:
-        raise UsageError(f"--kind must be one of {_KINDS}, got {kind!r}")
-    if side is not None and side not in _SIDES:
-        raise UsageError(f"--side must be one of {_SIDES}, got {side!r}")
+    kind, k, side, seed = args.kind, args.k, args.side, args.seed
     if k is not None:
         _require_positive("--k", k, minimum=1)
-    s, cfg = _chain_settings(args, file_cfg)
+    s, cfg = _chain_settings(args)
     _require_positive("--seed", seed, minimum=0)
     input_digest = io.sha256_file(args.data)
     header = io.read_header(args.data)
@@ -411,14 +354,6 @@ def cmd_fit(args) -> int:
 
 # ------------------------------------------------------------- reliability
 
-_REL_KEYS = {
-    "grid-max": float,
-    "grid-points": int,
-    "level": float,
-    "method": str,
-}
-
-
 def _draws_shell(betas, etas) -> ComponentFit:
     """Wrap saved draws in the fit object the band code takes.
 
@@ -453,15 +388,11 @@ _BAND_KINDS = {"series": "series", "parallel": "parallel", "component": "series"
 
 def cmd_reliability(args) -> int:
     started = _now()
-    cfg = _load_config(args.config, _REL_KEYS)
-    grid_max = _effective(args.grid_max, cfg, "grid-max", None)
-    grid_points = _effective(args.grid_points, cfg, "grid-points", _GRID_POINTS)
-    level = _effective(args.level, cfg, "level", _LEVEL)
-    method = _effective(args.method, cfg, "method", _METHODS[0])
+    grid_max, grid_points, level, method = (
+        args.grid_max, args.grid_points, args.level, args.method
+    )
     if not 0.0 < level < 1.0:
         raise UsageError(f"--level must lie strictly between 0 and 1, got {level}")
-    if method not in _METHODS:
-        raise UsageError(f"--method must be one of {_METHODS}, got {method!r}")
     _require_positive("--grid-points", grid_points, minimum=1)
 
     src = Path(args.draws)
@@ -551,14 +482,16 @@ def cmd_reliability(args) -> int:
 
 # ------------------------------------------------------------------- study
 
+# each subset-file key: its grid_specs keyword, the type of its values, and
+# whether it takes a comma-separated list of them
 _STUDY_GRID_KEYS = {
-    "families": str,
-    "sides": str,
-    "means": str,
-    "censor-fractions": str,
-    "sizes": str,
-    "variance": float,
-    "replicates": int,
+    "families": ("families", str, True),
+    "sides": ("sides", str, True),
+    "means": ("means", float, True),
+    "censor-fractions": ("censor_fractions", float, True),
+    "sizes": ("sizes", int, True),
+    "variance": ("variance", float, False),
+    "replicates": ("replicates", int, False),
 }
 
 
@@ -576,24 +509,12 @@ def _grid_settings(grid_arg: str) -> tuple[dict, dict]:
     """
     if grid_arg == "full":
         return {}, {}
-    cfg = _load_config(grid_arg, _STUDY_GRID_KEYS)
-    kwargs = {key: cfg[key] for key in ("variance", "replicates") if key in cfg}
-    if "families" in cfg:
-        kwargs["families"] = _split(cfg["families"], str, "families", grid_arg)
-    if "sides" in cfg:
-        sides = _split(cfg["sides"], str, "sides", grid_arg)
-        for side in sides:
-            if side not in _SIDES:
-                raise UsageError(f"{grid_arg}: side must be one of {_SIDES}, got {side!r}")
-        kwargs["sides"] = sides
-    if "means" in cfg:
-        kwargs["means"] = _split(cfg["means"], float, "means", grid_arg)
-    if "censor-fractions" in cfg:
-        kwargs["censor_fractions"] = _split(
-            cfg["censor-fractions"], float, "censor-fractions", grid_arg
-        )
-    if "sizes" in cfg:
-        kwargs["sizes"] = _split(cfg["sizes"], int, "sizes", grid_arg)
+    kwargs = {}
+    for key, raw in io.read_config(grid_arg).items():
+        if key not in _STUDY_GRID_KEYS:
+            raise UsageError(f"{grid_arg}: unknown config key {key!r}")
+        name, conv, is_list = _STUDY_GRID_KEYS[key]
+        kwargs[name] = _split(raw, conv, key, grid_arg) if is_list else _convert(conv, key, raw)
     return kwargs, {Path(grid_arg).name: io.sha256_file(grid_arg)}
 
 
@@ -615,11 +536,10 @@ def _cell_coords(spec) -> dict:
 
 def cmd_study(args) -> int:
     started = _now()
-    seed = args.seed if args.seed is not None else 0
-    _require_positive("--seed", seed, minimum=0)
+    _require_positive("--seed", args.seed, minimum=0)
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     _require_positive("--workers", workers, minimum=1)
-    s, cfg = _chain_settings(args, {})
+    s, cfg = _chain_settings(args)
 
     kwargs, inputs = _grid_settings(args.grid)
     if args.replicates is not None:
@@ -632,7 +552,7 @@ def cmd_study(args) -> int:
     replicates = specs[0].replicates
     workers = min(workers, len(specs))
 
-    master = RandomStream(seed)
+    master = RandomStream(args.seed)
     runner = functools.partial(run_scenario, cfg=cfg, source=master)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -672,7 +592,7 @@ def cmd_study(args) -> int:
     _write_manifest(
         out,
         command="study",
-        seed=seed,
+        seed=args.seed,
         config=config,
         inputs=inputs,
         outputs=["study.csv"],
@@ -720,37 +640,49 @@ def cmd_study(args) -> int:
 
 # -------------------------------------------------------------------- main
 
+# the settings a --config file may give, as the flags they name
+_CONFIG_KEYS = {
+    "fit": ("kind", "k", "side", "v", "np", "burnin", "thin", "tol", "max-iter", "seed"),
+    "reliability": ("grid-max", "grid-points", "level", "method"),
+}
+_CONFIG_HELP = "file of key = value lines, read as the flags they name; flags win"
+
 
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
-    d = _chain_defaults()
-    p.add_argument("--v", type=float, default=None, help=f"prior variance (default {d['v']:g})")
+    d = FitConfig()
+    p.add_argument(
+        "--v", type=float, default=d.prior_variance, help="prior variance (default %(default)g)"
+    )
     p.add_argument(
         "--np",
         type=int,
-        default=None,
-        help=f"posterior draws kept per chain, at least 2 (default {d['np']})",
+        default=d.final_mcmc.n_p,
+        help="posterior draws kept per chain, at least 2 (default %(default)s)",
     )
     p.add_argument(
         "--burnin",
         type=int,
-        default=None,
-        help=f"final-chain burn-in; EM chains use a tenth (default {d['burnin']})",
+        default=d.final_mcmc.burn_in,
+        help="final-chain burn-in; EM chains use a tenth (default %(default)s)",
     )
     p.add_argument(
-        "--thin", type=int, default=None, help=f"keep every thin-th state (default {d['thin']})"
+        "--thin",
+        type=int,
+        default=d.final_mcmc.thin,
+        help="keep every thin-th state (default %(default)s)",
     )
     p.add_argument(
         "--tol",
         type=float,
-        default=None,
-        help=f"stop when both prior means move less than this (default {d['tol']:g})",
+        default=d.tol,
+        help="stop when both prior means move less than this (default %(default)g)",
     )
     p.add_argument(
         "--max-iter",
         dest="max_iter",
         type=int,
-        default=None,
-        help=f"cap on EM iterations (default {d['max-iter']})",
+        default=d.max_iter,
+        help="cap on EM iterations (default %(default)s)",
     )
 
 
@@ -780,7 +712,7 @@ def _build_parser() -> _Parser:
         "sample (time,cause) or a pre-decomposed component sample (time,event).",
     )
     fit.add_argument("data", help="failure sample CSV")
-    fit.add_argument("--config", default=None, help="flat key=value defaults; flags override")
+    fit.add_argument("--config", default=None, help=_CONFIG_HELP)
     fit.add_argument("--kind", choices=_KINDS, default=None, help="system structure")
     fit.add_argument("--k", type=int, default=None, help="number of components")
     fit.add_argument(
@@ -790,7 +722,7 @@ def _build_parser() -> _Parser:
         help="censoring side for time,event data",
     )
     _add_chain_flags(fit)
-    fit.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
+    fit.add_argument("--seed", type=int, default=0, help="root seed (default %(default)s)")
     fit.add_argument("--out", required=True, help="output directory")
     fit.set_defaults(func=cmd_fit)
 
@@ -801,7 +733,7 @@ def _build_parser() -> _Parser:
         "bands for each component and for the system curve.",
     )
     rel.add_argument("draws", help="fit output directory")
-    rel.add_argument("--config", default=None, help="flat key=value defaults; flags override")
+    rel.add_argument("--config", default=None, help=_CONFIG_HELP)
     rel.add_argument(
         "--grid-max",
         dest="grid_max",
@@ -813,17 +745,17 @@ def _build_parser() -> _Parser:
         "--grid-points",
         dest="grid_points",
         type=int,
-        default=None,
-        help=f"number of grid times from 0 (default {_GRID_POINTS})",
+        default=_GRID_POINTS,
+        help="number of grid times from 0 (default %(default)s)",
     )
     rel.add_argument(
-        "--level", type=float, default=None, help=f"credible level (default {_LEVEL:g})"
+        "--level", type=float, default=_LEVEL, help="credible level (default %(default)g)"
     )
     rel.add_argument(
         "--method",
         choices=_METHODS,
-        default=None,
-        help=f"interval rule (default {_METHODS[0]})",
+        default=_METHODS[0],
+        help="interval rule (default %(default)s)",
     )
     rel.add_argument("--out", required=True, help="output directory")
     rel.set_defaults(func=cmd_reliability)
@@ -848,7 +780,7 @@ def _build_parser() -> _Parser:
         help=f"replicates per cell (default {GRID_REPLICATES})",
     )
     _add_chain_flags(study)
-    study.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
+    study.add_argument("--seed", type=int, default=0, help="root seed (default %(default)s)")
     study.add_argument(
         "--workers",
         type=int,
@@ -861,9 +793,26 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _config_flags(path: str, command: str) -> list[str]:
+    """A ``--config`` file's ``key = value`` lines as ``--key=value`` flags."""
+    flags = []
+    for key, value in io.read_config(path).items():
+        if key not in _CONFIG_KEYS[command]:
+            raise UsageError(f"{path}: unknown config key {key!r}")
+        flags.append(f"--{key}={value}")
+    return flags
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        argv = list(sys.argv[1:] if argv is None else argv)
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            # the file's flags go right after the command, so that the
+            # command line's own, parsed later, win
+            flags = _config_flags(args.config, args.command)
+            args = parser.parse_args(argv[:1] + flags + argv[1:])
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -121,7 +121,9 @@ def _band_from_matrix(
     """Band over the rows of ``r``, which the hpd method sorts in place.
 
     The hpd bounds of a row are the shortest window holding
-    ``ceil(level * n)`` of its ``n`` values, the lowest one on ties.
+    ``ceil(level * n)`` of its ``n`` values, the lowest one on ties;
+    ``level * n`` is rounded to 9 decimals first, so that a product such
+    as ``0.68 * 75 = 51.00000000000001`` does not add a value.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
@@ -130,7 +132,7 @@ def _band_from_matrix(
     if method == "hpd":
         r.sort(axis=1)
         n = r.shape[1]
-        w = min(math.ceil(level * n), n)
+        w = min(math.ceil(round(level * n, 9)), n)
         i = np.argmin(r[:, w - 1 :] - r[:, : n - w + 1], axis=1)
         rows = np.arange(r.shape[0])
         lower, upper = r[rows, i], r[rows, i + w - 1]

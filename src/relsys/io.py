@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .curves import ReliabilityBand
-from .dists import ComponentParams
 from .errors import DataError, UsageError
 from .mcem import ComponentFit
 from .sampler import PosteriorDraws
@@ -219,27 +218,28 @@ def write_draws_csv(path: str | Path, j: int, d: PosteriorDraws) -> None:
 def read_draws_csv(path: str | Path, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Read back a draws table as ``(betas, etas)`` arrays.
 
-    Checks that every row belongs to component ``j`` and holds a valid
-    :class:`ComponentParams` pair; errors carry the 1-based line number.
+    Checks that every row belongs to component ``j`` and holds a finite,
+    positive shape and scale; errors carry the 1-based line number.
     """
-    betas, etas = [], []
+    betas, etas, lines = [], [], []
     for ln, row in _rows(path, DRAWS_HEADER):
         comp = _int_field(path, ln, "component", row[0])
         if comp != j:
             raise DataError(
                 f"{path}: line {ln}: component {comp} in a file for component {j}"
             )
-        beta = _float_field(path, ln, "beta", row[2])
-        eta = _float_field(path, ln, "eta", row[3])
-        try:
-            ComponentParams(beta, eta)
-        except ValueError as e:
-            raise DataError(f"{path}: line {ln}: {e}") from None
-        betas.append(beta)
-        etas.append(eta)
+        betas.append(_float_field(path, ln, "beta", row[2]))
+        etas.append(_float_field(path, ln, "eta", row[3]))
+        lines.append(ln)
     if not betas:
         raise DataError(f"{path}: no draws")
-    return np.array(betas), np.array(etas)
+    params = np.array([betas, etas])
+    ok = np.isfinite(params) & (params > 0.0)
+    if not ok.all():
+        i = int(np.argmin(ok.all(axis=0)))
+        name, x = ("shape", betas[i]) if not ok[0, i] else ("scale", etas[i])
+        raise DataError(f"{path}: line {lines[i]}: {name} must be finite and > 0, got {x}")
+    return params[0], params[1]
 
 
 def write_band_csv(path: str | Path, band: ReliabilityBand) -> None:

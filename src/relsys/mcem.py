@@ -48,25 +48,20 @@ __all__ = [
 ]
 
 
-def _iteration_mcmc(final: McmcConfig) -> McmcConfig:
-    """Per-iteration chain settings: the final chain's, at a tenth of its burn-in."""
-    return replace(final, burn_in=final.burn_in // 10)
-
-
 @dataclass(frozen=True)
 class FitConfig:
     """Settings for one component fit, and the home of their defaults.
 
-    ``prior_variance`` is the fixed variance of both gamma priors.  ``mcmc``
-    configures the per-iteration chains, ``final_mcmc`` the single long
-    chain run at the converged prior means.  Where each chain starts, and
-    its first proposal scale, follow from the fit itself.
+    ``prior_variance`` is the fixed variance of both gamma priors.
+    ``final_mcmc`` configures the single long chain run at the converged
+    prior means; each EM chain runs with its settings at a tenth of its
+    burn-in.  Where each chain starts, and its first proposal scale, follow
+    from the fit itself.
     """
 
     prior_variance: float = 4.0
     tol: float = 1e-3
     max_iter: int = 200
-    mcmc: McmcConfig = field(default_factory=lambda: _iteration_mcmc(McmcConfig()))
     final_mcmc: McmcConfig = field(default_factory=McmcConfig)
 
     def __post_init__(self):
@@ -258,6 +253,7 @@ def fit_component(
 
     m_beta, m_eta, priors = _initial_priors(c, cfg)
     v = cfg.prior_variance
+    em_mcmc = replace(cfg.final_mcmc, burn_in=cfg.final_mcmc.burn_in // 10)
     trace = [EmStep(0, m_beta, m_eta)]
     converged = False
     em_stream = st.child(0)
@@ -268,7 +264,7 @@ def fit_component(
     for it in range(1, cfg.max_iter + 1):
         if ess < _MIN_WEIGHT_ESS:
             rng = em_stream.child(chains).generator()
-            d = run_chain(make_log_kernel(c, priors), cfg.mcmc, rng, init=(m_beta, m_eta))
+            d = run_chain(make_log_kernel(c, priors), em_mcmc, rng, init=(m_beta, m_eta))
             chains += 1
             gen_beta, gen_eta = m_beta, m_eta
             log_betas, log_etas = np.log(d.betas), np.log(d.etas)

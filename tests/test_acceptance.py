@@ -31,7 +31,6 @@ from relsys.sysmodel import ComponentSample, SystemSample, decompose, make_log_k
 # desk-scale chains for replicated studies: short per-iteration chains and
 # a moderate final chain keep Monte-Carlo error well inside the tolerances
 STUDY_CFG = FitConfig(
-    mcmc=McmcConfig(n_p=300, burn_in=300, thin=2),
     final_mcmc=McmcConfig(n_p=500, burn_in=1000, thin=2),
 )
 
@@ -90,7 +89,6 @@ def test_02_bias_grows_with_censoring_fraction():
 def test_03_zero_censoring_is_side_blind():
     cfg = FitConfig(
         tol=0.02,
-        mcmc=McmcConfig(n_p=150, burn_in=150, thin=1),
         final_mcmc=McmcConfig(n_p=200, burn_in=400, thin=2),
     )
     rows = []
@@ -172,7 +170,6 @@ def test_06_tiny_sample_posteriors_match_quadrature():
     # posterior is evaluated at whatever hyper-means the fit settles on
     cfg = FitConfig(
         tol=5e-3,
-        mcmc=McmcConfig(n_p=1000, burn_in=1000, thin=5),
         final_mcmc=McmcConfig(n_p=3000, burn_in=5000, thin=10),
     )
     worst = 0.0

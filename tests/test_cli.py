@@ -154,7 +154,6 @@ class TestFitCommand:
         cfg = FitConfig(
             prior_variance=4.0,
             tol=0.02,
-            mcmc=McmcConfig(n_p=60, burn_in=20, thin=2),
             final_mcmc=McmcConfig(n_p=60, burn_in=200, thin=2),
         )
         fits = fit_system(sample, cfg, RandomStream(11)).components
@@ -289,7 +288,6 @@ class TestFitCommand:
             built.append(cfg)
             return mcem.fit_component(comp, FitConfig(
                 tol=0.02,
-                mcmc=McmcConfig(n_p=60, burn_in=20, thin=2),
                 final_mcmc=McmcConfig(n_p=60, burn_in=200, thin=2),
             ), source)
 
@@ -358,10 +356,12 @@ class TestConfigFiles:
     """``--config`` on ``fit`` and ``reliability``: a file of ``key = value``
     lines acts as the flags it names, and the command line's flags win."""
 
-    FIT_SETTINGS = {"kind": "series", "k": "2", "np": "60", "burnin": "200",
-                    "thin": "2", "tol": "0.02", "seed": "11"}
-    REL_SETTINGS = {"grid-max": "2.5", "grid-points": "15", "level": "0.9",
-                    "method": "quantile"}
+    SETTINGS = {
+        "fit": {"kind": "series", "k": "2", "np": "60", "burnin": "200",
+                "thin": "2", "tol": "0.02", "seed": "11"},
+        "reliability": {"grid-max": "2.5", "grid-points": "15", "level": "0.9",
+                        "method": "quantile"},
+    }
 
     @pytest.fixture
     def inputs(self, tmp_path):
@@ -386,12 +386,9 @@ class TestConfigFiles:
         files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
         return files, m
 
-    def settings(self, command):
-        return self.FIT_SETTINGS if command == "fit" else self.REL_SETTINGS
-
     @pytest.mark.parametrize("command", ["fit", "reliability"])
     def test_config_file_acts_as_its_flags(self, tmp_path, inputs, command):
-        s = self.settings(command)
+        s = self.SETTINGS[command]
         data = inputs[command]
         by_flags = self.run(tmp_path, command, data, "flags", flags=s)
         by_config = self.run(tmp_path, command, data, "config", settings=s)
@@ -399,7 +396,7 @@ class TestConfigFiles:
 
     @pytest.mark.parametrize("command", ["fit", "reliability"])
     def test_flag_beats_config_key(self, tmp_path, inputs, command):
-        s = self.settings(command)
+        s = self.SETTINGS[command]
         key, flag_value, config_value = {
             "fit": ("np", "50", "40"),
             "reliability": ("level", "0.8", "0.6"),
@@ -583,6 +580,26 @@ class TestReliabilityCommand:
             assert cli("reliability", src, "--grid-points", "20", "--out", out) == 0, name
             for band in ("band_component1.csv", "band_component2.csv", "band_system.csv"):
                 assert (out / band).read_bytes() == (tmp_path / "ref" / band).read_bytes()
+
+    @pytest.mark.parametrize(
+        "column, value, name", [(2, "nan", "shape"), (3, "-1.0", "scale"), (3, "inf", "scale")]
+    )
+    def test_bad_draw_names_its_first_line(self, tmp_path, capsys, column, value, name):
+        sim = simulate(tmp_path)
+        fit_dir = fit(tmp_path, sim)
+        path = fit_dir / "draws_component2.csv"
+        lines = path.read_text().splitlines()
+        for i, col, x in [(5, column, value), (9, 2, "0")]:
+            fields = lines[i].split(",")
+            fields[col] = x
+            lines[i] = ",".join(fields)
+        # the blank line is skipped but counted: the first bad row is line 7
+        path.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n")
+        out = tmp_path / "bands"
+        assert cli("reliability", fit_dir, "--grid-points", "5", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"draws_component2.csv: line 7: {name} must be finite and > 0, got {value}" in err
+        assert not (out / "band_system.csv").exists()
 
     @pytest.mark.parametrize("kind", ["paralel", "Series", "", 2, None, ["series"]])
     def test_unknown_kind_is_data_error(self, tmp_path, capsys, kind):

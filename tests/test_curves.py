@@ -110,6 +110,15 @@ class TestHpdInterval:
         lo, hi = hpd_rows(np.arange(1, 101)[None, :] / 100, 0.95)
         assert (lo[0], hi[0]) == (0.01, 0.95)
 
+    def test_window_size_ignores_float_error_in_level_times_n(self):
+        # 0.68 * 75 is 51.00000000000001 in floating point; the window holds
+        # 51 of the 75 values, not 52.  Steps of 1/128 make every window of
+        # 51 equally wide, so the lowest one, ending at 50/128, is taken.
+        row = np.arange(75) / 128
+        lo, hi = hpd_rows(row[None, :], 0.68)
+        assert (lo[0] * 128, hi[0] * 128) == (0, 50)
+        assert oracles.hpd_interval(row, 0.68) == (0.0, 50 / 128)
+
     def test_skewed_sample_shorter_than_quantile_interval(self):
         rng = np.random.default_rng(3)
         x = rng.exponential(1.0, 5000)

@@ -36,7 +36,6 @@ from relsys.sysmodel import (
 
 # small chains keep the EM tests quick; assertions are sized accordingly
 FAST = FitConfig(
-    mcmc=McmcConfig(n_p=300, burn_in=300, thin=3),
     final_mcmc=McmcConfig(n_p=500, burn_in=1500, thin=4),
 )
 
@@ -220,7 +219,6 @@ class TestFitComponent:
         cfg = FitConfig(
             tol=1e-9,
             max_iter=2,
-            mcmc=FAST.mcmc,
             final_mcmc=FAST.final_mcmc,
         )
         fit = fit_component(weibull_sample(31, 40), cfg, RandomStream(7))
@@ -268,7 +266,7 @@ class TestExactEmOracle:
     def test_hyper_means_match_exact_em_fixed_point(self, index):
         c = oracle_samples()[index]
         cfg = FitConfig()
-        assert cfg.mcmc.n_p == self.DRAWS
+        assert cfg.final_mcmc.n_p == self.DRAWS
         fit = fit_component(c, cfg, RandomStream(0).child(index))
         oracle = ExactEm(c, cfg.prior_variance)
         m_beta, m_eta = oracle.fixed_point(fit.em_trace[0].m_beta, fit.em_trace[0].m_eta)
@@ -314,9 +312,8 @@ class TestFitSystem:
 # tiny chains, and a tolerance the base fit misses until max_iter stops it,
 # so that both tol and max_iter decide where the EM trace ends
 GUARD_BASE = FitConfig(
-    tol=1e-3,
+    tol=1e-6,
     max_iter=3,
-    mcmc=McmcConfig(n_p=40, burn_in=40, thin=1),
     final_mcmc=McmcConfig(n_p=20, burn_in=20, thin=1),
 )
 # a value differing from GUARD_BASE's for every setting, nested as the configs
@@ -324,7 +321,6 @@ GUARD_CHANGED = {
     "prior_variance": 2.0,
     "tol": 0.05,
     "max_iter": 4,
-    "mcmc": {"n_p": 41, "burn_in": 41, "thin": 2},
     "final_mcmc": {"n_p": 21, "burn_in": 21, "thin": 2},
 }
 

@@ -21,7 +21,6 @@ from relsys.simlab import (
 from relsys.streams import RandomStream
 
 FAST = FitConfig(
-    mcmc=McmcConfig(n_p=250, burn_in=250, thin=2),
     final_mcmc=McmcConfig(n_p=300, burn_in=800, thin=3),
 )
 
