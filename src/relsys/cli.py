@@ -255,6 +255,8 @@ def cmd_fit(args) -> int:
     input_digest = io.sha256_file(args.data)
     header = io.read_header(args.data)
     if header == io.SYSTEM_HEADER:
+        if side is not None:
+            raise UsageError("data has a 'time,cause' header; it does not take --side")
         if kind is None:
             raise UsageError("data has a 'time,cause' header; --kind is required")
         if k is None:
@@ -264,6 +266,11 @@ def cmd_fit(args) -> int:
         fits = fit_system(sample, cfg, RandomStream(seed)).components
         label = kind
     elif header == io.COMPONENT_HEADER:
+        ignored = [flag for flag, v in (("--kind", kind), ("--k", k)) if v is not None]
+        if ignored:
+            raise UsageError(
+                f"data has a 'time,event' header; it does not take {' or '.join(ignored)}"
+            )
         if side is None:
             raise UsageError("data has a 'time,event' header; --side is required")
         comp = io.read_component_csv(args.data, side)
@@ -713,8 +720,12 @@ def _build_parser() -> _Parser:
     )
     fit.add_argument("data", help="failure sample CSV")
     fit.add_argument("--config", default=None, help=_CONFIG_HELP)
-    fit.add_argument("--kind", choices=_KINDS, default=None, help="system structure")
-    fit.add_argument("--k", type=int, default=None, help="number of components")
+    fit.add_argument(
+        "--kind", choices=_KINDS, default=None, help="system structure, for time,cause data"
+    )
+    fit.add_argument(
+        "--k", type=int, default=None, help="number of components, for time,cause data"
+    )
     fit.add_argument(
         "--side",
         choices=_SIDES,

@@ -106,40 +106,70 @@ class ReliabilityBand:
 
 
 def _survival_matrix(d: PosteriorDraws, times: np.ndarray) -> np.ndarray:
-    """Per-draw survival curves, one row per time point."""
+    """Per-draw survival curves, one row per time point.
+
+    ``exp(-exp(beta * (log t - log eta)))`` is formed in place in the one
+    matrix that the subtraction allocates.
+    """
     log_etas = np.log(d.etas)
     with np.errstate(divide="ignore", over="ignore"):
         log_t = np.log(times)[:, None]
         # beta * log(t/eta); -inf at t = 0 exponentiates to survival 1
-        expo = d.betas[None, :] * (log_t - log_etas[None, :])
-        return np.exp(-np.exp(expo))
+        m = np.subtract(log_t, log_etas)
+        np.multiply(d.betas, m, out=m)
+        np.exp(m, out=m)
+        np.negative(m, out=m)
+        return np.exp(m, out=m)
 
 
 def _band_from_matrix(
     r: np.ndarray, grid: TimeGrid, level: float, method: str
 ) -> ReliabilityBand:
-    """Band over the rows of ``r``, which the hpd method sorts in place.
+    """Band over the rows of ``r``, which it sorts in place.
 
-    The hpd bounds of a row are the shortest window holding
-    ``ceil(level * n)`` of its ``n`` values, the lowest one on ties;
-    ``level * n`` is rounded to 9 decimals first, so that a product such
-    as ``0.68 * 75 = 51.00000000000001`` does not add a value.
+    The mean is taken first, over the unsorted rows; both bounds are then
+    read from the sorted rows, so no copy of ``r`` is made.  The hpd bounds
+    of a row are the shortest window holding ``ceil(level * n)`` of its
+    ``n`` values, the lowest one on ties; ``level * n`` is rounded to 9
+    decimals first, so that a product such as ``0.68 * 75 =
+    51.00000000000001`` does not add a value.  The quantile bounds at
+    ``q = (1 - level) / 2`` and ``1 - q`` are numpy's default "linear"
+    quantiles: the two order statistics around ``q * (n - 1)``, interpolated
+    exactly as ``np.quantile`` does, so the bounds equal its result bit for
+    bit.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     # before the sort: the pairwise sum depends on the element order
     mean = r.mean(axis=1)
+    r.sort(axis=1)
+    n = r.shape[1]
     if method == "hpd":
-        r.sort(axis=1)
-        n = r.shape[1]
         w = min(math.ceil(round(level * n, 9)), n)
         i = np.argmin(r[:, w - 1 :] - r[:, : n - w + 1], axis=1)
         rows = np.arange(r.shape[0])
         lower, upper = r[rows, i], r[rows, i + w - 1]
     else:
         half = (1.0 - level) / 2.0
-        lower, upper = np.quantile(r, [half, 1.0 - half], axis=1)
+        lower, upper = (_sorted_quantile(r, q) for q in (half, 1.0 - half))
     return ReliabilityBand(grid, mean, lower, upper, level, method)
+
+
+def _sorted_quantile(r: np.ndarray, q: float) -> np.ndarray:
+    """numpy's "linear" quantile ``q`` of each row of the row-sorted ``r``."""
+    n = r.shape[1]
+    v = (n - 1) * q
+    if v >= n - 1:
+        # numpy clips both neighbours to the last value, and takes the
+        # fraction against the clipped index -1
+        lo = hi = -1
+    else:
+        lo = math.floor(v)
+        hi = lo + 1
+    g = v - lo
+    a, b = r[:, lo], r[:, hi]
+    diff = b - a
+    return b - diff * (1.0 - g) if g >= 0.5 else a + diff * g
 
 
 def reliability_band(
@@ -166,8 +196,10 @@ def system_band(
 
     Component curves are combined within each draw index, so the ``l``-th
     system curve uses the ``l``-th draw of every component.  The product
-    is formed in place, one component matrix at a time, so at most two
-    draw-by-time matrices are alive at once.
+    is formed in place, and each component's matrix is dropped before the
+    next one is built, so at most two draw-by-time matrices, of
+    ``8 * grid.n * draws`` bytes each, are alive at once; the band is then
+    read from the product, which it sorts in place.
     """
     sizes = {c.draws.n for c in f.components}
     if len(sizes) != 1:
@@ -179,6 +211,7 @@ def system_band(
         if parallel:
             np.subtract(1.0, m, out=m)
         r = m if r is None else np.multiply(r, m, out=r)
+        del m
     if parallel:
         np.subtract(1.0, r, out=r)
     return _band_from_matrix(r, grid, level, method)

@@ -14,7 +14,6 @@ import math
 from datetime import datetime
 
 import numpy as np
-import pytest
 from scipy import integrate
 
 from oracles import gamma_logpdf, masked_system_loglik, quadrature_posterior_means

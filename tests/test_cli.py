@@ -204,6 +204,32 @@ class TestFitCommand:
         assert rc == 1
         assert "--side" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "header, flags, named",
+        [
+            ("time,cause", ("--kind", "series", "--k", "2", "--side", "left"), "--side"),
+            ("time,event", ("--side", "right", "--kind", "parallel", "--k", "7"),
+             "--kind or --k"),
+            ("time,event", ("--side", "right", "--k", "1"), "--k"),
+        ],
+    )
+    def test_flags_the_header_does_not_take_are_usage_errors(
+        self, tmp_path, capsys, header, flags, named
+    ):
+        # a parallel fit asked of component data must not become a
+        # component fit without a word
+        if header == "time,cause":
+            data = simulate(tmp_path) / "sample.csv"
+        else:
+            data = tmp_path / "comp.csv"
+            data.write_text(COMPONENT_CSV)
+        out = tmp_path / "fit"
+        rc = cli("fit", data, *flags, *FAST_FIT, "--out", out)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"'{header}' header; it does not take {named}" in err
+        assert not out.exists()
+
     def test_system_form_requires_kind_and_k(self, tmp_path, capsys):
         sim = simulate(tmp_path)
         rc = cli("fit", sim / "sample.csv", "--out", tmp_path / "fit")

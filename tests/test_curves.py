@@ -1,6 +1,7 @@
 """Tests for reliability bands, their HPD and quantile bounds, and lifetime summaries."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,29 @@ class TestHpdInterval:
         assert np.array_equal(band.mean, mean)
 
 
+class TestQuantileBand:
+    # (1 - 0.5) / 2 * (n - 1) is an integer at n = 1 and 41, so both the
+    # exact order statistic and the clipped last index are covered; n = 3
+    # at level 0.5 puts the fraction at 0.5, where the lerp switches ends
+    @pytest.mark.parametrize("lattice", [None, 4])
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("n", [1, 2, 3, 41, 500, 8000])
+    def test_bounds_equal_numpy_quantile_bit_for_bit(self, n, level, lattice):
+        rng = np.random.default_rng(n)
+        if lattice is None:
+            r = rng.random((25, n))
+        else:
+            # a coarse lattice: many tied values in every row
+            r = rng.integers(0, lattice + 1, (25, n)) / lattice
+        half = (1.0 - level) / 2.0
+        lower, upper = np.quantile(r, [half, 1.0 - half], axis=1)
+        mean = r.mean(axis=1)
+        band = _band_from_matrix(r.copy(), TimeGrid(np.arange(25.0)), level, "quantile")
+        assert np.array_equal(band.lower, lower)
+        assert np.array_equal(band.upper, upper)
+        assert np.array_equal(band.mean, mean)
+
+
 class TestReliabilityDraws:
     def test_matches_scalar_reliability(self):
         d = random_draws(10, 50)
@@ -212,6 +236,14 @@ class TestReliabilityDraws:
     def test_time_zero_gives_certain_survival(self):
         d = random_draws(11, 20)
         assert np.all(_survival_matrix(d, np.array([0.0])) == 1.0)
+
+    def test_in_place_matrix_equals_the_textbook_formula_bit_for_bit(self):
+        d = random_draws(12, 300)
+        times = np.concatenate(([0.0], np.linspace(0.01, 6.0, 40)))
+        with np.errstate(divide="ignore"):
+            log_t = np.log(times)[:, None]
+        expect = np.exp(-np.exp(d.betas * (log_t - np.log(d.etas))))
+        assert np.array_equal(_survival_matrix(d, times), expect)
 
 
 class TestReliabilityBand:
@@ -311,3 +343,41 @@ class TestSystemBand:
         f = SystemFit("series", (make_fit(random_draws(1, 100)), make_fit(random_draws(2, 99))))
         with pytest.raises(ValueError, match="draw counts"):
             system_band(f, TimeGrid.regular(2.0, 5))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes that ``fn`` allocates while it runs, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBandMemory:
+    """A band holds the one draw-by-time matrix it reduces; a system band
+    holds that product and one component matrix.  The 0.1-matrix margin
+    holds the hpd window widths (5% of a matrix at level 0.95) and numpy's
+    ufunc buffers (~130 kB, which is why the matrix is not smaller)."""
+
+    N, POINTS = 4000, 200
+    MATRIX = 8 * N * POINTS
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        return [random_draws(seed, self.N) for seed in (61, 62, 63)]
+
+    @pytest.mark.parametrize("method", ["hpd", "quantile"])
+    def test_component_band_holds_one_matrix(self, draws, method):
+        grid = TimeGrid.regular(5.0, self.POINTS)
+        peak = traced_peak(reliability_band, draws[0], grid, method=method)
+        assert peak <= 1.1 * self.MATRIX
+
+    @pytest.mark.parametrize("method", ["hpd", "quantile"])
+    @pytest.mark.parametrize("kind", ["series", "parallel"])
+    def test_system_band_holds_two_matrices(self, draws, kind, method):
+        grid = TimeGrid.regular(5.0, self.POINTS)
+        f = SystemFit(kind, tuple(make_fit(d) for d in draws))
+        peak = traced_peak(system_band, f, grid, method=method)
+        assert peak <= 2.1 * self.MATRIX

@@ -1,7 +1,5 @@
 """Tests for simulation scenarios, censoring mechanics and the study grid."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from relsys.errors import NumericalError
 from relsys.mcem import FitConfig
 from relsys.sampler import McmcConfig
 from relsys.simlab import (
-    ScenarioResult,
     ScenarioSpec,
     generate_censored_sample,
     generate_system_sample,
