@@ -833,7 +833,9 @@ class TestRecordedOutputs:
     # band ones with the per-row scalar HPD and two quantile calls; a
     # change to how samples are parsed, generated, decomposed or summed,
     # to how the EM draws its chains, or to how a band reduces the drawn
-    # curves moves them
+    # curves moves them.  The manifests (less timestamps), the study
+    # outputs and the printed text were recorded later, before the fit and
+    # study records were each built in one place
     RECORDED = {
         "series": {
             "sample.csv": "359583e35a82adbdaed9d352b8b4a0f1d3f3bc703c437592a98c3f7b72df51d2",
@@ -847,6 +849,11 @@ class TestRecordedOutputs:
             "quantile/band_component1.csv": "2e01818d3a035fbe92e9dc7a4912af7cfe4754c2acfd6f0931c9076af8673ade",
             "quantile/band_component2.csv": "68e44289fc7a5ad426e40dd1118e080aed5f9c78e761bd4795a0d158fe1118d9",
             "quantile/band_system.csv": "87d7cd81b2f7ea8acdebbfc10dd765842eec81d53bf919dbb5d63b836e488439",
+            "stdout": "fbda94bff9d3122ffe4c7e0c5550b97dee6b979e8ad29f91d8f405ba2fd17548",
+            "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "manifest.json": "f5aad9beeaf3dd0a063314d286ccbb540b67a21f0ad794f657f213e575150864",
+            "hpd/manifest.json": "70263f69258330c64dc7bfcc4c7df823523cf758dce7b25117bba44e4abf67f6",
+            "quantile/manifest.json": "3ebcd654d05066f22a13250a6c4ee96039daa407f863cf31555f9472cb671d98",
         },
         "parallel": {
             "sample.csv": "66f3acb3dfa1871a487fcfdabfd38573d2090ffa6573f98a30c7b40a3fefc614",
@@ -860,20 +867,45 @@ class TestRecordedOutputs:
             "quantile/band_component1.csv": "c825ee729b7e3f71e7adf2f0b3d91c7cf5b60d802eca0fd1152bc3de72261482",
             "quantile/band_component2.csv": "9cd0f34688d15aa82a31076d8098ca555b5847bc9e7979506c14e12d702f7283",
             "quantile/band_system.csv": "5582055eb841c5926d238cac2bf3c8178791e669a3750d18f6ed3c93e7771b50",
+            "stdout": "5b28e6dd637e5c00140b4a113f59b9ef6da70ec5628a7cad94a67866190a24e2",
+            "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "manifest.json": "03445ecc5d2fc040933fe9aab000bff3ad9b17ac711beb7a7bdf541e03a55ffa",
+            "hpd/manifest.json": "16a619ec06b425ae4742b5a8441829fc316e5ffc0aff81cdd2778a4d3167af63",
+            "quantile/manifest.json": "b05edca1dbc15fd0cd82240fdec55eed89538364eb9fb61d64672ccf8b55d365",
         },
         "right": {
             "draws_component1.csv": "30de1dd2d67611389419d8eee6e0d3cc1e21d11d531688e0f127eb76ee7c36f4",
             "em_trace.csv": "ae94dca04476a926a751473106e2168fa2afc3834f9256e7f27d3c372d2142b4",
             "hyper_estimates.json": "9743b808f9d392e0ecf4f15078be7de08b9c8c45d01b57ec1819355d72244e3b",
+            "stdout": "e0b99a6d26e44069ba2828d92fd100625936a2f22eef5c39c3fb2a32a9021b38",
+            "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "manifest.json": "f029a138c6bce2dab0b4b576fc2b53ae602fec7ddd83e93a492a6b90f930c9e2",
         },
         "left": {
             "draws_component1.csv": "24e98197a24e13e1ff9a0fd1ccfe0cfca163da4e8ad9aec12e1fe54e642fe767",
             "em_trace.csv": "428e700bf1d3f5ddce4b11d1d9350b7d6e0cfb4fa0708439fa9ba2d623cf7693",
             "hyper_estimates.json": "480e93202f2e5c000ec92621f4aac7ec75a1c7aadc2875a8b70f0e18b3fc9816",
+            "stdout": "bde46c6093f7a10577df71cb922a6608d23b3445f85c09306120fb996f1182eb",
+            "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "manifest.json": "12963c1022193b248d30d56297548d442100a5545a25dd01ec0b912a95f9b228",
+        },
+        "study": {
+            "study.csv": "2e7573868d57d2caeccf70fc26d87a2b235edd68c5792ff674d78c4aaf433b52",
+            "manifest.json": "12b1a3de7460dc7f55b7d6a4f405184c8c6f975b0f96ea373e0b3b07fc9c824c",
+            "stdout": "4c0175c9ac9a15d8a9ece6593417dcbdf7085b25cd70511db8d8193de82a02e0",
+            "stderr": "5e1c00e27a9b71c6c9fe284aeb4a932b8e40f93fa602500985ca022a5e52c99a",
         },
     }
 
-    def outputs(self, tmp_path, case) -> dict:
+    # a study subset whose manifest lists a failed replicate (gamma draws a
+    # lifetime of 0 at variance 1e6), a fit stopped at the iteration cap
+    # and an absurd estimate (weibull at variance 1e6), beside clean cells
+    STUDY_SUBSET = ("families = weibull, gamma\nsides = right, left\nsizes = 30\n"
+                    "censor-fractions = 0.0, 0.2\nmeans = 2.0\nvariance = 1e6\n")
+
+    def outputs(self, tmp_path, case, capsys) -> dict:
+        if case == "study":
+            return self.study_outputs(tmp_path, capsys)
         digests = {}
         if case in ("series", "parallel"):
             sim = simulate(tmp_path, spec=SPEC.replace("kind = series", f"kind = {case}"))
@@ -885,19 +917,57 @@ class TestRecordedOutputs:
             data.write_text(COMPONENT_CSV)
             shape = ("--side", case)
         out = tmp_path / "fit"
+        capsys.readouterr()
         assert cli("fit", data, *shape, *FAST_FIT, "--seed", 11, "--out", out) == 0
+        digests.update(self.printed(capsys))
         for path in sorted(out.iterdir()):
-            if path.name != "manifest.json":
-                digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+            digests[path.name] = self.digest(path)
         if case in ("series", "parallel"):
             for method in ("hpd", "quantile"):
                 bands = tmp_path / method
                 assert cli("reliability", out, "--method", method, "--out", bands) == 0
-                for path in sorted(bands.glob("band_*.csv")):
+                for path in sorted(bands.glob("band_*.csv")) + [bands / "manifest.json"]:
                     key = f"{method}/{path.name}"
-                    digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+                    digests[key] = self.digest(path)
         return digests
 
-    @pytest.mark.parametrize("case", ["series", "parallel", "right", "left"])
-    def test_outputs_are_bit_identical_to_recorded_run(self, tmp_path, case):
-        assert self.outputs(tmp_path, case) == self.RECORDED[case]
+    def study_outputs(self, tmp_path, capsys) -> dict:
+        grid_file = tmp_path / "subset.cfg"
+        grid_file.write_text(self.STUDY_SUBSET)
+        out = tmp_path / "study"
+        capsys.readouterr()
+        assert cli("study", "--grid", grid_file, "--replicates", "2",
+                   *TestStudyCommand.FAST, "--max-iter", "2", "--seed", 3,
+                   "--workers", "1", "--out", out) == 0
+        printed = self.printed(capsys)
+        m = manifest_of(out)
+        assert all(m[key] for key in
+                   ("replicate_failures", "not_converged", "absurd_estimates", "work"))
+        return {
+            "study.csv": self.digest(out / "study.csv"),
+            "manifest.json": self.digest(out / "manifest.json"),
+            **printed,
+        }
+
+    @staticmethod
+    def printed(capsys) -> dict:
+        """SHA-256 of what the last command wrote to stdout and stderr."""
+        captured = capsys.readouterr()
+        return {
+            "stdout": hashlib.sha256(captured.out.encode()).hexdigest(),
+            "stderr": hashlib.sha256(captured.err.encode()).hexdigest(),
+        }
+
+    @staticmethod
+    def digest(path) -> str:
+        """SHA-256 of a file; of a manifest less ``timestamps``, re-serialized
+        with sorted keys."""
+        if path.name != "manifest.json":
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+        m = json.loads(path.read_text())
+        m.pop("timestamps")
+        return hashlib.sha256(json.dumps(m, sort_keys=True).encode()).hexdigest()
+
+    @pytest.mark.parametrize("case", ["series", "parallel", "right", "left", "study"])
+    def test_outputs_are_bit_identical_to_recorded_run(self, tmp_path, capsys, case):
+        assert self.outputs(tmp_path, case, capsys) == self.RECORDED[case]
