@@ -90,7 +90,6 @@ def _write_manifest(
     inputs: dict,
     outputs: Sequence[str],
     started: str,
-    components: list | None = None,
     extras: dict | None = None,
 ) -> None:
     manifest = {
@@ -101,8 +100,6 @@ def _write_manifest(
         "outputs": {name: io.sha256_file(out / name) for name in outputs},
         "timestamps": {"started": started, "finished": _now()},
     }
-    if components is not None:
-        manifest["components"] = components
     if extras:
         manifest.update(extras)
     io.write_json(out / "manifest.json", manifest)
@@ -245,6 +242,34 @@ def _chain_settings(args) -> tuple[dict, FitConfig]:
     return s, fit_cfg
 
 
+# the fields of a component's hyper_estimates.json record its manifest entry repeats
+_MANIFEST_COMPONENT_KEYS = (
+    "component", "converged", "iterations", "chains", "min_weight_ess", "acceptance_rate",
+)
+
+
+def _component_record(j: int, f: ComponentFit) -> dict:
+    """Component ``j``'s ``hyper_estimates.json`` entry."""
+    d = f.draws
+    mean_time, sd_time = mean_time_posterior(d)
+    return {
+        "component": j,
+        "m_beta": f.m_beta,
+        "m_eta": f.m_eta,
+        "mean_time": mean_time,
+        "sd_time": sd_time,
+        "converged": f.converged,
+        "iterations": len(f.em_trace) - 1,
+        "chains": f.chains,
+        "min_weight_ess": f.min_weight_ess,
+        "acceptance_rate": d.acceptance_rate,
+        "step_final": d.step_final,
+        "lag1_beta": d.lag1_beta,
+        "lag1_eta": d.lag1_eta,
+        "warnings": list(f.warnings),
+    }
+
+
 def cmd_fit(args) -> int:
     started = _now()
     kind, k, side, seed = args.kind, args.k, args.side, args.seed
@@ -264,7 +289,7 @@ def cmd_fit(args) -> int:
         sample = io.read_system_csv(args.data, kind, k)
         times = sample.times
         fits = fit_system(sample, cfg, RandomStream(seed)).components
-        label = kind
+        shape = {"kind": kind, "k": k}
     elif header == io.COMPONENT_HEADER:
         ignored = [flag for flag, v in (("--kind", kind), ("--k", k)) if v is not None]
         if ignored:
@@ -276,85 +301,46 @@ def cmd_fit(args) -> int:
         comp = io.read_component_csv(args.data, side)
         times = comp.times
         fits = (fit_component(comp, cfg, RandomStream(seed).child(0)),)
-        label = "component"
+        shape = {"kind": "component", "k": 1, "side": side}
     else:
         raise DataError(
             f"{args.data}: unrecognized header {','.join(header)!r}; "
             "expected time,cause or time,event"
         )
-    k = len(fits)  # the component count actually fitted
-
     out = _out_dir(args)
     outputs = []
-    components = []
-    hyper_components = []
+    records = []
     for j, f in enumerate(fits, start=1):
         name = io.draws_filename(j)
         io.write_draws_csv(out / name, j, f.draws)
         outputs.append(name)
-        mean_time, sd_time = mean_time_posterior(f.draws)
-        work = {
-            "iterations": len(f.em_trace) - 1,
-            "chains": f.chains,
-            "min_weight_ess": f.min_weight_ess,
-        }
-        hyper_components.append(
-            {
-                "component": j,
-                "m_beta": f.m_beta,
-                "m_eta": f.m_eta,
-                "mean_time": mean_time,
-                "sd_time": sd_time,
-                "converged": f.converged,
-                **work,
-                "acceptance_rate": f.draws.acceptance_rate,
-                "step_final": f.draws.step_final,
-                "lag1_beta": f.draws.lag1_beta,
-                "lag1_eta": f.draws.lag1_eta,
-                "warnings": list(f.warnings),
-            }
-        )
-        components.append(
-            {
-                "component": j,
-                "converged": f.converged,
-                **work,
-                "acceptance_rate": f.draws.acceptance_rate,
-            }
-        )
-        state = "converged" if f.converged else "NOT converged"
+        r = _component_record(j, f)
+        records.append(r)
+        state = "converged" if r["converged"] else "NOT converged"
         print(
-            f"component {j}: m_beta={f.m_beta:.6g} m_eta={f.m_eta:.6g} "
-            f"mean_time={mean_time:.6g} ({state}, "
-            f"acceptance {f.draws.acceptance_rate:.2f})"
+            f"component {j}: m_beta={r['m_beta']:.6g} m_eta={r['m_eta']:.6g} "
+            f"mean_time={r['mean_time']:.6g} ({state}, "
+            f"acceptance {r['acceptance_rate']:.2f})"
         )
-        for w in f.warnings:
+        for w in r["warnings"]:
             print(f"component {j}: warning: {w}", file=sys.stderr)
     io.write_trace_csv(out / "em_trace.csv", fits)
     outputs.append("em_trace.csv")
-    hyper = {
-        "kind": label,
-        "k": k,
-        "t99": float(np.percentile(times, 99.0)),
-        "components": hyper_components,
-    }
-    if label == "component":
-        hyper["side"] = side
-    io.write_json(out / "hyper_estimates.json", hyper)
+    t99 = float(np.percentile(times, 99.0))
+    io.write_json(out / "hyper_estimates.json", {**shape, "t99": t99, "components": records})
     outputs.append("hyper_estimates.json")
 
-    config = {**s, "kind": label, "k": k}
-    if label == "component":
-        config["side"] = side
     _write_manifest(
         out,
         command="fit",
         seed=seed,
-        config=config,
+        config={**s, **shape},
         inputs={Path(args.data).name: input_digest},
         outputs=outputs,
         started=started,
-        components=components,
+        extras={
+            "components": [{key: r[key] for key in _MANIFEST_COMPONENT_KEYS} for r in records]
+        },
     )
     return 0
 
@@ -410,12 +396,12 @@ def cmd_reliability(args) -> int:
         )
     hyper = io.read_json(hyper_path)
     try:
-        kind = hyper["kind"]
-        k = int(hyper["k"])
-    except (KeyError, TypeError, ValueError):
-        raise DataError(f"{hyper_path}: missing or malformed 'kind'/'k' entries") from None
-    if k < 1:
-        raise DataError(f"{hyper_path}: k must be >= 1, got {k}")
+        kind, k = hyper["kind"], hyper["k"]
+    except (KeyError, TypeError):
+        raise DataError(f"{hyper_path}: missing 'kind'/'k' entries") from None
+    # a JSON integer only: int() would truncate 1.9 and take "2", and a bool is an int
+    if type(k) is not int or k < 1:
+        raise DataError(f"{hyper_path}: k must be an integer >= 1, got {k!r}")
     if not (isinstance(kind, str) and kind in _BAND_KINDS):
         raise DataError(
             f"{hyper_path}: kind must be one of {tuple(_BAND_KINDS)}, got {kind!r}"
@@ -431,6 +417,8 @@ def cmd_reliability(args) -> int:
 
     if grid_max is None:
         t99 = hyper.get("t99")
+        if isinstance(t99, bool):
+            raise DataError(f"{hyper_path}: t99 must be a number, got {t99!r}")
         if not isinstance(t99, (int, float)) or not t99 > 0.0:
             raise UsageError(
                 "--grid-max is required (no usable 't99' anchor in hyper_estimates.json)"
@@ -530,17 +518,6 @@ def _json_number(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _cell_coords(spec) -> dict:
-    """A study cell's coordinates, keyed as the ``study.csv`` columns."""
-    return {
-        "side": spec.side,
-        "family": spec.generator.family,
-        "censor_pct": spec.censor_fraction * 100.0,
-        "true_mean": spec.true_mean,
-        "n": spec.n,
-    }
-
-
 def cmd_study(args) -> int:
     started = _now()
     _require_positive("--seed", args.seed, minimum=0)
@@ -567,11 +544,13 @@ def cmd_study(args) -> int:
     else:
         results = tuple(runner(spec) for spec in specs)
 
+    rows = []
+    cells = {"replicate_failures": [], "not_converged": [], "absurd_estimates": [], "work": []}
     for r in results:
+        c = r.spec.coords
         cell = (
-            f"{r.spec.side} {r.spec.generator.family} "
-            f"censor={r.spec.censor_fraction * 100:.0f}% mean={r.spec.true_mean:g} "
-            f"n={r.spec.n}"
+            f"{c['side']} {c['family']} censor={c['censor_pct']:.0f}% "
+            f"mean={c['true_mean']:g} n={c['n']}"
         )
         line = f"{cell}: bias={r.bias:.4f} mse={r.mse:.4f}"
         if r.n_failed:
@@ -586,9 +565,28 @@ def cmd_study(args) -> int:
                 f"{cell}: replicate {rep} has an absurd mean-lifetime estimate {est:.6g}",
                 file=sys.stderr,
             )
+        # a cell enters the first three manifest lists only with something to list
+        for key, field, entries in (
+            ("replicate_failures", "failures",
+             [{"replicate": rep, "reason": why} for rep, why in r.failures]),
+            ("not_converged", "replicates", list(r.not_converged)),
+            ("absurd_estimates", "replicates",
+             [{"replicate": rep, "estimate": _json_number(est)} for rep, est in r.absurd]),
+        ):
+            if entries:
+                cells[key].append({**c, field: entries})
+        cells["work"].append(
+            {
+                **c,
+                "chains": r.chains,
+                "iterations": r.iterations,
+                "min_weight_ess": _json_number(r.min_weight_ess),
+            }
+        )
+        rows.append((*c.values(), r.bias, r.mse, r.n_failed))
 
     out = _out_dir(args)
-    io.write_study_csv(out / "study.csv", results)
+    io.write_table(out / "study.csv", io.STUDY_HEADER, rows)
     # record the subset file by name; its content digest sits under inputs
     config = {
         "grid": args.grid if args.grid == "full" else Path(args.grid).name,
@@ -607,39 +605,7 @@ def cmd_study(args) -> int:
         extras={
             "cells": len(results),
             "failed_replicates": sum(r.n_failed for r in results),
-            "replicate_failures": [
-                {
-                    **_cell_coords(r.spec),
-                    "failures": [{"replicate": rep, "reason": why} for rep, why in r.failures],
-                }
-                for r in results
-                if r.failures
-            ],
-            "not_converged": [
-                {**_cell_coords(r.spec), "replicates": list(r.not_converged)}
-                for r in results
-                if r.not_converged
-            ],
-            "absurd_estimates": [
-                {
-                    **_cell_coords(r.spec),
-                    "replicates": [
-                        {"replicate": rep, "estimate": _json_number(est)}
-                        for rep, est in r.absurd
-                    ],
-                }
-                for r in results
-                if r.absurd
-            ],
-            "work": [
-                {
-                    **_cell_coords(r.spec),
-                    "chains": r.chains,
-                    "iterations": r.iterations,
-                    "min_weight_ess": _json_number(r.min_weight_ess),
-                }
-                for r in results
-            ],
+            **cells,
         },
     )
     return 0
@@ -782,7 +748,8 @@ def _build_parser() -> _Parser:
         "--grid",
         default="full",
         help="'full' or a flat key=value subset file "
-        "(families/sides/means/censor-fractions/sizes/variance)",
+        "(families/sides/means/censor-fractions/sizes/variance/replicates); "
+        "--replicates beats its replicates key",
     )
     study.add_argument(
         "--replicates",

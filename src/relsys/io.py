@@ -23,7 +23,6 @@ from .curves import ReliabilityBand
 from .errors import DataError, UsageError
 from .mcem import ComponentFit
 from .sampler import PosteriorDraws
-from .simlab import ScenarioResult
 from .sysmodel import ComponentSample, SystemSample
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "read_draws_csv",
     "write_band_csv",
     "write_trace_csv",
-    "write_study_csv",
     "write_table",
     "read_config",
     "read_json",
@@ -261,26 +259,6 @@ def write_trace_csv(path: str | Path, fits: Sequence[ComponentFit]) -> None:
         for step in f.em_trace:
             rows.append((step.iteration, j, step.m_beta, step.m_eta))
     write_table(path, TRACE_HEADER, rows)
-
-
-def write_study_csv(path: str | Path, results: Sequence[ScenarioResult]) -> None:
-    write_table(
-        path,
-        STUDY_HEADER,
-        (
-            (
-                r.spec.side,
-                r.spec.generator.family,
-                r.spec.censor_fraction * 100.0,
-                r.spec.true_mean,
-                r.spec.n,
-                r.bias,
-                r.mse,
-                r.n_failed,
-            )
-            for r in results
-        ),
-    )
 
 
 def read_config(path: str | Path) -> dict[str, str]:

@@ -91,6 +91,17 @@ class ScenarioSpec:
     def true_mean(self) -> float:
         return self.generator.mean
 
+    @property
+    def coords(self) -> dict:
+        """The cell's coordinates, keyed as the ``study.csv`` columns."""
+        return {
+            "side": self.side,
+            "family": self.generator.family,
+            "censor_pct": self.censor_fraction * 100.0,
+            "true_mean": self.true_mean,
+            "n": self.n,
+        }
+
 
 @dataclass(frozen=True)
 class ScenarioResult:

@@ -291,20 +291,6 @@ class TestFitCommand:
         assert all(not c["converged"] for c in hyper["components"])
         assert all(not c["converged"] for c in manifest_of(out)["components"])
 
-    def test_config_file_defaults_with_flag_override(self, tmp_path):
-        sim = simulate(tmp_path)
-        cfg_file = tmp_path / "fit.cfg"
-        cfg_file.write_text("kind = series\nk = 2\nnp = 40\nseed = 5\n"
-                            "burnin = 100\nthin = 1\ntol = 0.05\n")
-        out = tmp_path / "fit"
-        rc = cli("fit", sim / "sample.csv", "--config", cfg_file,
-                 "--np", "50", "--out", out)
-        assert rc == 0
-        config = manifest_of(out)["config"]
-        assert config["np"] == 50
-        assert config["burnin"] == 100
-        assert manifest_of(out)["seed"] == 5
-
     def test_defaults_come_from_fit_config(self, tmp_path, monkeypatch, capsys):
         # a default-chain fit takes minutes, so the fit itself runs short
         # chains; the settings the command built are recorded and compared
@@ -641,6 +627,24 @@ class TestReliabilityCommand:
         assert "Traceback" not in err
         assert not (out / "band_system.csv").exists()
 
+    @pytest.mark.parametrize(
+        "key, value", [("k", 2.5), ("k", "2"), ("k", True), ("k", 1.9), ("t99", True)]
+    )
+    def test_malformed_k_or_t99_is_data_error(self, tmp_path, capsys, key, value):
+        # int() would read these as k = 2 or 1 and t99 = 1.0, and band
+        # only some of the components on a made-up grid
+        sim = simulate(tmp_path)
+        fit_dir = fit(tmp_path, sim)
+        hyper_path = fit_dir / "hyper_estimates.json"
+        hyper = json.loads(hyper_path.read_text())
+        hyper_path.write_text(json.dumps({**hyper, key: value}))
+        out = tmp_path / "bands"
+        assert cli("reliability", fit_dir, "--grid-points", "5", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "hyper_estimates.json" in err and f"{key} must be" in err and repr(value) in err
+        assert "Traceback" not in err
+        assert not (out / "band_system.csv").exists()
+
     def test_component_fit_directory_composes_as_identity(self, tmp_path):
         data = tmp_path / "comp.csv"
         data.write_text(COMPONENT_CSV)
@@ -676,6 +680,16 @@ class TestStudyCommand:
         assert [c[2] for c in cells] == ["0.0", "0.0", "20.0", "20.0", "40.0", "40.0"]
         assert [c[3] for c in cells] == ["2.0", "7.0"] * 3
         assert all(c[0] == "right" and c[1] == "weibull" and c[4] == "8" for c in cells)
+
+    def test_grid_file_sets_replicates_and_the_flag_beats_it(self, tmp_path):
+        subset = self.SUBSET + "censor-fractions = 0.0\nmeans = 2.0\nreplicates = 3\n"
+        grid_file = tmp_path / "subset.cfg"
+        grid_file.write_text(subset)
+        from_file = tmp_path / "from_file"
+        assert cli("study", "--grid", grid_file, *self.FAST, "--out", from_file) == 0
+        assert manifest_of(from_file)["config"]["replicates"] == 3
+        flagged = self.run_subset(tmp_path, "flagged", subset)  # --replicates 2
+        assert manifest_of(flagged)["config"]["replicates"] == 2
 
     def test_full_grid_enumerates_all_cells(self):
         assert len(grid_specs()) == 108

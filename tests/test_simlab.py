@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from relsys import simlab
+from relsys import io, simlab
 from relsys.dists import GeneratorSpec, sample
 from relsys.errors import NumericalError
 from relsys.mcem import FitConfig
@@ -195,6 +195,14 @@ class TestScenarioSpec:
     def test_true_mean_is_the_generator_mean(self):
         s = ScenarioSpec(GeneratorSpec("lognormal", 7.0, 5.0), 30, 0.2, "left", 5)
         assert s.true_mean == 7.0
+
+    def test_coords_are_keyed_as_the_study_columns(self):
+        s = ScenarioSpec(GeneratorSpec("lognormal", 7.0, 5.0), 30, 0.2, "left", 5)
+        assert s.coords == {
+            "side": "left", "family": "lognormal", "censor_pct": 20.0, "true_mean": 7.0, "n": 30,
+        }
+        # study.csv rows start with the values in this order
+        assert tuple(s.coords) == io.STUDY_HEADER[:5]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="size"):
