@@ -416,13 +416,16 @@ def cmd_reliability(args) -> int:
         )
 
     if grid_max is None:
-        t99 = hyper.get("t99")
-        if isinstance(t99, bool):
-            raise DataError(f"{hyper_path}: t99 must be a number, got {t99!r}")
-        if not isinstance(t99, (int, float)) or not t99 > 0.0:
-            raise UsageError(
-                "--grid-max is required (no usable 't99' anchor in hyper_estimates.json)"
-            )
+        if "t99" not in hyper:
+            raise UsageError("--grid-max is required (no 't99' anchor in hyper_estimates.json)")
+        t99 = hyper["t99"]
+        # a bool is an int, and JSON's Infinity and NaN are floats
+        if (
+            isinstance(t99, bool)
+            or not isinstance(t99, (int, float))
+            or not 0.0 < t99 <= sys.float_info.max
+        ):
+            raise DataError(f"{hyper_path}: t99 must be a finite number > 0, got {t99!r}")
         grid_max = float(t99)
     if not (math.isfinite(grid_max) and grid_max > 0.0):
         raise UsageError(f"--grid-max must be finite and positive, got {grid_max}")
@@ -755,7 +758,8 @@ def _build_parser() -> _Parser:
         "--replicates",
         type=int,
         default=None,
-        help=f"replicates per cell (default {GRID_REPLICATES})",
+        help=f"replicates per cell (default: the --grid file's replicates key, "
+        f"else {GRID_REPLICATES})",
     )
     _add_chain_flags(study)
     study.add_argument("--seed", type=int, default=0, help="root seed (default %(default)s)")

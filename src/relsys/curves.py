@@ -32,6 +32,9 @@ __all__ = [
 _METHODS = ("hpd", "quantile")
 _LEVEL = 0.95
 _GRID_POINTS = 200
+# a band reduces its draws-by-time survival values this many bytes of
+# grid rows at a time (at least one row)
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +126,9 @@ def _survival_matrix(d: PosteriorDraws, times: np.ndarray) -> np.ndarray:
 
 
 def _band_from_matrix(
-    r: np.ndarray, grid: TimeGrid, level: float, method: str
-) -> ReliabilityBand:
-    """Band over the rows of ``r``, which it sorts in place.
+    r: np.ndarray, level: float, method: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, lower and upper bound of each row of ``r``, which it sorts in place.
 
     The mean is taken first, over the unsorted rows; both bounds are then
     read from the sorted rows, so no copy of ``r`` is made.  The hpd bounds
@@ -136,10 +139,9 @@ def _band_from_matrix(
     ``q = (1 - level) / 2`` and ``1 - q`` are numpy's default "linear"
     quantiles: the two order statistics around ``q * (n - 1)``, interpolated
     exactly as ``np.quantile`` does, so the bounds equal its result bit for
-    bit.
+    bit.  Every statistic is per row, so the rows of a matrix may be
+    reduced in any grouping with the same result.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
     # before the sort: the pairwise sum depends on the element order
     mean = r.mean(axis=1)
     r.sort(axis=1)
@@ -148,11 +150,29 @@ def _band_from_matrix(
         w = min(math.ceil(round(level * n, 9)), n)
         i = np.argmin(r[:, w - 1 :] - r[:, : n - w + 1], axis=1)
         rows = np.arange(r.shape[0])
-        lower, upper = r[rows, i], r[rows, i + w - 1]
-    else:
-        half = (1.0 - level) / 2.0
-        lower, upper = (_sorted_quantile(r, q) for q in (half, 1.0 - half))
-    return ReliabilityBand(grid, mean, lower, upper, level, method)
+        return mean, r[rows, i], r[rows, i + w - 1]
+    half = (1.0 - level) / 2.0
+    return mean, _sorted_quantile(r, half), _sorted_quantile(r, 1.0 - half)
+
+
+def _streamed_band(
+    grid: TimeGrid, level: float, method: str, n_draws: int, survival_rows
+) -> ReliabilityBand:
+    """Band over the ``(len(times), n_draws)`` survival values that
+    ``survival_rows(times)`` returns, built and reduced one block of grid
+    rows at a time.
+
+    A block holds about ``_BLOCK_BYTES``, and at least one row, so no
+    draws-by-grid matrix is ever formed.
+    """
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+    out = np.empty((3, grid.n))
+    step = max(1, _BLOCK_BYTES // (8 * n_draws))
+    for start in range(0, grid.n, step):
+        block = slice(start, start + step)
+        out[:, block] = _band_from_matrix(survival_rows(grid.points[block]), level, method)
+    return ReliabilityBand(grid, *out, level, method)
 
 
 def _sorted_quantile(r: np.ndarray, q: float) -> np.ndarray:
@@ -176,7 +196,7 @@ def reliability_band(
     d: PosteriorDraws, grid: TimeGrid, level: float = _LEVEL, method: str = _METHODS[0]
 ) -> ReliabilityBand:
     """Pointwise mean reliability with credible bounds for one component."""
-    return _band_from_matrix(_survival_matrix(d, grid.points), grid, level, method)
+    return _streamed_band(grid, level, method, d.n, lambda t: _survival_matrix(d, t))
 
 
 def mean_time_posterior(d: PosteriorDraws) -> tuple[float, float]:
@@ -195,23 +215,28 @@ def system_band(
     """Credible band for the whole system's reliability.
 
     Component curves are combined within each draw index, so the ``l``-th
-    system curve uses the ``l``-th draw of every component.  The product
-    is formed in place, and each component's matrix is dropped before the
-    next one is built, so at most two draw-by-time matrices, of
-    ``8 * grid.n * draws`` bytes each, are alive at once; the band is then
-    read from the product, which it sorts in place.
+    system curve uses the ``l``-th draw of every component.  The curves
+    are built one block of grid rows at a time: each component's block is
+    folded into the block's product in place and dropped before the next
+    one is built, and the product block is reduced, sorted in place, before
+    the next block of rows.  So at most two blocks of about
+    ``_BLOCK_BYTES`` each are alive at once, whatever the grid size.
     """
     sizes = {c.draws.n for c in f.components}
     if len(sizes) != 1:
         raise ValueError(f"components carry unequal draw counts {sorted(sizes)}")
     parallel = f.kind != "series"
-    r = None
-    for c in f.components:
-        m = _survival_matrix(c.draws, grid.points)
+
+    def survival_rows(times: np.ndarray) -> np.ndarray:
+        r = None
+        for c in f.components:
+            m = _survival_matrix(c.draws, times)
+            if parallel:
+                np.subtract(1.0, m, out=m)
+            r = m if r is None else np.multiply(r, m, out=r)
+            del m
         if parallel:
-            np.subtract(1.0, m, out=m)
-        r = m if r is None else np.multiply(r, m, out=r)
-        del m
-    if parallel:
-        np.subtract(1.0, r, out=r)
-    return _band_from_matrix(r, grid, level, method)
+            np.subtract(1.0, r, out=r)
+        return r
+
+    return _streamed_band(grid, level, method, sizes.pop(), survival_rows)

@@ -219,6 +219,59 @@ def read_draws_csv(path: str | Path, j: int) -> tuple[np.ndarray, np.ndarray]:
     Checks that every row belongs to component ``j`` and holds a finite,
     positive shape and scale; errors carry the 1-based line number.
     """
+    params = _read_draws_at_once(path, j)
+    if params is None:
+        params = _read_draws_by_row(path, j)
+    return params[0], params[1]
+
+
+# the bytes a draws file body may hold to be read in one pass
+_DRAWS_BODY_BYTES = b"0123456789+-.eE,\r\n"
+
+
+def _read_draws_at_once(path: str | Path, j: int) -> np.ndarray | None:
+    """The ``(2, n)`` shapes and scales of a plain draws file, or None.
+
+    One ``np.loadtxt`` call parses the file, and only a file the row reader
+    accepts as it stands is read: the exact header, then rows of four
+    unquoted fields spelled with the characters of decimal numbers, each
+    starting a line with the field ``j`` exactly, and finite, positive
+    draws.  Both numpy and ``float`` round such a number correctly, so to
+    the same double.  Any other file gives None, and the row reader then
+    reads it and names its first bad line.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError:
+        return None
+    head, _, body = raw.partition(b"\n")
+    header = ",".join(DRAWS_HEADER).encode()
+    if head not in (header, header + b"\r") or body.translate(None, _DRAWS_BODY_BYTES):
+        return None
+    # the non-blank lines, split at "\r" too, as the row reader splits them
+    rows = body.decode().split()
+    # every row starts a line with the field j; loadtxt rejects a row of
+    # fewer than four fields, so three commas a row on average make every
+    # row four fields
+    if (
+        not rows
+        or (b"\n" + body).count(b"\n%d," % j) != len(rows)
+        or body.count(b",") != 3 * len(rows)
+    ):
+        return None
+    try:
+        params = np.loadtxt(rows, delimiter=",", comments=None, usecols=(2, 3), ndmin=2)
+    except ValueError:
+        return None
+    params = params.T.copy()
+    if not (np.isfinite(params) & (params > 0.0)).all():
+        return None
+    return params
+
+
+def _read_draws_by_row(path: str | Path, j: int) -> np.ndarray:
+    """The ``(2, n)`` shapes and scales of a draws file, read row by row."""
     betas, etas, lines = [], [], []
     for ln, row in _rows(path, DRAWS_HEADER):
         comp = _int_field(path, ln, "component", row[0])
@@ -237,7 +290,7 @@ def read_draws_csv(path: str | Path, j: int) -> tuple[np.ndarray, np.ndarray]:
         i = int(np.argmin(ok.all(axis=0)))
         name, x = ("shape", betas[i]) if not ok[0, i] else ("scale", etas[i])
         raise DataError(f"{path}: line {lines[i]}: {name} must be finite and > 0, got {x}")
-    return params[0], params[1]
+    return params
 
 
 def write_band_csv(path: str | Path, band: ReliabilityBand) -> None:

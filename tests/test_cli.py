@@ -18,6 +18,7 @@ from relsys import io, mcem, simlab
 from relsys.cli import main
 from relsys.errors import DataError, NumericalError, UsageError
 from relsys.mcem import FitConfig, McmcConfig, fit_system
+from relsys.sampler import PosteriorDraws
 from relsys.simlab import grid_specs
 from relsys.streams import RandomStream
 
@@ -628,11 +629,15 @@ class TestReliabilityCommand:
         assert not (out / "band_system.csv").exists()
 
     @pytest.mark.parametrize(
-        "key, value", [("k", 2.5), ("k", "2"), ("k", True), ("k", 1.9), ("t99", True)]
+        "key, value",
+        [("k", 2.5), ("k", "2"), ("k", True), ("k", 1.9), ("t99", True),
+         ("t99", "abc"), ("t99", 0), ("t99", -1), ("t99", float("inf")),
+         ("t99", float("nan")), ("t99", None), ("t99", 10**400)],
     )
     def test_malformed_k_or_t99_is_data_error(self, tmp_path, capsys, key, value):
         # int() would read these as k = 2 or 1 and t99 = 1.0, and band
-        # only some of the components on a made-up grid
+        # only some of the components on a made-up grid; a t99 that is
+        # present but unusable is a bad data file, not a missing flag
         sim = simulate(tmp_path)
         fit_dir = fit(tmp_path, sim)
         hyper_path = fit_dir / "hyper_estimates.json"
@@ -645,6 +650,18 @@ class TestReliabilityCommand:
         assert "Traceback" not in err
         assert not (out / "band_system.csv").exists()
 
+    def test_absent_t99_needs_grid_max(self, tmp_path, capsys):
+        sim = simulate(tmp_path)
+        fit_dir = fit(tmp_path, sim)
+        hyper_path = fit_dir / "hyper_estimates.json"
+        hyper = json.loads(hyper_path.read_text())
+        del hyper["t99"]
+        hyper_path.write_text(json.dumps(hyper))
+        assert cli("reliability", fit_dir, "--grid-points", "5", "--out", tmp_path / "a") == 1
+        assert "--grid-max is required" in capsys.readouterr().err
+        assert cli("reliability", fit_dir, "--grid-points", "5", "--grid-max", "3",
+                   "--out", tmp_path / "b") == 0
+
     def test_component_fit_directory_composes_as_identity(self, tmp_path):
         data = tmp_path / "comp.csv"
         data.write_text(COMPONENT_CSV)
@@ -655,6 +672,85 @@ class TestReliabilityCommand:
         assert cli("reliability", fit_dir, "--grid-points", "15", "--out", out) == 0
         assert (out / "band_system.csv").read_bytes() == \
             (out / "band_component1.csv").read_bytes()
+
+
+class TestReadDraws:
+    """The one-pass draws reader gives the row reader's arrays bit for bit,
+    or hands the file to it, so that every error names the same line."""
+
+    HEADER = "component,draw_index,beta,eta"
+
+    @staticmethod
+    def both_readers(path, j=1):
+        """What ``read_draws_csv`` and the row reader make of ``path``: the
+        bytes of both arrays, or the DataError message."""
+        out = []
+        for read in (io.read_draws_csv, io._read_draws_by_row):
+            try:
+                out.append(tuple(x.tobytes() for x in read(path, j)))
+            except DataError as e:
+                out.append(str(e))
+        return out
+
+    # (body after the header line, one-pass read, expected error or None)
+    CASES = {
+        "plain_lf": ("\n1,1,1.5,2.0\n1,2,0.25,3e2\n", True, None),
+        "crlf_blank_lines": ("\r\n1,1,1.5,2.0\r\n\r\n1,2,.5,7.\r\n\r\n", True, None),
+        "no_final_newline": ("\n1,1,1.5,2.0\n1,2,+1.5,2E-3", True, None),
+        "component_float": ("\n1,1,1.5,2.0\n1.0,2,1.5,2.0\n", False,
+                            "line 3: component is not an integer: '1.0'"),
+        "component_plus": ("\n+1,1,1.5,2.0\n", False, None),
+        "other_component": ("\n1,1,1.5,2.0\n2,2,1.5,2.0\n", False,
+                            "line 3: component 2 in a file for component 1"),
+        "underscore": ("\n1,1,1_5,2.0\n", False, None),
+        "quoted": ('\n1,1,"1.5",2.0\n', False, None),
+        "spaces": ("\n1, 1, 1.5, 2.0\n", False, None),
+        "draw_index_ignored": ("\n1,x,1.5,2.0\n", False, None),
+        "five_fields": ("\n1,1,1.5,2.0\n1,2,1.5,2.0,9\n", False,
+                        "line 3: expected 4 fields, got 5"),
+        "five_then_three": ("\n1,1,1.5,2.0,9\n1,2,1.5\n", False,
+                            "line 2: expected 4 fields, got 5"),
+        "empty_cell": ("\n1,1,,2.0\n", False, "line 2: beta is not a number: ''"),
+        "header_only": ("\n", False, "no draws"),
+        "header_only_no_newline": ("", False, "no draws"),
+        "negative_after_blank": ("\r\n1,1,1.5,2.0\r\n\r\n1,2,1.5,-1.0\r\n", False,
+                                 "line 4: scale must be finite and > 0, got -1.0"),
+        "overflow": ("\n1,1,1e400,2.0\n", False, "line 2: shape must be finite and > 0, got inf"),
+        "zero": ("\n1,1,0e0,2.0\n", False, "line 2: shape must be finite and > 0, got 0.0"),
+        "cr_only_line_ends": ("\r1,1,1.5,2.0\r", False, None),
+        "cr_cr_lf": ("\r\n1,1,1.5,2.0\r\r\n1,2,1.5,2.0\r", True, None),
+        "cr_splits_a_row": ("\n1,1,1.5,2.0\n1,2,1.\r5,2.0\n", False,
+                            "line 3: expected 4 fields, got 3"),
+        "cr_between_rows": ("\n1,1,1.5,2.0\r1,2,1.5,2.0\n", False, None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_pass_reader_matches_row_reader(self, tmp_path, case):
+        body, one_pass, error = self.CASES[case]
+        path = tmp_path / "draws_component1.csv"
+        path.write_bytes((self.HEADER + body).encode())
+        got, expect = self.both_readers(path)
+        assert got == expect
+        assert (io._read_draws_at_once(path, 1) is not None) == one_pass
+        if error is None:
+            assert isinstance(got, tuple)
+        else:
+            assert got == f"{path}: {error}"
+
+    def test_random_floats_round_trip_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(5)
+        x = rng.random(10_000) * 10.0 ** rng.integers(-323, 308, 10_000)
+        x[:6] = [5e-324, 1e-310, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308, 1.0]
+        x = x[x > 0.0]
+        assert np.any(x < 2.2250738585072014e-308)  # subnormals
+        path = tmp_path / "draws_component3.csv"
+        io.write_draws_csv(path, 3, PosteriorDraws(x, x[::-1].copy(), 0.3, 0.2, 0.0, 0.0, ()))
+        assert io._read_draws_at_once(path, 3) is not None
+        got, expect = self.both_readers(path, 3)
+        assert got == expect
+        assert got == (x.tobytes(), x[::-1].tobytes())
+        # written by the program: CRLF line ends
+        assert path.read_bytes().count(b"\r\n") == x.size + 1
 
 
 class TestStudyCommand:
@@ -690,6 +786,14 @@ class TestStudyCommand:
         assert manifest_of(from_file)["config"]["replicates"] == 3
         flagged = self.run_subset(tmp_path, "flagged", subset)  # --replicates 2
         assert manifest_of(flagged)["config"]["replicates"] == 2
+
+    def test_replicates_help_names_the_grid_key(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["study", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert (f"replicates per cell (default: the --grid file's replicates key, "
+                f"else {simlab.GRID_REPLICATES})") in text
 
     def test_full_grid_enumerates_all_cells(self):
         assert len(grid_specs()) == 108

@@ -9,6 +9,7 @@ from scipy.stats import weibull_min
 
 import oracles
 from relsys.curves import (
+    _BLOCK_BYTES,
     ReliabilityBand,
     TimeGrid,
     _band_from_matrix,
@@ -101,9 +102,8 @@ def test_stored_arrays_are_read_only():
 
 def hpd_rows(r, level):
     """The hpd band's bounds over the rows of ``r``, values in [0, 1]."""
-    grid = TimeGrid(np.arange(float(r.shape[0])))
-    band = _band_from_matrix(np.array(r, dtype=float), grid, level, "hpd")
-    return band.lower, band.upper
+    _, lower, upper = _band_from_matrix(np.array(r, dtype=float), level, "hpd")
+    return lower, upper
 
 
 class TestHpdInterval:
@@ -131,8 +131,8 @@ class TestHpdInterval:
         assert hi[0] - lo[0] < qhi - qlo
         assert lo[0] * scale < 0.05  # mass hugs zero for an exponential
         # the quantile band's bounds are those same two quantiles
-        band = _band_from_matrix(x[None, :], TimeGrid(np.zeros(1)), 0.9, "quantile")
-        assert (band.lower[0], band.upper[0]) == (qlo, qhi)
+        _, lower, upper = _band_from_matrix(x[None, :], 0.9, "quantile")
+        assert (lower[0], upper[0]) == (qlo, qhi)
 
     def test_window_covers_requested_mass(self):
         # every row of the drawn curves, hpd and quantile alike
@@ -195,12 +195,12 @@ class TestHpdInterval:
         else:
             r = rng.integers(0, lattice + 1, (25, n)) / lattice
         mean = r.mean(axis=1)
-        band = _band_from_matrix(r.copy(), TimeGrid(np.arange(25.0)), level, "hpd")
+        got_mean, lower, upper = _band_from_matrix(r.copy(), level, "hpd")
         expect = np.array([oracles.hpd_interval(row, level) for row in r])
-        assert np.array_equal(band.lower, expect[:, 0])
-        assert np.array_equal(band.upper, expect[:, 1])
+        assert np.array_equal(lower, expect[:, 0])
+        assert np.array_equal(upper, expect[:, 1])
         # the mean is taken over the unsorted rows
-        assert np.array_equal(band.mean, mean)
+        assert np.array_equal(got_mean, mean)
 
 
 class TestQuantileBand:
@@ -220,10 +220,9 @@ class TestQuantileBand:
         half = (1.0 - level) / 2.0
         lower, upper = np.quantile(r, [half, 1.0 - half], axis=1)
         mean = r.mean(axis=1)
-        band = _band_from_matrix(r.copy(), TimeGrid(np.arange(25.0)), level, "quantile")
-        assert np.array_equal(band.lower, lower)
-        assert np.array_equal(band.upper, upper)
-        assert np.array_equal(band.mean, mean)
+        got = _band_from_matrix(r.copy(), level, "quantile")
+        for x, y in zip(got, (mean, lower, upper)):
+            assert np.array_equal(x, y)
 
 
 class TestReliabilityDraws:
@@ -333,16 +332,62 @@ class TestSystemBand:
             r = np.prod(mats, axis=0)
         else:
             r = 1.0 - np.prod([1.0 - m for m in mats], axis=0)
-        expect = _band_from_matrix(r, grid, 0.9, method)
+        expect = _band_from_matrix(r, 0.9, method)
         got = system_band(
             SystemFit(kind, tuple(make_fit(d) for d in draws)), grid, level=0.9, method=method
         )
-        assert_bands_equal(got, expect)
+        for x, y in zip(band_arrays(got), expect):
+            assert np.array_equal(x, y)
 
     def test_draw_count_mismatch_rejected(self):
         f = SystemFit("series", (make_fit(random_draws(1, 100)), make_fit(random_draws(2, 99))))
         with pytest.raises(ValueError, match="draw counts"):
             system_band(f, TimeGrid.regular(2.0, 5))
+
+
+def one_shot_band(r, level, method):
+    """Mean and bounds of every row of ``r`` in one reduction of the whole
+    matrix: the hpd window from one argmin over all rows, the quantile
+    bounds from ``np.quantile``."""
+    mean = r.mean(axis=1)
+    s = np.sort(r, axis=1)
+    n = r.shape[1]
+    if method == "hpd":
+        w = min(math.ceil(round(level * n, 9)), n)
+        i = np.argmin(s[:, w - 1 :] - s[:, : n - w + 1], axis=1)
+        rows = np.arange(r.shape[0])
+        return mean, s[rows, i], s[rows, i + w - 1]
+    half = (1.0 - level) / 2.0
+    lower, upper = np.quantile(r, [half, 1.0 - half], axis=1)
+    return mean, lower, upper
+
+
+class TestBlockEdges:
+    """Bands built one block of grid rows at a time equal, bit for bit, one
+    reduction of the whole draw-by-time matrix, on both sides of each block
+    edge; at 70,000 draws a block is a single row."""
+
+    @pytest.mark.parametrize("method", ["hpd", "quantile"])
+    @pytest.mark.parametrize("kind", ["series", "parallel"])
+    @pytest.mark.parametrize("n_draws", [300, 70_000])
+    def test_bands_equal_one_shot_reduction(self, n_draws, kind, method):
+        block = max(1, _BLOCK_BYTES // (8 * n_draws))
+        assert (block == 1) == (n_draws == 70_000)
+        draws = [random_draws(seed, n_draws) for seed in (71, 72)]
+        f = SystemFit(kind, tuple(make_fit(d) for d in draws))
+        for points in sorted({1, block - 1, block, block + 1, 3 * block + 7} - {0}):
+            grid = TimeGrid(np.linspace(0.1, 5.0, points))
+            mats = [_survival_matrix(d, grid.points) for d in draws]
+            if kind == "series":
+                r = np.prod(mats, axis=0)
+            else:
+                r = 1.0 - np.prod([1.0 - m for m in mats], axis=0)
+            for got, expect in [
+                (reliability_band(draws[0], grid, level=0.9, method=method), mats[0]),
+                (system_band(f, grid, level=0.9, method=method), r),
+            ]:
+                for x, y in zip(band_arrays(got), one_shot_band(expect, 0.9, method)):
+                    assert np.array_equal(x, y), points
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -356,13 +401,20 @@ def traced_peak(fn, *args, **kwargs):
 
 
 class TestBandMemory:
-    """A band holds the one draw-by-time matrix it reduces; a system band
-    holds that product and one component matrix.  The 0.1-matrix margin
-    holds the hpd window widths (5% of a matrix at level 0.95) and numpy's
-    ufunc buffers (~130 kB, which is why the matrix is not smaller)."""
+    """A band builds and reduces its survival values one block of grid rows
+    at a time, so its peak is a fixed multiple of the block, whatever the
+    grid size.  A component band holds one block and its hpd window widths,
+    at most half a block at level 0.5; a system band holds the product block
+    and one component block.  The quarter-block margin holds numpy's ufunc
+    buffers (~130 kB) and the output arrays.  At 4000 draws and 200 points
+    the bounds are 0.29 and 0.41 of the whole draw-by-time matrix."""
 
     N, POINTS = 4000, 200
-    MATRIX = 8 * N * POINTS
+    COMPONENT_BOUND = 1.75 * _BLOCK_BYTES
+    SYSTEM_BOUND = 2.5 * _BLOCK_BYTES
+    # (level, grid points): level 0.5 has the hpd band's widest window-width
+    # array, and ten times the points must not raise the peak
+    CASES = [(0.95, POINTS), (0.5, POINTS), (0.5, 10 * POINTS)]
 
     @pytest.fixture(scope="class")
     def draws(self):
@@ -370,14 +422,16 @@ class TestBandMemory:
 
     @pytest.mark.parametrize("method", ["hpd", "quantile"])
     def test_component_band_holds_one_matrix(self, draws, method):
-        grid = TimeGrid.regular(5.0, self.POINTS)
-        peak = traced_peak(reliability_band, draws[0], grid, method=method)
-        assert peak <= 1.1 * self.MATRIX
+        for level, points in self.CASES:
+            grid = TimeGrid.regular(5.0, points)
+            peak = traced_peak(reliability_band, draws[0], grid, level=level, method=method)
+            assert peak <= self.COMPONENT_BOUND, (level, points)
 
     @pytest.mark.parametrize("method", ["hpd", "quantile"])
     @pytest.mark.parametrize("kind", ["series", "parallel"])
     def test_system_band_holds_two_matrices(self, draws, kind, method):
-        grid = TimeGrid.regular(5.0, self.POINTS)
         f = SystemFit(kind, tuple(make_fit(d) for d in draws))
-        peak = traced_peak(system_band, f, grid, method=method)
-        assert peak <= 2.1 * self.MATRIX
+        for level, points in self.CASES:
+            grid = TimeGrid.regular(5.0, points)
+            peak = traced_peak(system_band, f, grid, level=level, method=method)
+            assert peak <= self.SYSTEM_BOUND, (level, points)
