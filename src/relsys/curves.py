@@ -108,18 +108,21 @@ class ReliabilityBand:
             raise ValueError("band lower bound exceeds upper bound")
 
 
-def _survival_matrix(d: PosteriorDraws, times: np.ndarray) -> np.ndarray:
-    """Per-draw survival curves, one row per time point.
+def _survival_matrix(
+    betas: np.ndarray, log_etas: np.ndarray, times: np.ndarray
+) -> np.ndarray:
+    """Per-draw survival curves of the draws ``betas`` and ``exp(log_etas)``,
+    one row per time point.
 
     ``exp(-exp(beta * (log t - log eta)))`` is formed in place in the one
-    matrix that the subtraction allocates.
+    matrix that the subtraction allocates.  A band takes each component's
+    ``log_etas`` once, not once per block of rows.
     """
-    log_etas = np.log(d.etas)
     with np.errstate(divide="ignore", over="ignore"):
         log_t = np.log(times)[:, None]
         # beta * log(t/eta); -inf at t = 0 exponentiates to survival 1
         m = np.subtract(log_t, log_etas)
-        np.multiply(d.betas, m, out=m)
+        np.multiply(betas, m, out=m)
         np.exp(m, out=m)
         np.negative(m, out=m)
         return np.exp(m, out=m)
@@ -196,7 +199,10 @@ def reliability_band(
     d: PosteriorDraws, grid: TimeGrid, level: float = _LEVEL, method: str = _METHODS[0]
 ) -> ReliabilityBand:
     """Pointwise mean reliability with credible bounds for one component."""
-    return _streamed_band(grid, level, method, d.n, lambda t: _survival_matrix(d, t))
+    betas, log_etas = d.betas, np.log(d.etas)
+    return _streamed_band(
+        grid, level, method, d.n, lambda t: _survival_matrix(betas, log_etas, t)
+    )
 
 
 def mean_time_posterior(d: PosteriorDraws) -> tuple[float, float]:
@@ -226,11 +232,12 @@ def system_band(
     if len(sizes) != 1:
         raise ValueError(f"components carry unequal draw counts {sorted(sizes)}")
     parallel = f.kind != "series"
+    draws = [(c.draws.betas, np.log(c.draws.etas)) for c in f.components]
 
     def survival_rows(times: np.ndarray) -> np.ndarray:
         r = None
-        for c in f.components:
-            m = _survival_matrix(c.draws, times)
+        for betas, log_etas in draws:
+            m = _survival_matrix(betas, log_etas, times)
             if parallel:
                 np.subtract(1.0, m, out=m)
             r = m if r is None else np.multiply(r, m, out=r)

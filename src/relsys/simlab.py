@@ -16,7 +16,7 @@ of the longer run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -210,6 +210,20 @@ def _scenario_key(spec: ScenarioSpec) -> tuple[int, ...]:
         round(spec.censor_fraction * 1000),
         spec.n,
     )
+
+
+def _shared_fit(spec: ScenarioSpec) -> ScenarioSpec:
+    """The cell whose result ``spec`` shares.
+
+    A cell that censors no record draws the same data on either side (its
+    substreams leave the side out) and fits it the same way, so its result
+    is that of the first side's cell; any other cell is its own.  The test
+    is the censored count, not the fraction: 0.01 of n=30 censors nothing
+    either.
+    """
+    if _censored_count(spec.censor_fraction, spec.n) == 0:
+        return replace(spec, side=GRID_SIDES[0])
+    return spec
 
 
 def run_scenario(

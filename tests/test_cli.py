@@ -7,12 +7,17 @@ paths.  Byte-level determinism across reruns is asserted explicitly.
 
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relsys
 from relsys import cli as cli_module
 from relsys import io, mcem, simlab
 from relsys.cli import main
@@ -165,7 +170,7 @@ class TestFitCommand:
         hyper = json.loads((out / "hyper_estimates.json").read_text())
         assert hyper["kind"] == "series"
         assert hyper["k"] == 2
-        assert hyper["t99"] > 0.0
+        assert hyper["t99"] == float(np.percentile(sample.times, 99.0))
         manifest = manifest_of(out)
         for j, c in enumerate(hyper["components"], start=1):
             f = fits[j - 1]
@@ -821,6 +826,51 @@ class TestStudyCommand:
         subset = self.SUBSET + "censor-fractions = 0.0\nmeans = 2.0\n"
         out = self.run_subset(tmp_path, "study", subset, "--workers", "4")
         assert manifest_of(out)["config"]["workers"] == 1
+        # two cells, one on each side, that censor nothing share one fit
+        both = subset.replace("sides = right", "sides = right, left")
+        out = self.run_subset(tmp_path, "both", both, "--workers", "4")
+        m = manifest_of(out)
+        assert (m["cells"], m["config"]["workers"]) == (2, 1)
+
+    def test_default_workers_are_the_usable_cpus(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            expect = 1
+        else:
+            expect = 2
+        # two distinct fits, so the pool size is not capped to one
+        subset = self.SUBSET + "censor-fractions = 0.2\nmeans = 2.0, 7.0\n"
+        out = self.run_subset(tmp_path, "study", subset)
+        assert manifest_of(out)["config"]["workers"] == expect
+
+    def test_cells_that_censor_nothing_are_fitted_once(self, tmp_path, capsys, monkeypatch):
+        # at n = 30, 0.01 censors round(0.3) = 0 records, as 0.0 does
+        subset = ("families = weibull\nsides = right, left\nsizes = 30\n"
+                  "censor-fractions = 0.0, 0.01, 0.2\nmeans = 2.0\n")
+        calls = []
+
+        def counting(spec, **kw):
+            calls.append(spec.coords)
+            return simlab.run_scenario(spec, **kw)
+
+        capsys.readouterr()
+        monkeypatch.setattr(cli_module, "run_scenario", counting)
+        once = self.run_subset(tmp_path, "once", subset, "--workers", "1")
+        printed = capsys.readouterr().out
+        monkeypatch.undo()
+        assert [(c["side"], c["censor_pct"]) for c in calls] == [
+            ("right", 0.0), ("right", 1.0), ("right", 20.0), ("left", 20.0)
+        ]
+        pooled = self.run_subset(tmp_path, "pooled", subset, "--workers", "2")
+        assert capsys.readouterr().out == printed
+        assert (once / "study.csv").read_bytes() == (pooled / "study.csv").read_bytes()
+        m = manifest_of(once)
+        assert m["cells"] == len(m["work"]) == 6
+        assert [c["side"] for c in m["work"]] == ["right"] * 3 + ["left"] * 3
+        # each left cell that censors nothing reports its right cell's fit
+        for right, left in zip(m["work"][:2], m["work"][3:5]):
+            assert {**right, "side": "left"} == left
 
     def test_failure_reasons_go_to_stderr_and_manifest(self, tmp_path, capsys, monkeypatch):
         def failing(data, cfg, source):
@@ -913,6 +963,41 @@ class TestStudyCommand:
         lines = (out / "study.csv").read_text().splitlines()
         assert lines[0] == "side,family,censor_pct,true_mean,n,bias,mse,n_failed"
         assert len(lines) == 2
+
+
+def test_commands_load_no_process_pool_or_masked_arrays(tmp_path):
+    """simulate, fit, reliability and a one-worker study import neither
+    the process pool (nor multiprocessing through it) nor numpy.ma."""
+    script = f"""
+import sys
+from relsys.cli import main
+tmp = {str(tmp_path)!r}
+with open(tmp + "/system.cfg", "w") as f:
+    f.write({SPEC!r})
+with open(tmp + "/subset.cfg", "w") as f:
+    f.write("families = weibull\\nsides = right\\nsizes = 8\\n"
+            "censor-fractions = 0.0\\nmeans = 2.0\\n")
+chains = ["--np", "20", "--burnin", "40", "--thin", "1", "--tol", "0.5", "--max-iter", "2"]
+for argv in (
+    ["simulate", "--spec", tmp + "/system.cfg", "--out", tmp + "/sim"],
+    ["fit", tmp + "/sim/sample.csv", "--kind", "series", "--k", "2", *chains,
+     "--out", tmp + "/fit"],
+    ["reliability", tmp + "/fit", "--grid-points", "10", "--out", tmp + "/bands"],
+    ["study", "--grid", tmp + "/subset.cfg", "--replicates", "1", *chains,
+     "--workers", "1", "--out", tmp + "/study"],
+):
+    assert main(argv) == 0, argv
+print(",".join(m for m in ("concurrent.futures", "multiprocessing", "numpy.ma")
+               if m in sys.modules))
+"""
+    src = str(Path(relsys.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == ""
 
 
 class TestRerunDeterminism:

@@ -13,6 +13,7 @@ from relsys.curves import (
     ReliabilityBand,
     TimeGrid,
     _band_from_matrix,
+    _sorted_quantile,
     _survival_matrix,
     mean_time_posterior,
     reliability_band,
@@ -45,6 +46,10 @@ def make_fit(d):
         chains=2,
         min_weight_ess=1.0,
     )
+
+
+def survival_matrix(d, times):
+    return _survival_matrix(d.betas, np.log(d.etas), times)
 
 
 def band_arrays(band):
@@ -138,7 +143,7 @@ class TestHpdInterval:
         # every row of the drawn curves, hpd and quantile alike
         d = random_draws(4, 2000)
         grid = TimeGrid.regular(5.0, 20)
-        r = _survival_matrix(d, grid.points)
+        r = survival_matrix(d, grid.points)
         for level in (0.5, 0.95):
             for method in ("hpd", "quantile"):
                 band = reliability_band(d, grid, level=level, method=method)
@@ -157,7 +162,7 @@ class TestHpdInterval:
             assert np.array_equal(band.upper, band.mean)
         # a window of ceil(0.99 * 50) = 50 is the whole sample
         d = random_draws(5, 50)
-        r = _survival_matrix(d, grid.points)
+        r = survival_matrix(d, grid.points)
         band = reliability_band(d, grid, level=0.99)
         assert np.array_equal(band.lower, r.min(axis=1))
         assert np.array_equal(band.upper, r.max(axis=1))
@@ -225,16 +230,44 @@ class TestQuantileBand:
             assert np.array_equal(x, y)
 
 
+class TestPercentile99:
+    """``relsys fit`` writes its ``t99`` anchor as the 0.99 quantile of the
+    sorted sample, which must equal ``np.percentile(x, 99.0)`` bit for bit
+    (that call imports ``numpy.ma``; the percentile divides 99 by 100 to
+    the same 0.99)."""
+
+    @staticmethod
+    def assert_matches_percentile(x):
+        got = float(_sorted_quantile(np.sort(x)[None, :], 0.99)[0])
+        assert got == float(np.percentile(x, 99.0)), x.size
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_small_samples(self, n):
+        self.assert_matches_percentile(np.random.default_rng(n).lognormal(0.0, 1.0, n))
+
+    @pytest.mark.parametrize("n", [2, 7, 100, 101, 1000])
+    def test_tied_values(self, n):
+        rng = np.random.default_rng(n)
+        self.assert_matches_percentile(rng.integers(1, 4, n) / 2.0)
+        self.assert_matches_percentile(np.full(n, 1.7))
+
+    def test_seeded_lognormal_samples(self):
+        rng = np.random.default_rng(99)
+        for _ in range(300):
+            n = int(rng.integers(1, 10_001))
+            self.assert_matches_percentile(rng.lognormal(rng.normal(), 2.0, n))
+
+
 class TestReliabilityDraws:
     def test_matches_scalar_reliability(self):
         d = random_draws(10, 50)
-        r = _survival_matrix(d, np.array([1.7]))[0]
+        r = survival_matrix(d, np.array([1.7]))[0]
         for rl, b, e in zip(r, d.betas, d.etas):
             assert rl == pytest.approx(weibull_min.sf(1.7, b, scale=e), rel=1e-12)
 
     def test_time_zero_gives_certain_survival(self):
         d = random_draws(11, 20)
-        assert np.all(_survival_matrix(d, np.array([0.0])) == 1.0)
+        assert np.all(survival_matrix(d, np.array([0.0])) == 1.0)
 
     def test_in_place_matrix_equals_the_textbook_formula_bit_for_bit(self):
         d = random_draws(12, 300)
@@ -242,7 +275,7 @@ class TestReliabilityDraws:
         with np.errstate(divide="ignore"):
             log_t = np.log(times)[:, None]
         expect = np.exp(-np.exp(d.betas * (log_t - np.log(d.etas))))
-        assert np.array_equal(_survival_matrix(d, times), expect)
+        assert np.array_equal(survival_matrix(d, times), expect)
 
 
 class TestReliabilityBand:
@@ -309,7 +342,7 @@ class TestSystemBand:
         grid = TimeGrid.regular(4.0, 15)
         series = system_band(SystemFit("series", (make_fit(d), make_fit(d))), grid)
         parallel = system_band(SystemFit("parallel", (make_fit(d), make_fit(d))), grid)
-        for i, r in enumerate(_survival_matrix(d, grid.points)):
+        for i, r in enumerate(survival_matrix(d, grid.points)):
             assert series.mean[i] == pytest.approx(float(np.mean(r * r)), rel=1e-12)
             assert parallel.mean[i] == pytest.approx(
                 float(np.mean(1.0 - (1.0 - r) ** 2)), rel=1e-12
@@ -327,7 +360,7 @@ class TestSystemBand:
     def test_three_components_match_stacked_product_bit_for_bit(self, kind, method):
         draws = [random_draws(seed, 300) for seed in (45, 46, 47)]
         grid = TimeGrid.regular(5.0, 30)
-        mats = [_survival_matrix(d, grid.points) for d in draws]
+        mats = [survival_matrix(d, grid.points) for d in draws]
         if kind == "series":
             r = np.prod(mats, axis=0)
         else:
@@ -376,7 +409,7 @@ class TestBlockEdges:
         f = SystemFit(kind, tuple(make_fit(d) for d in draws))
         for points in sorted({1, block - 1, block, block + 1, 3 * block + 7} - {0}):
             grid = TimeGrid(np.linspace(0.1, 5.0, points))
-            mats = [_survival_matrix(d, grid.points) for d in draws]
+            mats = [survival_matrix(d, grid.points) for d in draws]
             if kind == "series":
                 r = np.prod(mats, axis=0)
             else:

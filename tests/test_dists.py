@@ -55,7 +55,8 @@ def draws_of(beta, eta, copies=1):
 
 def survival(p, times):
     """Survival at each time through the band code's survival path."""
-    return _survival_matrix(draws_of(p.beta, p.eta), np.array(times, dtype=float))[:, 0]
+    d = draws_of(p.beta, p.eta)
+    return _survival_matrix(d.betas, np.log(d.etas), np.array(times, dtype=float))[:, 0]
 
 
 def log_density(p, t):
