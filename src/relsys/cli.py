@@ -130,6 +130,8 @@ def _parse_system_spec(path: str) -> tuple[str, int, int, list[GeneratorSpec]]:
             n = _convert(int, "n", value)
         elif key == "seed":
             seed = _convert(int, "seed", value)
+            if seed < 0:
+                raise UsageError(f"{path}: seed must be >= 0, got {seed}")
         else:
             m = _COMPONENT_KEY.match(key)
             if m is None:
@@ -182,9 +184,9 @@ def _parse_system_spec(path: str) -> tuple[str, int, int, list[GeneratorSpec]]:
 def cmd_simulate(args) -> int:
     started = _now()
     kind, n, spec_seed, generators = _parse_system_spec(args.spec)
+    if args.seed is not None:
+        _require_positive("--seed", args.seed, minimum=0)
     seed = spec_seed if args.seed is None else args.seed
-    if seed < 0:
-        raise UsageError(f"--seed must be non-negative, got {seed}")
     k = len(generators)
     sample = generate_system_sample(generators, kind, n, RandomStream(seed).generator())
     out = _out_dir(args)
@@ -408,6 +410,8 @@ def cmd_reliability(args) -> int:
         raise DataError(
             f"{hyper_path}: kind must be one of {tuple(_BAND_KINDS)}, got {kind!r}"
         )
+    if kind == "component" and k != 1:
+        raise DataError(f"{hyper_path}: a component fit has k = 1, got {k!r}")
     sys_kind = _BAND_KINDS[kind]
     expected = [io.draws_filename(j) for j in range(1, k + 1)]
     missing = [name for name in expected if not (src / name).exists()]

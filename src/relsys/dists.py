@@ -1,8 +1,7 @@
 """Distributions and special functions used throughout the package.
 
 The module holds the parameter types (the Weibull shape/scale pair and the
-mean/variance gamma of the priors), the log-gamma function and the stable
-``log(1 - exp(-x))`` that the likelihood kernel uses, moment inversion
+mean/variance gamma of the priors), the log-gamma function, moment inversion
 (mean and variance to native parameters) for the three lifetime families
 used by the simulation laboratory, and the seeded samplers for those
 families.
@@ -54,23 +53,6 @@ def log_gamma_fn(x: float) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"log_gamma_fn requires finite x > 0, got {x}")
     return math.lgamma(x)
-
-
-def log1mexp_unchecked(arr: np.ndarray) -> np.ndarray:
-    """Stable ``log(1 - exp(-x))`` of a float array ``x >= 0``, unvalidated.
-
-    Splits at ``ln 2``: below it, ``log(-expm1(-x))`` is accurate; above it,
-    ``log1p(-exp(-x))`` is; ``x == 0`` maps to ``-inf``.  Both branches
-    are evaluated everywhere and ``np.where`` picks one per element, which
-    avoids masks and copies.  The unused branch divides by zero where
-    ``exp(-x)`` rounds to 1 (``x`` below about 1e-16), so callers silence
-    ``divide`` unless their inputs are known to be larger.
-    """
-    neg = -arr
-    return np.where(arr <= _LN2, np.log(-np.expm1(neg)), np.log1p(-np.exp(neg)))
-
-
-_LN2 = math.log(2.0)
 
 
 def _freeze_arrays(obj, *names: str) -> None:

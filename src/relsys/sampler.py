@@ -49,8 +49,9 @@ class McmcConfig:
     thin: int = 10
 
     def __post_init__(self):
-        if self.n_p < 1:
-            raise ValueError(f"n_p must be >= 1, got {self.n_p}")
+        # a posterior standard deviation (ddof=1) needs two draws
+        if self.n_p < 2:
+            raise ValueError(f"n_p must be >= 2, got {self.n_p}")
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.thin < 1:

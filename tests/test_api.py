@@ -4,7 +4,8 @@ Every module the package re-exports declares ``__all__``; the package's own
 list is exactly their union, each exported name has one home, and each is
 used by the package itself, not only by tests.  The benchmark's trace mode
 wraps functions by attribute name, so every name it patches must still
-exist.  The README's library examples run as written.
+exist, and its kernel probes must run.  The README's library examples run
+as written.
 """
 
 import ast
@@ -93,3 +94,17 @@ def test_benchmark_tracer_finds_every_patch_target(monkeypatch):
     finally:
         tracer.uninstall()
     assert mcem.make_log_kernel is original
+
+
+def test_benchmark_kernel_probes_run(monkeypatch):
+    # the probes are the only benchmark code that calls make_log_kernel and
+    # generate_censored_sample directly; one call each keeps them working
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    monkeypatch.setattr(tracing, "PROBE_CALLS", 1)
+    monkeypatch.setattr(tracing, "PROBE_REPEATS", 1)
+    monkeypatch.setattr(tracing, "PROBE_SIZES", (30,))
+    probes = tracing.kernel_probes(0)
+    assert sorted(probes) == ["sysmodel.probe_us.left.n30", "sysmodel.probe_us.right.n30"]
+    for value, unit in probes.values():
+        assert unit == "us" and value > 0.0

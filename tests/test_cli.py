@@ -139,6 +139,24 @@ class TestSimulateCommand:
         assert rc == 1
         assert "component 2" in capsys.readouterr().err
 
+    def test_negative_spec_seed_names_the_file(self, tmp_path, capsys):
+        spec_file = tmp_path / "system.cfg"
+        spec_file.write_text(SPEC + "seed = -3\n")
+        rc = cli("simulate", "--spec", spec_file, "--out", tmp_path / "out")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{spec_file}: seed must be >= 0, got -3" in err
+        assert "--seed" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys):
+        spec_file = tmp_path / "system.cfg"
+        spec_file.write_text(SPEC + "seed = 5\n")
+        rc = cli("simulate", "--spec", spec_file, "--seed", "-1", "--out", tmp_path / "out")
+        assert rc == 1
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_env_var_is_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RELSYS_SEED", "99")
         monkeypatch.setenv("SEED", "99")
@@ -655,6 +673,20 @@ class TestReliabilityCommand:
         assert "Traceback" not in err
         assert not (out / "band_system.csv").exists()
 
+    def test_component_kind_with_several_draws_files_is_data_error(self, tmp_path, capsys):
+        # a component fit writes one draws file; "component" with k = 2
+        # would band a two-component series system
+        sim = simulate(tmp_path)
+        fit_dir = fit(tmp_path, sim)
+        hyper_path = fit_dir / "hyper_estimates.json"
+        hyper = json.loads(hyper_path.read_text())
+        hyper_path.write_text(json.dumps({**hyper, "kind": "component", "k": 2}))
+        out = tmp_path / "bands"
+        assert cli("reliability", fit_dir, "--grid-points", "5", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "hyper_estimates.json" in err and "k = 1, got 2" in err
+        assert not (out / "band_system.csv").exists()
+
     def test_absent_t99_needs_grid_max(self, tmp_path, capsys):
         sim = simulate(tmp_path)
         fit_dir = fit(tmp_path, sim)
@@ -1038,7 +1070,10 @@ class TestRecordedOutputs:
     # to how the EM draws its chains, or to how a band reduces the drawn
     # curves moves them.  The manifests (less timestamps), the study
     # outputs and the printed text were recorded later, before the fit and
-    # study records were each built in one place
+    # study records were each built in one place.  The parallel and left
+    # fit outputs were re-recorded when a left censoring's term became the
+    # single-branch log(-expm1(-x)): the draws moved in the last ulps, the
+    # EM traces and the printed text did not
     RECORDED = {
         "series": {
             "sample.csv": "359583e35a82adbdaed9d352b8b4a0f1d3f3bc703c437592a98c3f7b72df51d2",
@@ -1060,21 +1095,21 @@ class TestRecordedOutputs:
         },
         "parallel": {
             "sample.csv": "66f3acb3dfa1871a487fcfdabfd38573d2090ffa6573f98a30c7b40a3fefc614",
-            "draws_component1.csv": "30727902199665554d5d0713945377c205e4a86dd45ca5be650aea74c77c7593",
-            "draws_component2.csv": "941a698f1b6b71eca3bc1eb3634ebfeae59f07c6825dbb95e3e4b8f0f17ea2c4",
+            "draws_component1.csv": "de1e65e2e0aa6b4af4ea1ef4a8018f2f4f2fbe7d6fd23ffe1f7f3ac4af01978e",
+            "draws_component2.csv": "0192c8a8e62cc7f77b61e494114327dfa6b3097ee063038f696a57386c319bdc",
             "em_trace.csv": "569db6cfb03e69a5f7beb329bc00c3736f28a2961d328dfdd6eb554c3764ef77",
-            "hyper_estimates.json": "1d52119b4b7b8fcc1f044d62dffb0477e4b6c9af2e7f4fc7957f42b8723b7936",
-            "hpd/band_component1.csv": "051ed53e0c33d3eb84f9f55dd0c9f369b4ba7c3d1d58880f7835fe53f85ea6e9",
-            "hpd/band_component2.csv": "4097462f3e6913da42c18770b05fdb6c909c2956cc05177e6da29e4335feb990",
-            "hpd/band_system.csv": "beb42575bd87787962e4c32ad1c954c4c8ed20db1f301f06d0baf866b8027043",
-            "quantile/band_component1.csv": "c825ee729b7e3f71e7adf2f0b3d91c7cf5b60d802eca0fd1152bc3de72261482",
-            "quantile/band_component2.csv": "9cd0f34688d15aa82a31076d8098ca555b5847bc9e7979506c14e12d702f7283",
-            "quantile/band_system.csv": "5582055eb841c5926d238cac2bf3c8178791e669a3750d18f6ed3c93e7771b50",
+            "hyper_estimates.json": "d3022a6e659e3e5cdc9f182f081afb8d400b493d3aeaa4cb8195be3a37d8584e",
+            "hpd/band_component1.csv": "bdb64951d66baef1591a1ee8009f53bb463f8c4bfdf67763766a9e0077b4c1b6",
+            "hpd/band_component2.csv": "c7cc71c4e983c49006547c69f3be002d3ae8795a5273d3e101d8515a236ee752",
+            "hpd/band_system.csv": "174a2d710f2af683f25b1f849385d3c68c63975debd8425a2f82118c3309bfb7",
+            "quantile/band_component1.csv": "518266bcaf9aafbda4bc0ad9e5e88b6c6959e731a962d6c556924e088df7caa3",
+            "quantile/band_component2.csv": "ed76767d907f73bddb8044463105efdfbcde78273cf5a58a07b8b92edec66247",
+            "quantile/band_system.csv": "047adbe2cf212d2c1e2d14ea1c5da50dca98853e777bb3d5d34eac510ab43c61",
             "stdout": "5b28e6dd637e5c00140b4a113f59b9ef6da70ec5628a7cad94a67866190a24e2",
             "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            "manifest.json": "03445ecc5d2fc040933fe9aab000bff3ad9b17ac711beb7a7bdf541e03a55ffa",
-            "hpd/manifest.json": "16a619ec06b425ae4742b5a8441829fc316e5ffc0aff81cdd2778a4d3167af63",
-            "quantile/manifest.json": "b05edca1dbc15fd0cd82240fdec55eed89538364eb9fb61d64672ccf8b55d365",
+            "manifest.json": "0a5d4a8c4d97162b067a95583d77601a5a04fb30e2cf89ac8db71bebf05a4fde",
+            "hpd/manifest.json": "d48bd2c6e0ac956f21a6fc3f9d54d34c55cc9020c036c5834432dea2e53d902c",
+            "quantile/manifest.json": "7c60a7e8b425fe58d9d6b248f67a014658e9c3155f2cdb8147fd672cf753d70d",
         },
         "right": {
             "draws_component1.csv": "30de1dd2d67611389419d8eee6e0d3cc1e21d11d531688e0f127eb76ee7c36f4",
@@ -1085,12 +1120,12 @@ class TestRecordedOutputs:
             "manifest.json": "f029a138c6bce2dab0b4b576fc2b53ae602fec7ddd83e93a492a6b90f930c9e2",
         },
         "left": {
-            "draws_component1.csv": "24e98197a24e13e1ff9a0fd1ccfe0cfca163da4e8ad9aec12e1fe54e642fe767",
+            "draws_component1.csv": "390c4d6d7cdbaa59a4439ee7a590dcda578d2042e9eca081a6257df13b0bf158",
             "em_trace.csv": "428e700bf1d3f5ddce4b11d1d9350b7d6e0cfb4fa0708439fa9ba2d623cf7693",
-            "hyper_estimates.json": "480e93202f2e5c000ec92621f4aac7ec75a1c7aadc2875a8b70f0e18b3fc9816",
+            "hyper_estimates.json": "d2dbfa41e699903d1fc342b5caeba2d655f6df1248937ffb62e0fd8f0e7a35da",
             "stdout": "bde46c6093f7a10577df71cb922a6608d23b3445f85c09306120fb996f1182eb",
             "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            "manifest.json": "12963c1022193b248d30d56297548d442100a5545a25dd01ec0b912a95f9b228",
+            "manifest.json": "43671ab3037bae5c27922fae5d008ae06b14a9e32f4f865c208e83ae925cb27d",
         },
         "study": {
             "study.csv": "2e7573868d57d2caeccf70fc26d87a2b235edd68c5792ff674d78c4aaf433b52",

@@ -22,7 +22,6 @@ from relsys.dists import (
     GeneratorSpec,
     MeanVarGamma,
     gamma_from_moments,
-    log1mexp_unchecked,
     log_gamma_fn,
     lognormal_from_moments,
     sample,
@@ -31,20 +30,6 @@ from relsys.dists import (
 from relsys.errors import NumericalError, UnsolvableError
 from relsys.sampler import PosteriorDraws
 from relsys.sysmodel import ComponentSample
-
-
-def log1mexp_scalar(x: float) -> float:
-    """Maechler's scalar ``log(1 - exp(-x))`` for ``x >= 0``, split at ln 2."""
-    if x == 0.0:
-        return -math.inf
-    if x <= math.log(2.0):
-        return math.log(-math.expm1(-x))
-    return math.log1p(-math.exp(-x))
-
-
-def log1mexp(xs):
-    with np.errstate(divide="ignore"):
-        return log1mexp_unchecked(np.asarray(xs, dtype=float))
 
 
 def draws_of(beta, eta, copies=1):
@@ -100,52 +85,6 @@ class TestLogGammaFn:
         for x in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="log_gamma_fn"):
                 log_gamma_fn(x)
-
-
-class TestLog1mexp:
-    def test_identity(self):
-        xs = [1e-12, 0.1, math.log(2.0), 0.8, 5.0, 40.0]
-        for x, got in zip(xs, log1mexp(xs)):
-            exact = math.log1p(-math.exp(-x)) if x > 0.69 else math.log(-math.expm1(-x))
-            assert got == pytest.approx(exact, rel=1e-14)
-
-    def test_branch_boundary_continuous(self):
-        eps = 1e-9
-        below, above = log1mexp([math.log(2.0) - eps, math.log(2.0) + eps])
-        assert abs(below - above) < 1e-8
-
-    def test_zero_and_negative(self):
-        assert log1mexp([0.0])[0] == -math.inf
-        # the function does not validate: a negative x, which has no real
-        # value, gives NaN rather than an error
-        with np.errstate(invalid="ignore"):
-            assert math.isnan(log1mexp([-0.1])[0])
-
-    # around 0, the ln 2 branch point and 700, where exp(-x) nears underflow
-    ARRAY_XS = np.concatenate([
-        [0.0, 5e-324, 1e-300, 1e-10, 0.3, 0.6931, 0.6932, 2.0, 50.0],
-        np.logspace(-20, -1, 39),
-        math.log(2.0) + np.linspace(-1e-12, 1e-12, 41),
-        math.log(2.0) + np.linspace(-1e-3, 1e-3, 41),
-        np.linspace(690.0, 760.0, 71),
-        [math.inf],
-    ])
-
-    def test_array_matches_scalar(self):
-        out = log1mexp(self.ARRAY_XS)
-        for x, o in zip(self.ARRAY_XS, out):
-            expect = log1mexp_scalar(float(x))
-            # numpy's vectorized log may round differently from the C library
-            assert o == expect or abs(o - expect) <= math.ulp(expect), x
-
-    def test_array_matches_masked_branch_split(self):
-        xs = self.ARRAY_XS
-        ref = np.empty_like(xs)
-        small = xs <= math.log(2.0)
-        with np.errstate(divide="ignore"):
-            ref[small] = np.log(-np.expm1(-xs[small]))
-        ref[~small] = np.log1p(-np.exp(-xs[~small]))
-        assert np.array_equal(log1mexp(xs), ref)
 
 
 class TestWeibull:

@@ -176,6 +176,10 @@ class TestConfigValidation:
     def test_rejects_bad_settings(self):
         with pytest.raises(ValueError, match="n_p"):
             McmcConfig(n_p=0)
+        # a fit's posterior standard deviations (ddof=1) need two draws
+        with pytest.raises(ValueError, match="n_p must be >= 2, got 1"):
+            McmcConfig(n_p=1)
+        assert McmcConfig(n_p=2).n_p == 2
         with pytest.raises(ValueError, match="burn_in"):
             McmcConfig(burn_in=-1)
         with pytest.raises(ValueError, match="thin"):
