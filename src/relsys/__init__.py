@@ -10,125 +10,36 @@ laboratory measures bias and mean squared error of the fitted mean
 lifetime over a grid of generators, censoring fractions and sample sizes.
 """
 
-from .curves import (
-    ReliabilityBand,
-    TimeGrid,
-    mean_time_posterior,
-    reliability_band,
-    system_band,
-)
-from .dists import (
-    ComponentParams,
-    GeneratorSpec,
-    MeanVarGamma,
-    gamma_from_moments,
-    lognormal_from_moments,
-    log_gamma_fn,
-    sample,
-    weibull_from_moments,
-)
-from .errors import (
-    ConvergenceError,
-    DataError,
-    NumericalError,
-    RelsysError,
-    UnsolvableError,
-    UsageError,
-)
-from .mcem import (
-    ComponentFit,
-    EmStep,
-    FitConfig,
-    SystemFit,
-    fit_component,
-    fit_system,
-    m_step,
-)
-from .sampler import (
-    McmcConfig,
-    PosteriorDraws,
-    run_chain,
-)
-from .simlab import (
-    GRID_CENSOR_FRACTIONS,
-    GRID_FAMILIES,
-    GRID_MEANS,
-    GRID_REPLICATES,
-    GRID_SIDES,
-    GRID_SIZES,
-    GRID_VARIANCE,
-    ScenarioResult,
-    ScenarioSpec,
-    generate_censored_sample,
-    generate_system_sample,
-    grid_specs,
-    run_scenario,
-)
-from .streams import RandomStream, as_stream
-from .sysmodel import (
-    ComponentSample,
-    SystemSample,
-    decompose,
-    make_log_kernel,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    # errors
-    "RelsysError",
-    "UsageError",
-    "DataError",
-    "NumericalError",
-    "UnsolvableError",
-    "ConvergenceError",
-    # streams
-    "RandomStream",
-    "as_stream",
-    # distributions
-    "ComponentParams",
-    "MeanVarGamma",
-    "GeneratorSpec",
-    "log_gamma_fn",
-    "weibull_from_moments",
-    "gamma_from_moments",
-    "lognormal_from_moments",
-    "sample",
-    # system model
-    "SystemSample",
-    "ComponentSample",
-    "decompose",
-    "make_log_kernel",
-    # sampler
-    "McmcConfig",
-    "PosteriorDraws",
-    "run_chain",
-    # estimation
-    "FitConfig",
-    "EmStep",
-    "ComponentFit",
-    "SystemFit",
-    "m_step",
-    "fit_component",
-    "fit_system",
-    # curves
-    "TimeGrid",
-    "ReliabilityBand",
-    "reliability_band",
-    "mean_time_posterior",
-    "system_band",
-    # simulation lab
-    "ScenarioSpec",
-    "ScenarioResult",
-    "generate_system_sample",
-    "generate_censored_sample",
-    "run_scenario",
-    "grid_specs",
-    "GRID_FAMILIES",
-    "GRID_MEANS",
-    "GRID_CENSOR_FRACTIONS",
-    "GRID_SIZES",
-    "GRID_SIDES",
-    "GRID_VARIANCE",
-    "GRID_REPLICATES",
-]
+# the modules whose own ``__all__`` make up the package's public names
+_MODULES = ("errors", "streams", "dists", "sysmodel", "sampler", "mcem", "curves", "simlab")
+
+
+def _homes() -> dict[str, str]:
+    """Each public name and the module that holds it; imports all of them."""
+    return {
+        name: module
+        for module in _MODULES
+        for name in importlib.import_module(f".{module}", __name__).__all__
+    }
+
+
+def __getattr__(name: str):
+    # PEP 562: each name is looked up here on first use, then kept, so that
+    # ``import relsys`` alone loads neither the modules nor numpy; a private
+    # name, such as the probes of introspection tools, loads nothing
+    if name == "__all__":
+        value = list(_homes())
+    elif not name.startswith("_") and name in (homes := _homes()):
+        value = getattr(importlib.import_module(f".{homes[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_homes()))

@@ -435,11 +435,18 @@ def cmd_reliability(args) -> int:
         grid_max = float(t99)
     if not (math.isfinite(grid_max) and grid_max > 0.0):
         raise UsageError(f"--grid-max must be finite and positive, got {grid_max}")
-    grid = (
-        TimeGrid(np.array([grid_max]))
-        if grid_points == 1
-        else TimeGrid.regular(float(grid_max), grid_points)
-    )
+    try:
+        grid = (
+            TimeGrid(np.array([grid_max]))
+            if grid_points == 1
+            else TimeGrid.regular(float(grid_max), grid_points)
+        )
+    except ValueError:
+        # the only grid fault left: points that round to equal times
+        raise UsageError(
+            f"grid max {grid_max!r} is too small for --grid-points {grid_points} "
+            "distinct times"
+        ) from None
 
     comp_fits = []
     inputs = {hyper_path.name: io.sha256_file(hyper_path)}

@@ -34,7 +34,7 @@ _LEVEL = 0.95
 _GRID_POINTS = 200
 # a band reduces its draws-by-time survival values this many bytes of
 # grid rows at a time (at least one row)
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,14 +136,14 @@ def _band_from_matrix(
     The mean is taken first, over the unsorted rows; both bounds are then
     read from the sorted rows, so no copy of ``r`` is made.  The hpd bounds
     of a row are the shortest window holding ``ceil(level * n)`` of its
-    ``n`` values, the lowest one on ties; ``level * n`` is rounded to 9
-    decimals first, so that a product such as ``0.68 * 75 =
-    51.00000000000001`` does not add a value.  The quantile bounds at
-    ``q = (1 - level) / 2`` and ``1 - q`` are numpy's default "linear"
-    quantiles: the two order statistics around ``q * (n - 1)``, interpolated
-    exactly as ``np.quantile`` does, so the bounds equal its result bit for
-    bit.  Every statistic is per row, so the rows of a matrix may be
-    reduced in any grouping with the same result.
+    ``n`` values, the lowest one on ties, found one row at a time.
+    ``level * n`` is rounded to 9 decimals first, so that a product such as
+    ``0.68 * 75 = 51.00000000000001`` does not add a value.  The quantile
+    bounds at ``q = (1 - level) / 2`` and ``1 - q`` are numpy's default
+    "linear" quantiles: the two order statistics around ``q * (n - 1)``,
+    interpolated exactly as ``np.quantile`` does, so the bounds equal its
+    result bit for bit.  Every statistic is per row, so the rows of a matrix
+    may be reduced in any grouping with the same result.
     """
     # before the sort: the pairwise sum depends on the element order
     mean = r.mean(axis=1)
@@ -151,7 +151,8 @@ def _band_from_matrix(
     n = r.shape[1]
     if method == "hpd":
         w = min(math.ceil(round(level * n, 9)), n)
-        i = np.argmin(r[:, w - 1 :] - r[:, : n - w + 1], axis=1)
+        # the window widths of one row at a time: at most n values alive
+        i = np.array([np.argmin(row[w - 1 :] - row[: n - w + 1]) for row in r])
         rows = np.arange(r.shape[0])
         return mean, r[rows, i], r[rows, i + w - 1]
     half = (1.0 - level) / 2.0

@@ -14,6 +14,8 @@ import csv
 import hashlib
 import json
 import math
+import re
+from io import BytesIO
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -226,45 +228,57 @@ def read_draws_csv(path: str | Path, j: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # the bytes a draws file body may hold to be read in one pass
-_DRAWS_BODY_BYTES = b"0123456789+-.eE,\r\n"
+_DRAWS_BODY = re.compile(rb"[0-9+\-.eE,\r\n]*")
+# a row that starts a line after a "\r": the row reader splits lines there
+_ROW_AFTER_CR = re.compile(rb"\r[^\r\n]")
 
 
 def _read_draws_at_once(path: str | Path, j: int) -> np.ndarray | None:
     """The ``(2, n)`` shapes and scales of a plain draws file, or None.
 
-    One ``np.loadtxt`` call parses the file, and only a file the row reader
-    accepts as it stands is read: the exact header, then rows of four
-    unquoted fields spelled with the characters of decimal numbers, each
-    starting a line with the field ``j`` exactly, and finite, positive
-    draws.  Both numpy and ``float`` round such a number correctly, so to
-    the same double.  Any other file gives None, and the row reader then
-    reads it and names its first bad line.
+    The file's bytes are checked where they are, and one ``np.loadtxt``
+    call parses them line by line.  Only a file the row reader accepts as
+    it stands is read: the exact header, then rows of four unquoted fields
+    spelled with the characters of decimal numbers, each starting a line
+    with the field ``j`` exactly, and finite, positive draws.  Both numpy
+    and ``float`` round such a number correctly, so to the same double.
+    Any other file gives None, and the row reader then reads it and names
+    its first bad line.
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError:
         return None
-    head, _, body = raw.partition(b"\n")
     header = ",".join(DRAWS_HEADER).encode()
-    if head not in (header, header + b"\r") or body.translate(None, _DRAWS_BODY_BYTES):
-        return None
-    # the non-blank lines, split at "\r" too, as the row reader splits them
-    rows = body.decode().split()
-    # every row starts a line with the field j; loadtxt rejects a row of
-    # fewer than four fields, so three commas a row on average make every
-    # row four fields
-    if (
-        not rows
-        or (b"\n" + body).count(b"\n%d," % j) != len(rows)
-        or body.count(b",") != 3 * len(rows)
+    start = raw.find(b"\n", 0, len(header) + 2) + 1
+    if raw[:start] not in (header + b"\n", header + b"\r\n") or not _DRAWS_BODY.fullmatch(
+        raw, start
     ):
         return None
+    # the row reader splits lines at "\r" too and skips blank ones: every
+    # row must start a line after a "\n", none after a "\r", each with the
+    # field j.  loadtxt rejects a row of fewer than four fields, so three
+    # commas a row on average make every row four fields
+    rows = raw.count(b"\n%d," % j, start - 1)
+    if (
+        not rows
+        or _ROW_AFTER_CR.search(raw, start)
+        or re.compile(rb"\n(?!%d,)[^\r\n]" % j).search(raw, start - 1)
+        or raw.count(b",", start) != 3 * rows
+    ):
+        return None
+    body = BytesIO(raw)
+    body.seek(start)
+    # each line is one row or blank, then line ends, of which loadtxt
+    # takes only one
     try:
-        params = np.loadtxt(rows, delimiter=",", comments=None, usecols=(2, 3), ndmin=2)
+        params = np.loadtxt(
+            map(bytes.rstrip, body), delimiter=",", comments=None, usecols=(2, 3),
+            ndmin=2, unpack=True,
+        )
     except ValueError:
         return None
-    params = params.T.copy()
     if not (np.isfinite(params) & (params > 0.0)).all():
         return None
     return params

@@ -1,17 +1,20 @@
 """Tests for the package's public name lists and the README's library code.
 
 Every module the package re-exports declares ``__all__``; the package's own
-list is exactly their union, each exported name has one home, and each is
-used by the package itself, not only by tests.  The benchmark's trace mode
-wraps functions by attribute name, so every name it patches must still
-exist, and its kernel probes must run.  The README's library examples run
-as written.
+list is exactly their union, its names resolve on first use, each exported
+name has one home, and each is used by the package itself, not only by
+tests.  The benchmark's trace mode wraps functions by attribute name, so
+every name it patches must still exist, and its kernel probes must run.
+The README's library examples run as written.
 """
 
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,38 @@ def test_package_list_is_the_union_of_the_module_lists():
     assert set(relsys.__all__) == union
     for n in relsys.__all__:
         assert hasattr(relsys, n), n
+
+
+LAZY_NAMESPACE = f"""
+import importlib, sys
+import relsys
+assert [m for m in sys.modules if m.startswith("relsys.") or m == "numpy"] == []
+homes = {{}}
+for name in {MODULES!r}:
+    mod = importlib.import_module("relsys." + name)
+    homes.update(dict.fromkeys(mod.__all__, mod))
+assert sorted(relsys.__all__) == sorted(homes)
+for n in relsys.__all__:
+    assert getattr(relsys, n) is getattr(homes[n], n), n
+assert set(relsys.__all__) <= set(dir(relsys))
+for n in ("no_such_name", "_no_such_name", "__wrapped__"):
+    try:
+        getattr(relsys, n)
+    except AttributeError as e:
+        assert repr(n) in str(e), e
+    else:
+        raise AssertionError(n)
+"""
+
+
+def test_package_names_load_on_first_use():
+    # a fresh interpreter: this one has imported every module already
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_NAMESPACE], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_no_name_is_exported_by_two_modules():

@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -699,6 +700,28 @@ class TestReliabilityCommand:
         assert cli("reliability", fit_dir, "--grid-points", "5", "--grid-max", "3",
                    "--out", tmp_path / "b") == 0
 
+    @pytest.mark.parametrize("source", ["flag", "anchor"])
+    def test_grid_max_too_small_for_distinct_times(self, tmp_path, capsys, source):
+        # linspace(0, 5e-324, 3) is [0, 0, 5e-324]: no strictly increasing grid
+        sim = simulate(tmp_path)
+        fit_dir = fit(tmp_path, sim)
+        flags = ["--grid-max", "5e-324"]
+        if source == "anchor":
+            hyper_path = fit_dir / "hyper_estimates.json"
+            hyper = json.loads(hyper_path.read_text())
+            hyper_path.write_text(json.dumps({**hyper, "t99": 5e-324}))
+            flags = []
+        out = tmp_path / "bands"
+        assert cli("reliability", fit_dir, "--grid-points", "3", *flags, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "grid max 5e-324 is too small for --grid-points 3" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        # the same grid max makes a grid of two distinct times
+        assert cli("reliability", fit_dir, "--grid-points", "2", *flags, "--out", out) == 0
+        lines = (out / "band_system.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "5e-324"]
+
     def test_component_fit_directory_composes_as_identity(self, tmp_path):
         data = tmp_path / "comp.csv"
         data.write_text(COMPONENT_CSV)
@@ -788,6 +811,25 @@ class TestReadDraws:
         assert got == (x.tobytes(), x[::-1].tobytes())
         # written by the program: CRLF line ends
         assert path.read_bytes().count(b"\r\n") == x.size + 1
+
+    def test_reads_a_fit_draws_file_within_its_size(self, tmp_path):
+        # a reader that copies, decodes and splits the body into a list of
+        # rows peaks at over 5 times the file's bytes
+        rng = np.random.default_rng(8)
+        betas, etas = rng.lognormal(0.3, 0.1, 8000), rng.lognormal(0.8, 0.1, 8000)
+        path = tmp_path / "draws_component1.csv"
+        io.write_draws_csv(path, 1, PosteriorDraws(betas, etas, 0.3, 0.2, 0.0, 0.0, ()))
+        size = path.stat().st_size
+        io.read_draws_csv(path, 1)  # compiles the patterns before tracing
+        tracemalloc.start()
+        try:
+            got = io.read_draws_csv(path, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * size, peak / size
+        assert len(got[0]) == sum(1 for _ in io._rows(path, io.DRAWS_HEADER)) == 8000
+        assert got[0].tobytes() == betas.tobytes() and got[1].tobytes() == etas.tobytes()
 
 
 class TestStudyCommand:

@@ -435,17 +435,18 @@ def traced_peak(fn, *args, **kwargs):
 class TestBandMemory:
     """A band builds and reduces its survival values one block of grid rows
     at a time, so its peak is a fixed multiple of the block, whatever the
-    grid size.  A component band holds one block and its hpd window widths,
-    at most half a block at level 0.5; a system band holds the product block
-    and one component block.  The quarter-block margin holds numpy's ufunc
-    buffers (~130 kB) and the output arrays.  Whatever the block size, the
-    peaks must also stay within 0.3 and 0.45 of the whole draw-by-time
-    matrix at 4000 draws and 200 points, so a band that forms that matrix
-    fails even if the block grows."""
+    grid size.  A component band holds one block and one row of hpd window
+    widths, at most 8 bytes a draw; a system band holds the product block
+    and one component block.  The half-block margin of a component band
+    holds numpy's ufunc buffers (~130 kB), the row of widths and the output
+    arrays; widths for a whole block, half a block at level 0.5, exceed it.
+    Whatever the block size, the peaks must also stay within 0.3 and 0.45
+    of the whole draw-by-time matrix at 4000 draws and 200 points, so a
+    band that forms that matrix fails even if the block grows."""
 
     N, POINTS = 4000, 200
     MATRIX = 8 * N * POINTS
-    COMPONENT_BOUND = min(1.75 * _BLOCK_BYTES, 0.3 * MATRIX)
+    COMPONENT_BOUND = min(1.5 * _BLOCK_BYTES, 0.3 * MATRIX)
     SYSTEM_BOUND = min(2.5 * _BLOCK_BYTES, 0.45 * MATRIX)
     # (level, grid points): level 0.5 has the hpd band's widest window-width
     # array, and ten times the points must not raise the peak
