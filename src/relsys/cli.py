@@ -114,7 +114,8 @@ def _out_dir(args) -> Path:
 
 # ---------------------------------------------------------------- simulate
 
-_COMPONENT_KEY = re.compile(r"component(\d+)\.(family|mean|variance)\Z")
+# components are numbered from 1, without leading zeros
+_COMPONENT_KEY = re.compile(r"component([1-9][0-9]*)\.(family|mean|variance)\Z")
 
 
 def _parse_system_spec(path: str) -> tuple[str, int, int, list[GeneratorSpec]]:
@@ -393,6 +394,9 @@ def cmd_reliability(args) -> int:
     _require_positive("--grid-points", grid_points, minimum=1)
 
     src = Path(args.draws)
+    if Path(args.out).resolve() == src.resolve():
+        # the bands' manifest would replace the one that records the fit
+        raise UsageError(f"--out {args.out} is the draws directory {src}; choose another")
     hyper_path = src / "hyper_estimates.json"
     if not hyper_path.exists():
         raise DataError(

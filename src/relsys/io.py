@@ -227,10 +227,8 @@ def read_draws_csv(path: str | Path, j: int) -> tuple[np.ndarray, np.ndarray]:
     return params[0], params[1]
 
 
-# the bytes a draws file body may hold to be read in one pass
-_DRAWS_BODY = re.compile(rb"[0-9+\-.eE,\r\n]*")
-# a row that starts a line after a "\r": the row reader splits lines there
-_ROW_AFTER_CR = re.compile(rb"\r[^\r\n]")
+# a field of a row read in one pass: the characters of decimal numbers
+_FIELD = rb"[0-9+\-.eE]*"
 
 
 def _read_draws_at_once(path: str | Path, j: int) -> np.ndarray | None:
@@ -238,12 +236,12 @@ def _read_draws_at_once(path: str | Path, j: int) -> np.ndarray | None:
 
     The file's bytes are checked where they are, and one ``np.loadtxt``
     call parses them line by line.  Only a file the row reader accepts as
-    it stands is read: the exact header, then rows of four unquoted fields
-    spelled with the characters of decimal numbers, each starting a line
-    with the field ``j`` exactly, and finite, positive draws.  Both numpy
-    and ``float`` round such a number correctly, so to the same double.
-    Any other file gives None, and the row reader then reads it and names
-    its first bad line.
+    it stands is read: the exact header, then lines that are each blank or
+    ``j,`` plus three unquoted fields spelled with the characters of
+    decimal numbers, with a "\\r" only before a line's "\\n", at least one
+    row, and finite, positive draws.  Both numpy and ``float`` round such a
+    number correctly, so to the same double.  Any other file gives None,
+    and the row reader then reads it and names its first bad line.
     """
     try:
         with open(path, "rb") as fh:
@@ -252,20 +250,14 @@ def _read_draws_at_once(path: str | Path, j: int) -> np.ndarray | None:
         return None
     header = ",".join(DRAWS_HEADER).encode()
     start = raw.find(b"\n", 0, len(header) + 2) + 1
-    if raw[:start] not in (header + b"\n", header + b"\r\n") or not _DRAWS_BODY.fullmatch(
-        raw, start
-    ):
-        return None
-    # the row reader splits lines at "\r" too and skips blank ones: every
-    # row must start a line after a "\n", none after a "\r", each with the
-    # field j.  loadtxt rejects a row of fewer than four fields, so three
-    # commas a row on average make every row four fields
-    rows = raw.count(b"\n%d," % j, start - 1)
+    # a "\n" that starts a line neither blank nor a row: the row reader
+    # also ends a line at a "\r", and skips blank lines
+    bad_line = re.compile(rb"\n(?!(?:%d,%s,%s,%s)?\r*(?:\n|\Z))" % (j, _FIELD, _FIELD, _FIELD))
     if (
-        not rows
-        or _ROW_AFTER_CR.search(raw, start)
-        or re.compile(rb"\n(?!%d,)[^\r\n]" % j).search(raw, start - 1)
-        or raw.count(b",", start) != 3 * rows
+        raw[:start] not in (header + b"\n", header + b"\r\n")
+        # loadtxt warns on a file of no rows
+        or raw.find(b"\n%d," % j, start - 1) < 0
+        or bad_line.search(raw, start - 1)
     ):
         return None
     body = BytesIO(raw)
@@ -286,25 +278,23 @@ def _read_draws_at_once(path: str | Path, j: int) -> np.ndarray | None:
 
 def _read_draws_by_row(path: str | Path, j: int) -> np.ndarray:
     """The ``(2, n)`` shapes and scales of a draws file, read row by row."""
-    betas, etas, lines = [], [], []
+    betas, etas = [], []
     for ln, row in _rows(path, DRAWS_HEADER):
         comp = _int_field(path, ln, "component", row[0])
         if comp != j:
             raise DataError(
                 f"{path}: line {ln}: component {comp} in a file for component {j}"
             )
-        betas.append(_float_field(path, ln, "beta", row[2]))
-        etas.append(_float_field(path, ln, "eta", row[3]))
-        lines.append(ln)
+        beta = _float_field(path, ln, "beta", row[2])
+        eta = _float_field(path, ln, "eta", row[3])
+        for name, x in (("shape", beta), ("scale", eta)):
+            if not (math.isfinite(x) and x > 0.0):
+                raise DataError(f"{path}: line {ln}: {name} must be finite and > 0, got {x}")
+        betas.append(beta)
+        etas.append(eta)
     if not betas:
         raise DataError(f"{path}: no draws")
-    params = np.array([betas, etas])
-    ok = np.isfinite(params) & (params > 0.0)
-    if not ok.all():
-        i = int(np.argmin(ok.all(axis=0)))
-        name, x = ("shape", betas[i]) if not ok[0, i] else ("scale", etas[i])
-        raise DataError(f"{path}: line {lines[i]}: {name} must be finite and > 0, got {x}")
-    return params
+    return np.array([betas, etas])
 
 
 def write_band_csv(path: str | Path, band: ReliabilityBand) -> None:

@@ -110,6 +110,27 @@ class TestSimulateCommand:
         assert rc == 1
         assert "component1.shape" in capsys.readouterr().err
 
+    ZERO = "component0.family = weibull\ncomponent0.mean = 2.0\ncomponent0.variance = 1.0\n"
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("kind = series\nn = 5\n" + ZERO, "component0.family"),
+            (SPEC + ZERO, "component0.family"),
+            (SPEC + "component01.mean = 9\n", "component01.mean"),
+        ],
+        ids=["zero_alone", "zero_beside_one", "leading_zero"],
+    )
+    def test_components_are_numbered_from_one(self, tmp_path, capsys, spec, key):
+        spec_file = tmp_path / "system.cfg"
+        spec_file.write_text(spec)
+        rc = cli("simulate", "--spec", spec_file, "--out", tmp_path / "out")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{spec_file}: unknown key {key!r}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_moments_name_the_component(self, tmp_path, capsys):
         spec_file = tmp_path / "system.cfg"
         spec_file.write_text(SPEC.replace("component2.mean = 3.0", "component2.mean = -3.0"))
@@ -722,6 +743,16 @@ class TestReliabilityCommand:
         lines = (out / "band_system.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "5e-324"]
 
+    def test_out_may_not_be_the_draws_directory(self, tmp_path, capsys):
+        sim = simulate(tmp_path)
+        fit_dir = fit(tmp_path, sim)
+        before = {p.name: p.read_bytes() for p in fit_dir.iterdir()}
+        for out in (fit_dir, fit_dir / ".." / fit_dir.name):
+            assert cli("reliability", fit_dir, "--grid-points", "5", "--out", out) == 1
+            err = capsys.readouterr().err
+            assert f"--out {out} is the draws directory {fit_dir}" in err
+        assert {p.name: p.read_bytes() for p in fit_dir.iterdir()} == before
+
     def test_component_fit_directory_composes_as_identity(self, tmp_path):
         data = tmp_path / "comp.csv"
         data.write_text(COMPONENT_CSV)
@@ -782,6 +813,14 @@ class TestReadDraws:
         "cr_splits_a_row": ("\n1,1,1.5,2.0\n1,2,1.\r5,2.0\n", False,
                             "line 3: expected 4 fields, got 3"),
         "cr_between_rows": ("\n1,1,1.5,2.0\r1,2,1.5,2.0\n", False, None),
+        "header_cr_cr_lf": ("\r\r\n1,1,1.5,2.0\n", False, None),
+        "longer_component": ("\n1,1,1.5,2.0\n12,2,1.5,2.0\n", False,
+                             "line 3: component 12 in a file for component 1"),
+        "blank_line_of_crs": ("\n1,1,1.5,2.0\n\r\r\n1,2,1.5,2.0\n\r", True, None),
+        "bad_value_then_bad_number": ("\n1,1,-1.5,2.0\n1,2,abc,2.0\n", False,
+                                      "line 2: shape must be finite and > 0, got -1.5"),
+        "bad_value_then_other_component": ("\n1,1,-1.5,2.0\n2,2,1.5,2.0\n", False,
+                                           "line 2: shape must be finite and > 0, got -1.5"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -796,6 +835,30 @@ class TestReadDraws:
             assert isinstance(got, tuple)
         else:
             assert got == f"{path}: {error}"
+
+    def test_fuzzed_files_read_as_the_row_reader_reads_them(self, tmp_path):
+        # well-formed rows, each with one noise piece put in at random, and
+        # mixed line ends: a fair share of the files stay plain
+        rng = np.random.default_rng(17)
+        noise = [b"", b"", b"", b"", b"", b"7", b"e", b"-", b".", b",", b" ", b"x", b"_", b'"',
+                 b"\r", b"\n", b"\r\n", b"\r\r", b"12,", b"2,", b"1e400", b"\xff"]
+        ends = [b"\n", b"\r\n", b"\r\r\n", b"\n\r\n", b"\r", b""]
+        values = [b"1.5", b"2e-3", b".5", b"7.", b"+1.25", b"3E2", b"0.25", b"-0.5"]
+        path = tmp_path / "draws_component1.csv"
+        one_pass = 0
+        for _ in range(2000):
+            body = bytearray(ends[rng.integers(2)])
+            for i in range(1, int(rng.integers(2, 5))):
+                beta, eta = rng.integers(len(values), size=2)
+                row = b"1,%d,%s,%s" % (i, values[beta], values[eta])
+                at = int(rng.integers(len(row) + 1))
+                row = row[:at] + noise[rng.integers(len(noise))] + row[at:]
+                body += row + ends[rng.integers(len(ends))]
+            path.write_bytes(self.HEADER.encode() + bytes(body))
+            got, expect = self.both_readers(path)
+            assert got == expect, bytes(body)
+            one_pass += io._read_draws_at_once(path, 1) is not None
+        assert one_pass >= 100
 
     def test_random_floats_round_trip_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(5)
