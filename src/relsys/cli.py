@@ -21,7 +21,6 @@ error, 2 malformed data, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -108,7 +107,10 @@ def _write_manifest(
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise UsageError(f"--out {args.out}: cannot create the directory: {e.strerror}") from None
     return out
 
 
@@ -221,24 +223,31 @@ def cmd_simulate(args) -> int:
 # --------------------------------------------------------------------- fit
 
 
+def _chain_flags() -> dict[str, tuple]:
+    """Each chain flag as the manifest keys it: its type, its ``FitConfig()``
+    default, its least value (None: finite and > 0) and its help text."""
+    d = FitConfig()
+    return {
+        "v": (float, d.prior_variance, None, "prior variance (default %(default)g)"),
+        # the posterior standard deviations need two draws
+        "np": (int, d.final_mcmc.n_p, 2,
+               "posterior draws kept per chain, at least 2 (default %(default)s)"),
+        "burnin": (int, d.final_mcmc.burn_in, 0,
+                   "final-chain burn-in; EM chains use a tenth (default %(default)s)"),
+        "thin": (int, d.final_mcmc.thin, 1, "keep every thin-th state (default %(default)s)"),
+        "tol": (float, d.tol, None,
+                "stop when both prior means move less than this (default %(default)g)"),
+        "max-iter": (int, d.max_iter, 1, "cap on EM iterations (default %(default)s)"),
+    }
+
+
 def _chain_settings(args) -> tuple[dict, FitConfig]:
     """The chain settings keyed as the manifest records them, and the
     :class:`FitConfig` they make."""
-    s = {
-        "v": args.v,
-        "np": args.np,
-        "burnin": args.burnin,
-        "thin": args.thin,
-        "tol": args.tol,
-        "max-iter": args.max_iter,
-    }
-    _require_positive("--v", s["v"])
-    # the posterior standard deviations need two draws
-    _require_positive("--np", s["np"], minimum=2)
-    _require_positive("--burnin", s["burnin"], minimum=0)
-    _require_positive("--thin", s["thin"], minimum=1)
-    _require_positive("--tol", s["tol"])
-    _require_positive("--max-iter", s["max-iter"], minimum=1)
+    flags = _chain_flags()
+    s = {flag: getattr(args, flag.replace("-", "_")) for flag in flags}
+    for flag, (_, _, least, _) in flags.items():
+        _require_positive(f"--{flag}", s[flag], minimum=least)
     final = McmcConfig(n_p=s["np"], burn_in=s["burnin"], thin=s["thin"])
     fit_cfg = FitConfig(
         prior_variance=s["v"], tol=s["tol"], max_iter=s["max-iter"], final_mcmc=final
@@ -292,6 +301,7 @@ def cmd_fit(args) -> int:
             raise UsageError("data has a 'time,cause' header; --k is required")
         sample = io.read_system_csv(args.data, kind, k)
         times = sample.times
+        out = _out_dir(args)
         fits = fit_system(sample, cfg, RandomStream(seed)).components
         shape = {"kind": kind, "k": k}
     elif header == io.COMPONENT_HEADER:
@@ -304,6 +314,7 @@ def cmd_fit(args) -> int:
             raise UsageError("data has a 'time,event' header; --side is required")
         comp = io.read_component_csv(args.data, side)
         times = comp.times
+        out = _out_dir(args)
         fits = (fit_component(comp, cfg, RandomStream(seed).child(0)),)
         shape = {"kind": "component", "k": 1, "side": side}
     else:
@@ -311,7 +322,6 @@ def cmd_fit(args) -> int:
             f"{args.data}: unrecognized header {','.join(header)!r}; "
             "expected time,cause or time,event"
         )
-    out = _out_dir(args)
     outputs = []
     records = []
     for j, f in enumerate(fits, start=1):
@@ -566,6 +576,7 @@ def cmd_study(args) -> int:
     for spec in specs:
         fits.setdefault(_shared_fit(spec), spec)
     workers = min(workers, len(fits))
+    out = _out_dir(args)
 
     master = RandomStream(args.seed)
     runner = functools.partial(run_scenario, cfg=cfg, source=master)
@@ -577,12 +588,12 @@ def cmd_study(args) -> int:
             done = dict(zip(fits, pool.map(runner, fits.values())))
     else:
         done = {key: runner(spec) for key, spec in fits.items()}
-    results = tuple(dataclasses.replace(done[_shared_fit(s)], spec=s) for s in specs)
 
     rows = []
     cells = {"replicate_failures": [], "not_converged": [], "absurd_estimates": [], "work": []}
-    for r in results:
-        c = r.spec.coords
+    for spec in specs:
+        r = done[_shared_fit(spec)]
+        c = spec.coords
         cell = (
             f"{c['side']} {c['family']} censor={c['censor_pct']:.0f}% "
             f"mean={c['true_mean']:g} n={c['n']}"
@@ -620,7 +631,6 @@ def cmd_study(args) -> int:
         )
         rows.append((*c.values(), r.bias, r.mse, r.n_failed))
 
-    out = _out_dir(args)
     io.write_table(out / "study.csv", io.STUDY_HEADER, rows)
     # record the subset file by name; its content digest sits under inputs
     config = {
@@ -638,8 +648,8 @@ def cmd_study(args) -> int:
         outputs=["study.csv"],
         started=started,
         extras={
-            "cells": len(results),
-            "failed_replicates": sum(r.n_failed for r in results),
+            "cells": len(specs),
+            "failed_replicates": sum(done[_shared_fit(spec)].n_failed for spec in specs),
             **cells,
         },
     )
@@ -650,48 +660,15 @@ def cmd_study(args) -> int:
 
 # the settings a --config file may give, as the flags they name
 _CONFIG_KEYS = {
-    "fit": ("kind", "k", "side", "v", "np", "burnin", "thin", "tol", "max-iter", "seed"),
+    "fit": ("kind", "k", "side", *_chain_flags(), "seed"),
     "reliability": ("grid-max", "grid-points", "level", "method"),
 }
 _CONFIG_HELP = "file of key = value lines, read as the flags they name; flags win"
 
 
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
-    d = FitConfig()
-    p.add_argument(
-        "--v", type=float, default=d.prior_variance, help="prior variance (default %(default)g)"
-    )
-    p.add_argument(
-        "--np",
-        type=int,
-        default=d.final_mcmc.n_p,
-        help="posterior draws kept per chain, at least 2 (default %(default)s)",
-    )
-    p.add_argument(
-        "--burnin",
-        type=int,
-        default=d.final_mcmc.burn_in,
-        help="final-chain burn-in; EM chains use a tenth (default %(default)s)",
-    )
-    p.add_argument(
-        "--thin",
-        type=int,
-        default=d.final_mcmc.thin,
-        help="keep every thin-th state (default %(default)s)",
-    )
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=d.tol,
-        help="stop when both prior means move less than this (default %(default)g)",
-    )
-    p.add_argument(
-        "--max-iter",
-        dest="max_iter",
-        type=int,
-        default=d.max_iter,
-        help="cap on EM iterations (default %(default)s)",
-    )
+    for flag, (conv, default, _, text) in _chain_flags().items():
+        p.add_argument(f"--{flag}", type=conv, default=default, help=text)
 
 
 def _build_parser() -> _Parser:

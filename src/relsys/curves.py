@@ -159,37 +159,13 @@ def _band_from_matrix(
     return mean, _sorted_quantile(r, half), _sorted_quantile(r, 1.0 - half)
 
 
-def _streamed_band(
-    grid: TimeGrid, level: float, method: str, n_draws: int, survival_rows
-) -> ReliabilityBand:
-    """Band over the ``(len(times), n_draws)`` survival values that
-    ``survival_rows(times)`` returns, built and reduced one block of grid
-    rows at a time.
-
-    A block holds about ``_BLOCK_BYTES``, and at least one row, so no
-    draws-by-grid matrix is ever formed.
-    """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    out = np.empty((3, grid.n))
-    step = max(1, _BLOCK_BYTES // (8 * n_draws))
-    for start in range(0, grid.n, step):
-        block = slice(start, start + step)
-        out[:, block] = _band_from_matrix(survival_rows(grid.points[block]), level, method)
-    return ReliabilityBand(grid, *out, level, method)
-
-
 def _sorted_quantile(r: np.ndarray, q: float) -> np.ndarray:
     """numpy's "linear" quantile ``q`` of each row of the row-sorted ``r``."""
     n = r.shape[1]
     v = (n - 1) * q
-    if v >= n - 1:
-        # numpy clips both neighbours to the last value, and takes the
-        # fraction against the clipped index -1
-        lo = hi = -1
-    else:
-        lo = math.floor(v)
-        hi = lo + 1
+    # at v = n - 1 both neighbours are the last value, as numpy clips them
+    lo = math.floor(v)
+    hi = min(lo + 1, n - 1)
     g = v - lo
     a, b = r[:, lo], r[:, hi]
     diff = b - a
@@ -199,11 +175,9 @@ def _sorted_quantile(r: np.ndarray, q: float) -> np.ndarray:
 def reliability_band(
     d: PosteriorDraws, grid: TimeGrid, level: float = _LEVEL, method: str = _METHODS[0]
 ) -> ReliabilityBand:
-    """Pointwise mean reliability with credible bounds for one component."""
-    betas, log_etas = d.betas, np.log(d.etas)
-    return _streamed_band(
-        grid, level, method, d.n, lambda t: _survival_matrix(betas, log_etas, t)
-    )
+    """Pointwise mean reliability with credible bounds for one component,
+    built as the band of a series system of that one component."""
+    return _band("series", (d,), grid, level, method)
 
 
 def mean_time_posterior(d: PosteriorDraws) -> tuple[float, float]:
@@ -222,29 +196,41 @@ def system_band(
     """Credible band for the whole system's reliability.
 
     Component curves are combined within each draw index, so the ``l``-th
-    system curve uses the ``l``-th draw of every component.  The curves
-    are built one block of grid rows at a time: each component's block is
-    folded into the block's product in place and dropped before the next
-    one is built, and the product block is reduced, sorted in place, before
-    the next block of rows.  So at most two blocks of about
-    ``_BLOCK_BYTES`` each are alive at once, whatever the grid size.
+    system curve uses the ``l``-th draw of every component.
     """
-    sizes = {c.draws.n for c in f.components}
+    return _band(f.kind, tuple(c.draws for c in f.components), grid, level, method)
+
+
+def _band(
+    kind: str, draws: tuple[PosteriorDraws, ...], grid: TimeGrid, level: float, method: str
+) -> ReliabilityBand:
+    """Band of the ``kind`` system whose components carry ``draws``.
+
+    The curves are built one block of about ``_BLOCK_BYTES``, and at least
+    one grid row, at a time: each component's block is folded into the
+    block's product in place and dropped before the next one is built, and
+    the product is reduced, sorted in place, before the next block.  So at
+    most two blocks are alive at once, whatever the grid size.
+    """
+    sizes = {d.n for d in draws}
     if len(sizes) != 1:
         raise ValueError(f"components carry unequal draw counts {sorted(sizes)}")
-    parallel = f.kind != "series"
-    draws = [(c.draws.betas, np.log(c.draws.etas)) for c in f.components]
-
-    def survival_rows(times: np.ndarray) -> np.ndarray:
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+    parallel = kind != "series"
+    curves = [(d.betas, np.log(d.etas)) for d in draws]
+    out = np.empty((3, grid.n))
+    step = max(1, _BLOCK_BYTES // (8 * sizes.pop()))
+    for start in range(0, grid.n, step):
+        block = slice(start, start + step)
         r = None
-        for betas, log_etas in draws:
-            m = _survival_matrix(betas, log_etas, times)
+        for betas, log_etas in curves:
+            m = _survival_matrix(betas, log_etas, grid.points[block])
             if parallel:
                 np.subtract(1.0, m, out=m)
             r = m if r is None else np.multiply(r, m, out=r)
             del m
         if parallel:
             np.subtract(1.0, r, out=r)
-        return r
-
-    return _streamed_band(grid, level, method, sizes.pop(), survival_rows)
+        out[:, block] = _band_from_matrix(r, level, method)
+    return ReliabilityBand(grid, *out, level, method)

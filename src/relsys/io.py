@@ -66,21 +66,13 @@ STUDY_HEADER = (
 )
 
 
-def _cell(x) -> str:
-    # repr of a builtin float round-trips exactly; numpy scalars must be
-    # downcast first or their repr leaks the type name
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
-
-
 def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a CSV table with a fixed header and repr-formatted floats."""
+    """Write a CSV table with a fixed header; ``csv`` writes each float as
+    ``str()``, its shortest round-trip form, numpy's float64 included."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(x) for x in row])
+        writer.writerows(rows)
 
 
 def read_header(path: str | Path) -> tuple[str, ...]:

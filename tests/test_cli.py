@@ -546,6 +546,47 @@ class TestUndecodableInput:
         assert "hyper_estimates.json" in err
         assert "Traceback" not in err
 
+class TestOutThatCannotBeADirectory:
+    """An ``--out`` that names a file, or a path under one, exits 1 with a
+    message, leaves the file as it was, and is found before any fit runs."""
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    @pytest.mark.parametrize("command", ["simulate", "fit", "reliability", "study"])
+    def test_is_a_usage_error_found_before_fitting(
+        self, tmp_path, capsys, monkeypatch, command, under
+    ):
+        if command == "simulate":
+            spec = tmp_path / "system.cfg"
+            spec.write_text(SPEC)
+            argv = ("simulate", "--spec", spec)
+        elif command == "fit":
+            data = tmp_path / "comp.csv"
+            data.write_text(COMPONENT_CSV)
+            argv = ("fit", data, "--side", "right", *FAST_FIT)
+        elif command == "reliability":
+            argv = ("reliability", fit(tmp_path, simulate(tmp_path)))
+        else:
+            grid = tmp_path / "subset.cfg"
+            grid.write_text(TestStudyCommand.SUBSET)
+            argv = ("study", "--grid", grid, "--replicates", "1", "--workers", "1",
+                    *TestStudyCommand.FAST)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fit ran before --out was checked")
+
+        monkeypatch.setattr(cli_module, "fit_component", refuse)
+        monkeypatch.setattr(cli_module, "run_scenario", refuse)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" if under else afile
+        capsys.readouterr()
+        assert cli(*argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        reason = "Not a directory" if under else "File exists"
+        assert err == f"error: --out {out}: cannot create the directory: {reason}\n"
+        assert afile.read_text() == "kept\n"
+
+
 class TestReliabilityCommand:
     def test_bands_on_default_grid(self, tmp_path):
         sim = simulate(tmp_path)

@@ -337,6 +337,18 @@ class TestSystemBand:
         grid = TimeGrid.regular(4.0, 25)
         assert_bands_equal(system_band(f, grid), reliability_band(d, grid))
 
+    @pytest.mark.parametrize("method", ["hpd", "quantile"])
+    def test_component_band_is_the_series_band_of_one_component(self, method):
+        # at 300 draws a block holds 218 grid rows, so 661 points cross three
+        # block edges
+        d = random_draws(48, 300)
+        grid = TimeGrid.regular(5.0, 3 * (_BLOCK_BYTES // (8 * d.n)) + 7)
+        f = SystemFit("series", (make_fit(d),))
+        assert_bands_equal(
+            system_band(f, grid, level=0.9, method=method),
+            reliability_band(d, grid, level=0.9, method=method),
+        )
+
     def test_two_identical_components_compose(self):
         d = random_draws(42)
         grid = TimeGrid.regular(4.0, 15)
