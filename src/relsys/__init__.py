@@ -15,7 +15,9 @@ import importlib
 __version__ = "0.1.0"
 
 # the modules whose own ``__all__`` make up the package's public names
-_MODULES = ("errors", "streams", "dists", "sysmodel", "sampler", "mcem", "curves", "simlab")
+_MODULES = (
+    "errors", "settings", "streams", "dists", "sysmodel", "sampler", "mcem", "curves", "simlab",
+)
 
 
 def _homes() -> dict[str, str]:

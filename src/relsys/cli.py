@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import math
 import os
 import re
@@ -30,28 +31,61 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-from . import io
-from .curves import (
+from .errors import DataError, NumericalError, UnsolvableError, UsageError
+from .settings import (
     _GRID_POINTS,
+    _KINDS,
     _LEVEL,
     _METHODS,
-    TimeGrid,
-    _sorted_quantile,
-    mean_time_posterior,
-    reliability_band,
-    system_band,
+    _SIDES,
+    GRID_REPLICATES,
+    FitConfig,
+    McmcConfig,
 )
-from .dists import GeneratorSpec, weibull_from_moments
-from .errors import DataError, NumericalError, UnsolvableError, UsageError
-from .mcem import ComponentFit, FitConfig, SystemFit, fit_component, fit_system
-from .sampler import McmcConfig, PosteriorDraws
-from .simlab import GRID_REPLICATES, _shared_fit, generate_system_sample, grid_specs, run_scenario
-from .streams import RandomStream
-from .sysmodel import _KINDS, _SIDES
 
 __all__ = ["main"]
+
+# the names the commands take from numpy and the numeric modules, each with
+# its home and the attribute bound there (None: the module itself); they
+# load on first use, so that parsing, help and usage errors import none
+_NUMERIC = {
+    "np": ("numpy", None),
+    "io": (".io", None),
+    **{
+        name: (module, name)
+        for module, names in {
+            ".curves": (
+                "TimeGrid", "_sorted_quantile", "mean_time_posterior", "reliability_band",
+                "system_band",
+            ),
+            ".dists": ("GeneratorSpec", "weibull_from_moments"),
+            ".mcem": ("ComponentFit", "SystemFit", "fit_component", "fit_system"),
+            ".sampler": ("PosteriorDraws",),
+            ".simlab": ("_shared_fit", "generate_system_sample", "grid_specs", "run_scenario"),
+            ".streams": ("RandomStream",),
+        }.items()
+        for name in names
+    },
+}
+
+# simlab, the one numeric module that io does not load itself, is loaded
+# only for the commands that draw samples: it would raise the peak memory
+# of the others
+_SAMPLING_COMMANDS = ("simulate", "study")
+
+
+def __getattr__(name: str):
+    # PEP 562, as in the package itself: a numeric name is imported on its
+    # first lookup and then kept, so a value set on the module beforehand
+    # (a test's or a tracer's wrapper) is never looked up here
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _NUMERIC[name]
+    value = importlib.import_module(module, __package__)
+    if attr is not None:
+        value = getattr(value, attr)
+    globals()[name] = value
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -468,6 +502,11 @@ def cmd_reliability(args) -> int:
         name = io.draws_filename(j)
         comp_fits.append(_draws_shell(*io.read_draws_csv(src / name, j)))
         inputs[name] = io.sha256_file(src / name)
+    # a system band pairs the components' draws one to one; checked before
+    # --out is made, so that no band is written
+    counts = sorted({f.draws.n for f in comp_fits})
+    if len(counts) > 1:
+        raise DataError(f"{src}: components carry unequal draw counts {counts}")
 
     out = _out_dir(args)
     outputs = []
@@ -476,12 +515,7 @@ def cmd_reliability(args) -> int:
         name = f"band_component{j}.csv"
         io.write_band_csv(out / name, band)
         outputs.append(name)
-    try:
-        sband = system_band(
-            SystemFit(sys_kind, tuple(comp_fits)), grid, level=level, method=method
-        )
-    except ValueError as e:
-        raise DataError(f"{src}: {e}") from None
+    sband = system_band(SystemFit(sys_kind, tuple(comp_fits)), grid, level=level, method=method)
     io.write_band_csv(out / "band_system.csv", sband)
     outputs.append("band_system.csv")
     print(f"wrote {len(outputs)} bands on {grid.n} time points up to {grid_max:.6g}")
@@ -800,6 +834,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = list(sys.argv[1:] if argv is None else argv)
         parser = _build_parser()
         args = parser.parse_args(argv)
+        # the commands read their numeric names as globals, which PEP 562
+        # does not reach: bind each one, keeping a value already set
+        module = sys.modules[__name__]
+        for name, (home, _) in _NUMERIC.items():
+            if home != ".simlab" or args.command in _SAMPLING_COMMANDS:
+                getattr(module, name)
         if getattr(args, "config", None) is not None:
             # the file's flags go right after the command, so that the
             # command line's own, parsed later, win

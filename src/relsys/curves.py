@@ -19,6 +19,7 @@ import numpy as np
 from .dists import _freeze_arrays, log_gamma_fn
 from .mcem import SystemFit
 from .sampler import PosteriorDraws
+from .settings import _GRID_POINTS, _LEVEL, _METHODS
 
 __all__ = [
     "TimeGrid",
@@ -28,10 +29,6 @@ __all__ = [
     "system_band",
 ]
 
-# the first method is the default
-_METHODS = ("hpd", "quantile")
-_LEVEL = 0.95
-_GRID_POINTS = 200
 # a band reduces its draws-by-time survival values this many bytes of
 # grid rows at a time (at least one row)
 _BLOCK_BYTES = 1 << 19
@@ -136,10 +133,10 @@ def _band_from_matrix(
     The mean is taken first, over the unsorted rows; both bounds are then
     read from the sorted rows, so no copy of ``r`` is made.  The hpd bounds
     of a row are the shortest window holding ``ceil(level * n)`` of its
-    ``n`` values, the lowest one on ties, found one row at a time.
-    ``level * n`` is rounded to 9 decimals first, so that a product such as
-    ``0.68 * 75 = 51.00000000000001`` does not add a value.  The quantile
-    bounds at ``q = (1 - level) / 2`` and ``1 - q`` are numpy's default
+    ``n`` values, and at least one, the lowest one on ties, found one row at
+    a time.  ``level * n`` is rounded to 9 decimals first, so that a product
+    such as ``0.68 * 75 = 51.00000000000001`` does not add a value.  The
+    quantile bounds at ``q = (1 - level) / 2`` and ``1 - q`` are numpy's default
     "linear" quantiles: the two order statistics around ``q * (n - 1)``,
     interpolated exactly as ``np.quantile`` does, so the bounds equal its
     result bit for bit.  Every statistic is per row, so the rows of a matrix
@@ -150,7 +147,7 @@ def _band_from_matrix(
     r.sort(axis=1)
     n = r.shape[1]
     if method == "hpd":
-        w = min(math.ceil(round(level * n, 9)), n)
+        w = min(max(math.ceil(round(level * n, 9)), 1), n)
         # the window widths of one row at a time: at most n values alive
         i = np.array([np.argmin(row[w - 1 :] - row[: n - w + 1]) for row in r])
         rows = np.arange(r.shape[0])

@@ -26,19 +26,19 @@ then produces the posterior draws that all downstream summaries consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .dists import MeanVarGamma, log_gamma_fn
 from .errors import ConvergenceError, NumericalError, RelsysError
-from .sampler import McmcConfig, PosteriorDraws, run_chain
+from .sampler import PosteriorDraws, run_chain
+from .settings import FitConfig
 from .streams import RandomStream, as_stream
 from .sysmodel import ComponentSample, SystemSample, decompose, make_log_kernel
 
 __all__ = [
-    "FitConfig",
     "EmStep",
     "ComponentFit",
     "SystemFit",
@@ -46,33 +46,6 @@ __all__ = [
     "fit_component",
     "fit_system",
 ]
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Settings for one component fit, and the home of their defaults.
-
-    ``prior_variance`` is the fixed variance of both gamma priors.
-    ``final_mcmc`` configures the single long chain run at the converged
-    prior means; each EM chain runs with its settings at a tenth of its
-    burn-in.  Where each chain starts, and its first proposal scale, follow
-    from the fit itself.
-    """
-
-    prior_variance: float = 4.0
-    tol: float = 1e-3
-    max_iter: int = 200
-    final_mcmc: McmcConfig = field(default_factory=McmcConfig)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.prior_variance) and self.prior_variance > 0.0):
-            raise ValueError(
-                f"prior_variance must be finite and > 0, got {self.prior_variance}"
-            )
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)

@@ -26,36 +26,15 @@ import numpy as np
 
 from .dists import ComponentParams, _freeze_arrays
 from .errors import NumericalError
+from .settings import McmcConfig
 
-__all__ = ["McmcConfig", "PosteriorDraws", "run_chain"]
+__all__ = ["PosteriorDraws", "run_chain"]
 
 # proposals beyond this log-magnitude are rejected outright; exp() is safe
 # inside and any proper posterior is vanishing there anyway
 _LOG_RANGE = 300.0
 # burn-in steers the acceptance probability toward this value
 _ADAPT_TARGET = 0.30
-
-
-@dataclass(frozen=True)
-class McmcConfig:
-    """Chain-length settings.
-
-    ``n_p`` draws are collected after ``burn_in`` adaptation steps, keeping
-    every ``thin``-th state.
-    """
-
-    n_p: int = 1000
-    burn_in: int = 10_000
-    thin: int = 10
-
-    def __post_init__(self):
-        # a posterior standard deviation (ddof=1) needs two draws
-        if self.n_p < 2:
-            raise ValueError(f"n_p must be >= 2, got {self.n_p}")
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.thin < 1:
-            raise ValueError(f"thin must be >= 1, got {self.thin}")
 
 
 @dataclass(frozen=True, eq=False)

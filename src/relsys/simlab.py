@@ -24,9 +24,10 @@ import numpy as np
 from .curves import mean_time_posterior
 from .dists import _FAMILIES, GeneratorSpec, sample
 from .errors import RelsysError
-from .mcem import FitConfig, fit_component
+from .mcem import fit_component
+from .settings import GRID_REPLICATES, _KINDS, _SIDES, FitConfig
 from .streams import RandomStream, as_stream
-from .sysmodel import _KINDS, _SIDES, ComponentSample, SystemSample
+from .sysmodel import ComponentSample, SystemSample
 
 __all__ = [
     "ScenarioSpec",
@@ -41,7 +42,6 @@ __all__ = [
     "GRID_SIZES",
     "GRID_SIDES",
     "GRID_VARIANCE",
-    "GRID_REPLICATES",
 ]
 
 GRID_FAMILIES = _FAMILIES
@@ -50,7 +50,6 @@ GRID_CENSOR_FRACTIONS = (0.0, 0.2, 0.4)
 GRID_SIZES = (30, 100, 1000)
 GRID_SIDES = _SIDES
 GRID_VARIANCE = 5.0
-GRID_REPLICATES = 100
 # a replicate estimate this many times above or below the true mean is
 # reported as absurd; it still counts toward bias and MSE
 _ABSURD_FACTOR = 1e3

@@ -32,6 +32,7 @@ import numpy as np
 
 from .dists import MeanVarGamma, _freeze_arrays
 from .errors import NumericalError
+from .settings import _KINDS, _SIDES
 
 __all__ = [
     "SystemSample",
@@ -39,9 +40,6 @@ __all__ = [
     "decompose",
     "make_log_kernel",
 ]
-
-_KINDS = ("series", "parallel")
-_SIDES = ("right", "left")
 
 
 def _check_times(times: np.ndarray, n: int) -> None:

@@ -110,11 +110,11 @@ def masked_system_loglik(kind, times, causes, params):
 
 def hpd_interval(values, level):
     """Shortest window of ``ceil(level * n)`` sorted values (``level * n``
-    rounded to 9 decimals), the lowest one on ties, found by trying every
-    window in turn."""
+    rounded to 9 decimals), and at least one, the lowest one on ties, found
+    by trying every window in turn."""
     arr = sorted(float(x) for x in values)
     n = len(arr)
-    w = min(math.ceil(round(level * n, 9)), n)
+    w = min(max(math.ceil(round(level * n, 9)), 1), n)
     best = 0
     for i in range(1, n - w + 1):
         if arr[i + w - 1] - arr[i] < arr[best + w - 1] - arr[best]:

@@ -21,8 +21,9 @@ from relsys.cli import main
 from relsys.curves import TimeGrid, mean_time_posterior, reliability_band
 from relsys.dists import ComponentParams, GeneratorSpec, MeanVarGamma, weibull_from_moments
 from relsys.errors import RelsysError
-from relsys.mcem import FitConfig, fit_component
-from relsys.sampler import McmcConfig, PosteriorDraws, run_chain
+from relsys.mcem import fit_component
+from relsys.sampler import PosteriorDraws, run_chain
+from relsys.settings import FitConfig, McmcConfig
 from relsys.simlab import ScenarioSpec, generate_censored_sample, run_scenario
 from relsys.streams import RandomStream
 from relsys.sysmodel import ComponentSample, SystemSample, decompose, make_log_kernel

@@ -21,7 +21,9 @@ import pytest
 
 import relsys
 
-MODULES = ("curves", "dists", "errors", "mcem", "sampler", "simlab", "streams", "sysmodel")
+MODULES = (
+    "curves", "dists", "errors", "mcem", "sampler", "settings", "simlab", "streams", "sysmodel",
+)
 ROOT = Path(__file__).resolve().parents[1]
 
 

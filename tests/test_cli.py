@@ -20,11 +20,12 @@ import pytest
 
 import relsys
 from relsys import cli as cli_module
-from relsys import io, mcem, simlab
+from relsys import io, mcem, settings, simlab
 from relsys.cli import main
 from relsys.errors import DataError, NumericalError, UsageError
-from relsys.mcem import FitConfig, McmcConfig, fit_system
+from relsys.mcem import fit_system
 from relsys.sampler import PosteriorDraws
+from relsys.settings import FitConfig, McmcConfig
 from relsys.simlab import grid_specs
 from relsys.streams import RandomStream
 
@@ -643,12 +644,34 @@ class TestReliabilityCommand:
         assert "draws_component1.csv" in err
         assert "draws_component2.csv" in err
 
+    def test_unequal_draw_counts_are_found_before_out_is_made(self, tmp_path, capsys):
+        sim = simulate(tmp_path)
+        fit_dir = fit(tmp_path, sim)
+        draws = fit_dir / "draws_component2.csv"
+        lines = draws.read_text().splitlines(keepends=True)
+        draws.write_text("".join(lines[:41]))  # the header and 40 of the 60 draws
+        out = tmp_path / "bands"
+        assert cli("reliability", fit_dir, "--out", out) == 2
+        assert "unequal draw counts [40, 60]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_level_outside_unit_interval(self, tmp_path, capsys):
         sim = simulate(tmp_path)
         fit_dir = fit(tmp_path, sim)
         rc = cli("reliability", fit_dir, "--level", "1.5", "--out", tmp_path / "bands")
         assert rc == 1
         assert "--level" in capsys.readouterr().err
+
+    def test_tiny_level_gives_a_one_draw_band(self, tmp_path):
+        # 4e-14 of the 60 draws rounds to none; the hpd window keeps one
+        sim = simulate(tmp_path)
+        fit_dir = fit(tmp_path, sim)
+        out = tmp_path / "bands"
+        rc = cli("reliability", fit_dir, "--level", "4e-14", "--grid-points", "5", "--out", out)
+        assert rc == 0
+        for line in (out / "band_system.csv").read_text().splitlines()[1:]:
+            _, _, lower, upper = line.split(",")
+            assert lower == upper
 
     def test_quantile_method(self, tmp_path):
         sim = simulate(tmp_path)
@@ -976,7 +999,7 @@ class TestStudyCommand:
         assert exc.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
         assert (f"replicates per cell (default: the --grid file's replicates key, "
-                f"else {simlab.GRID_REPLICATES})") in text
+                f"else {settings.GRID_REPLICATES})") in text
 
     def test_full_grid_enumerates_all_cells(self):
         assert len(grid_specs()) == 108
@@ -1168,14 +1191,120 @@ for argv in (
 print(",".join(m for m in ("concurrent.futures", "multiprocessing", "numpy.ma")
                if m in sys.modules))
 """
-    src = str(Path(relsys.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True,
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == ""
+
+
+def src_env() -> dict:
+    """This environment, with the tested package first on the import path,
+    for a fresh interpreter."""
+    src = str(Path(relsys.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_fit_and_reliability_load_no_simlab(tmp_path):
+    script = f"""
+import sys
+from relsys.cli import main
+tmp = {str(tmp_path)!r}
+with open(tmp + "/c.csv", "w") as f:
+    f.write({COMPONENT_CSV!r})
+assert main(["fit", tmp + "/c.csv", "--side", "right", *{list(FAST_FIT)!r},
+             "--out", tmp + "/fit"]) == 0
+assert main(["reliability", tmp + "/fit", "--grid-points", "5", "--out", tmp + "/bands"]) == 0
+print("relsys.simlab" in sys.modules)
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_python_m_runs_commands_as_main_does(tmp_path):
+    # run as __main__, the module binds its numeric names on a module object
+    # of its own, not on relsys.cli
+    sim = simulate(tmp_path)
+    fit_dir = fit(tmp_path, sim)
+    for argv in (
+        ["simulate", "--spec", tmp_path / "system.cfg", "--seed", 7, "--out", tmp_path / "m_sim"],
+        ["fit", tmp_path / "m_sim" / "sample.csv", "--kind", "series", "--k", 2, *FAST_FIT,
+         "--seed", 11, "--out", tmp_path / "m_fit"],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "relsys.cli", *map(str, argv)],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+    for ours, theirs in ((sim, tmp_path / "m_sim"), (fit_dir, tmp_path / "m_fit")):
+        names = sorted(p.name for p in ours.iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in theirs.iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (theirs / name).read_bytes() == (ours / name).read_bytes(), name
+
+
+# the modules a parse may load: numpy and the package's other modules are
+# loaded only once a command runs
+PARSE_MODULES = ("relsys", "relsys.cli", "relsys.errors", "relsys.settings")
+PARSE_ARGVS = (
+    ["--help"],
+    ["simulate", "--help"],
+    ["fit", "--help"],
+    ["reliability", "--help"],
+    ["study", "--help"],
+    ["fit", "--bogus"],
+)
+
+
+def numeric(modules) -> list[str]:
+    """numpy and the package's modules beyond ``PARSE_MODULES``, among ``modules``."""
+    return [
+        m for m in modules if m.split(".")[0] in ("numpy", "relsys") and m not in PARSE_MODULES
+    ]
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS, ids=" ".join)
+def test_parsing_as_python_m_loads_no_numeric_module(argv):
+    # -X importtime lists each module the run imports on stderr
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "relsys.cli", *argv],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == (0 if "--help" in argv else 1), done.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "argparse" in imported
+    assert numeric(imported) == []
+
+
+def test_parsing_through_main_loads_no_numeric_module():
+    script = f"""
+import contextlib, io, sys
+from relsys.cli import main
+for argv in {PARSE_ARGVS!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code == (0 if "--help" in argv else 1), (argv, code)
+    print(" ".join(sys.modules))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(PARSE_ARGVS)
+    for argv, line in zip(PARSE_ARGVS, lines):
+        assert numeric(line.split()) == [], argv
 
 
 class TestRerunDeterminism:

@@ -125,6 +125,14 @@ class TestHpdInterval:
         assert (lo[0] * 128, hi[0] * 128) == (0, 50)
         assert oracles.hpd_interval(row, 0.68) == (0.0, 50 / 128)
 
+    def test_tiny_level_window_holds_one_value(self):
+        # ceil(4e-14 * 8000) rounds to a window of no values; it holds one,
+        # every one-value window is 0 wide, and the lowest one is taken
+        row = np.random.default_rng(5).random(8000)
+        lo, hi = hpd_rows(row[None, :], 4e-14)
+        assert lo[0] == hi[0] == row.min()
+        assert oracles.hpd_interval(row, 4e-14) == (row.min(), row.min())
+
     def test_skewed_sample_shorter_than_quantile_interval(self):
         rng = np.random.default_rng(3)
         x = rng.exponential(1.0, 5000)

@@ -18,13 +18,13 @@ from relsys.dists import GeneratorSpec, MeanVarGamma, sample
 from relsys.errors import ConvergenceError, NumericalError
 from relsys.mcem import (
     _MIN_WEIGHT_ESS,
-    FitConfig,
     _gamma_mean_objective,
     fit_component,
     fit_system,
     m_step,
 )
-from relsys.sampler import McmcConfig, run_chain
+from relsys.sampler import run_chain
+from relsys.settings import FitConfig, McmcConfig
 from relsys.simlab import generate_censored_sample, generate_system_sample
 from relsys.streams import RandomStream
 from relsys.sysmodel import (

@@ -14,7 +14,8 @@ import pytest
 from oracles import gamma_logpdf
 from relsys.dists import GeneratorSpec, MeanVarGamma
 from relsys.errors import NumericalError
-from relsys.sampler import _ADAPT_TARGET, McmcConfig, run_chain
+from relsys.sampler import _ADAPT_TARGET, run_chain
+from relsys.settings import McmcConfig
 from relsys.simlab import generate_censored_sample
 from relsys.sysmodel import make_log_kernel
 

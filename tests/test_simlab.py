@@ -6,8 +6,7 @@ import pytest
 from relsys import io, simlab
 from relsys.dists import GeneratorSpec, sample
 from relsys.errors import NumericalError
-from relsys.mcem import FitConfig
-from relsys.sampler import McmcConfig
+from relsys.settings import FitConfig, McmcConfig
 from relsys.simlab import (
     ScenarioSpec,
     generate_censored_sample,
