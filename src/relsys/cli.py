@@ -7,9 +7,10 @@ Four subcommands cover the workflow end to end::
     relsys reliability runs/fit --level 0.95 --out runs/bands
     relsys study --grid subset.cfg --replicates 20 --seed 3 --out runs/study
 
-Every command writes its artifacts plus a ``manifest.json`` capturing the
-seed, the effective configuration, input and output digests, and
-per-component diagnostics.  Rerunning with the same inputs reproduces
+Every command writes its artifacts and returns its record: the seed, the
+effective configuration, input digests, output names and its own
+diagnostics; ``main`` then writes that record, the output digests and the
+timestamps to ``manifest.json``.  Rerunning with the same inputs reproduces
 every file byte for byte; only the manifest's ``timestamps`` entry moves.
 
 Seeds come exclusively from ``--seed`` flags or config files (default 0);
@@ -115,30 +116,6 @@ def _require_positive(name: str, value, minimum=None) -> None:
         raise UsageError(f"{name} must be {bound}, got {value}")
 
 
-def _write_manifest(
-    out: Path,
-    *,
-    command: str,
-    seed: int | None,
-    config: dict,
-    inputs: dict,
-    outputs: Sequence[str],
-    started: str,
-    extras: dict | None = None,
-) -> None:
-    manifest = {
-        "command": command,
-        "seed": seed,
-        "config": config,
-        "inputs": inputs,
-        "outputs": {name: io.sha256_file(out / name) for name in outputs},
-        "timestamps": {"started": started, "finished": _now()},
-    }
-    if extras:
-        manifest.update(extras)
-    io.write_json(out / "manifest.json", manifest)
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     try:
@@ -218,8 +195,7 @@ def _parse_system_spec(path: str) -> tuple[str, int, int, list[GeneratorSpec]]:
     return kind, n, seed, generators
 
 
-def cmd_simulate(args) -> int:
-    started = _now()
+def cmd_simulate(args) -> dict:
     kind, n, spec_seed, generators = _parse_system_spec(args.spec)
     if args.seed is not None:
         _require_positive("--seed", args.seed, minimum=0)
@@ -234,11 +210,9 @@ def cmd_simulate(args) -> int:
     censoring_pct = [100.0 * (1.0 - counts[j] / n) for j in range(k)]
     for j, pct in enumerate(censoring_pct, start=1):
         print(f"component {j}: {counts[j - 1]} failures observed, {pct:.1f}% censored")
-    _write_manifest(
-        out,
-        command="simulate",
-        seed=seed,
-        config={
+    return {
+        "seed": seed,
+        "config": {
             "kind": kind,
             "n": n,
             "components": [
@@ -246,12 +220,10 @@ def cmd_simulate(args) -> int:
                 for g in generators
             ],
         },
-        inputs={Path(args.spec).name: io.sha256_file(args.spec)},
-        outputs=["sample.csv"],
-        started=started,
-        extras={"achieved_censoring_pct": censoring_pct},
-    )
-    return 0
+        "inputs": {Path(args.spec).name: io.sha256_file(args.spec)},
+        "outputs": ["sample.csv"],
+        "achieved_censoring_pct": censoring_pct,
+    }
 
 
 # --------------------------------------------------------------------- fit
@@ -317,8 +289,7 @@ def _component_record(j: int, f: ComponentFit) -> dict:
     }
 
 
-def cmd_fit(args) -> int:
-    started = _now()
+def cmd_fit(args) -> dict:
     kind, k, side, seed = args.kind, args.k, args.side, args.seed
     if k is not None:
         _require_positive("--k", k, minimum=1)
@@ -378,20 +349,13 @@ def cmd_fit(args) -> int:
     t99 = float(_sorted_quantile(np.sort(times)[None, :], 0.99)[0])
     io.write_json(out / "hyper_estimates.json", {**shape, "t99": t99, "components": records})
     outputs.append("hyper_estimates.json")
-
-    _write_manifest(
-        out,
-        command="fit",
-        seed=seed,
-        config={**s, **shape},
-        inputs={Path(args.data).name: input_digest},
-        outputs=outputs,
-        started=started,
-        extras={
-            "components": [{key: r[key] for key in _MANIFEST_COMPONENT_KEYS} for r in records]
-        },
-    )
-    return 0
+    return {
+        "seed": seed,
+        "config": {**s, **shape},
+        "inputs": {Path(args.data).name: input_digest},
+        "outputs": outputs,
+        "components": [{key: r[key] for key in _MANIFEST_COMPONENT_KEYS} for r in records],
+    }
 
 
 # ------------------------------------------------------------- reliability
@@ -428,8 +392,7 @@ def _draws_shell(betas, etas) -> ComponentFit:
 _BAND_KINDS = {"series": "series", "parallel": "parallel", "component": "series"}
 
 
-def cmd_reliability(args) -> int:
-    started = _now()
+def cmd_reliability(args) -> dict:
     grid_max, grid_points, level, method = (
         args.grid_max, args.grid_points, args.level, args.method
     )
@@ -461,13 +424,22 @@ def cmd_reliability(args) -> int:
     if kind == "component" and k != 1:
         raise DataError(f"{hyper_path}: a component fit has k = 1, got {k!r}")
     sys_kind = _BAND_KINDS[kind]
-    expected = [io.draws_filename(j) for j in range(1, k + 1)]
-    missing = [name for name in expected if not (src / name).exists()]
-    if missing:
-        raise DataError(
-            f"{src}: missing draws files: expected {', '.join(expected)}; "
-            f"absent: {', '.join(missing)}"
-        )
+    comp_fits = []
+    inputs = {hyper_path.name: io.sha256_file(hyper_path)}
+    for j in range(1, k + 1):
+        path = src / io.draws_filename(j)
+        if not path.exists():
+            raise DataError(
+                f"{src}: missing draws files: expected {io.draws_filename(1)} to "
+                f"{io.draws_filename(k)}; absent: {path.name}"
+            )
+        comp_fits.append(_draws_shell(*io.read_draws_csv(path, j)))
+        inputs[path.name] = io.sha256_file(path)
+    # a system band pairs the components' draws one to one; checked before
+    # --out is made, so that no band is written
+    counts = sorted({f.draws.n for f in comp_fits})
+    if len(counts) > 1:
+        raise DataError(f"{src}: components carry unequal draw counts {counts}")
 
     if grid_max is None:
         if "t99" not in hyper:
@@ -481,8 +453,7 @@ def cmd_reliability(args) -> int:
         ):
             raise DataError(f"{hyper_path}: t99 must be a finite number > 0, got {t99!r}")
         grid_max = float(t99)
-    if not (math.isfinite(grid_max) and grid_max > 0.0):
-        raise UsageError(f"--grid-max must be finite and positive, got {grid_max}")
+    _require_positive("--grid-max", grid_max)
     try:
         grid = (
             TimeGrid(np.array([grid_max]))
@@ -496,18 +467,6 @@ def cmd_reliability(args) -> int:
             "distinct times"
         ) from None
 
-    comp_fits = []
-    inputs = {hyper_path.name: io.sha256_file(hyper_path)}
-    for j in range(1, k + 1):
-        name = io.draws_filename(j)
-        comp_fits.append(_draws_shell(*io.read_draws_csv(src / name, j)))
-        inputs[name] = io.sha256_file(src / name)
-    # a system band pairs the components' draws one to one; checked before
-    # --out is made, so that no band is written
-    counts = sorted({f.draws.n for f in comp_fits})
-    if len(counts) > 1:
-        raise DataError(f"{src}: components carry unequal draw counts {counts}")
-
     out = _out_dir(args)
     outputs = []
     for j, f in enumerate(comp_fits, start=1):
@@ -519,12 +478,9 @@ def cmd_reliability(args) -> int:
     io.write_band_csv(out / "band_system.csv", sband)
     outputs.append("band_system.csv")
     print(f"wrote {len(outputs)} bands on {grid.n} time points up to {grid_max:.6g}")
-
-    _write_manifest(
-        out,
-        command="reliability",
-        seed=None,
-        config={
+    return {
+        "seed": None,
+        "config": {
             "grid-max": float(grid_max),
             "grid-points": grid_points,
             "level": level,
@@ -532,11 +488,9 @@ def cmd_reliability(args) -> int:
             "kind": kind,
             "k": k,
         },
-        inputs=inputs,
-        outputs=outputs,
-        started=started,
-    )
-    return 0
+        "inputs": inputs,
+        "outputs": outputs,
+    }
 
 
 # ------------------------------------------------------------------- study
@@ -589,8 +543,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def cmd_study(args) -> int:
-    started = _now()
+def cmd_study(args) -> dict:
     _require_positive("--seed", args.seed, minimum=0)
     workers = args.workers if args.workers is not None else _usable_cpus()
     _require_positive("--workers", workers, minimum=1)
@@ -666,28 +619,21 @@ def cmd_study(args) -> int:
         rows.append((*c.values(), r.bias, r.mse, r.n_failed))
 
     io.write_table(out / "study.csv", io.STUDY_HEADER, rows)
-    # record the subset file by name; its content digest sits under inputs
-    config = {
-        "grid": args.grid if args.grid == "full" else Path(args.grid).name,
-        "replicates": replicates,
-        "workers": workers,
-        **s,
-    }
-    _write_manifest(
-        out,
-        command="study",
-        seed=args.seed,
-        config=config,
-        inputs=inputs,
-        outputs=["study.csv"],
-        started=started,
-        extras={
-            "cells": len(specs),
-            "failed_replicates": sum(done[_shared_fit(spec)].n_failed for spec in specs),
-            **cells,
+    return {
+        "seed": args.seed,
+        # the subset file by name; its content digest sits under inputs
+        "config": {
+            "grid": args.grid if args.grid == "full" else Path(args.grid).name,
+            "replicates": replicates,
+            "workers": workers,
+            **s,
         },
-    )
-    return 0
+        "inputs": inputs,
+        "outputs": ["study.csv"],
+        "cells": len(specs),
+        "failed_replicates": sum(done[_shared_fit(spec)].n_failed for spec in specs),
+        **cells,
+    }
 
 
 # -------------------------------------------------------------------- main
@@ -845,16 +791,21 @@ def main(argv: Sequence[str] | None = None) -> int:
             # command line's own, parsed later, win
             flags = _config_flags(args.config, args.command)
             args = parser.parse_args(argv[:1] + flags + argv[1:])
-        return args.func(args)
-    except UsageError as e:
+        started = _now()
+        # a command returns its record only once every output is written,
+        # so one that raises leaves no manifest
+        record = args.func(args)
+        out = Path(args.out)
+        io.write_json(out / "manifest.json", {
+            "command": args.command,
+            **record,
+            "outputs": {name: io.sha256_file(out / name) for name in record["outputs"]},
+            "timestamps": {"started": started, "finished": _now()},
+        })
+        return 0
+    except (UsageError, DataError, NumericalError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except NumericalError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return 1 if isinstance(e, UsageError) else 2 if isinstance(e, DataError) else 3
 
 
 if __name__ == "__main__":

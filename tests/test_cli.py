@@ -385,6 +385,17 @@ class TestFitCommand:
             entry = text[text.index(flag):]
             assert f"(default {value})" in entry[:entry.index(" --", len(flag))]
 
+    def test_a_fit_that_fails_after_making_out_writes_no_manifest(self, tmp_path, capsys):
+        # times spread over e^-100..e^100 pin the prior-mean update at its
+        # lower bound, after --out is made
+        times = np.exp(np.random.default_rng(1).uniform(-100, 100, 40))
+        data = tmp_path / "wide.csv"
+        data.write_text("time,event\n" + "".join(f"{t!r},1\n" for t in times.tolist()))
+        out = tmp_path / "fit"
+        assert cli("fit", data, "--side", "right", "--np", "20", "--burnin", "100",
+                   "--thin", "1", "--out", out) == 3
+        assert "prior-mean update pinned at the lower bound 1e-09" in capsys.readouterr().err
+        assert out.is_dir() and list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("key, value", [("v", "inf"), ("v", "nan"), ("tol", "nan"), ("tol", "inf")])
@@ -643,6 +654,21 @@ class TestReliabilityCommand:
         err = capsys.readouterr().err
         assert "draws_component1.csv" in err
         assert "draws_component2.csv" in err
+
+    def test_large_k_stops_at_the_first_absent_draws_file(self, tmp_path, capsys):
+        # the draws files are read one by one, so a k far beyond the files
+        # present names the first absent one, not all k
+        sim = simulate(tmp_path)
+        fit_dir = fit(tmp_path, sim)
+        hyper_path = fit_dir / "hyper_estimates.json"
+        hyper = json.loads(hyper_path.read_text())
+        hyper_path.write_text(json.dumps({**hyper, "k": 100000}))
+        out = tmp_path / "bands"
+        assert cli("reliability", fit_dir, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "draws_component100000.csv" in err and "absent: draws_component3.csv" in err
+        assert len(err.encode()) < 1024
+        assert not out.exists()
 
     def test_unequal_draw_counts_are_found_before_out_is_made(self, tmp_path, capsys):
         sim = simulate(tmp_path)
@@ -1345,7 +1371,8 @@ class TestRecordedOutputs:
     # to how the EM draws its chains, or to how a band reduces the drawn
     # curves moves them.  The manifests (less timestamps), the study
     # outputs and the printed text were recorded later, before the fit and
-    # study records were each built in one place.  The parallel and left
+    # study records were each built in one place; the simulate manifests
+    # before main became the one manifest writer.  The parallel and left
     # fit outputs were re-recorded when a left censoring's term became the
     # single-branch log(-expm1(-x)): the draws moved in the last ulps, the
     # EM traces and the printed text did not
@@ -1367,6 +1394,7 @@ class TestRecordedOutputs:
             "manifest.json": "f5aad9beeaf3dd0a063314d286ccbb540b67a21f0ad794f657f213e575150864",
             "hpd/manifest.json": "70263f69258330c64dc7bfcc4c7df823523cf758dce7b25117bba44e4abf67f6",
             "quantile/manifest.json": "3ebcd654d05066f22a13250a6c4ee96039daa407f863cf31555f9472cb671d98",
+            "sim/manifest.json": "4945d785922936ba7328e11fe025907a86714ff0b5b4fb8e27b26bdc67851e39",
         },
         "parallel": {
             "sample.csv": "66f3acb3dfa1871a487fcfdabfd38573d2090ffa6573f98a30c7b40a3fefc614",
@@ -1385,6 +1413,7 @@ class TestRecordedOutputs:
             "manifest.json": "0a5d4a8c4d97162b067a95583d77601a5a04fb30e2cf89ac8db71bebf05a4fde",
             "hpd/manifest.json": "d48bd2c6e0ac956f21a6fc3f9d54d34c55cc9020c036c5834432dea2e53d902c",
             "quantile/manifest.json": "7c60a7e8b425fe58d9d6b248f67a014658e9c3155f2cdb8147fd672cf753d70d",
+            "sim/manifest.json": "e776dd370175dbb08bf63c2102bccfea609d5913a99950b10d8ee3af2a71e2f5",
         },
         "right": {
             "draws_component1.csv": "30de1dd2d67611389419d8eee6e0d3cc1e21d11d531688e0f127eb76ee7c36f4",
@@ -1424,6 +1453,7 @@ class TestRecordedOutputs:
             sim = simulate(tmp_path, spec=SPEC.replace("kind = series", f"kind = {case}"))
             data = sim / "sample.csv"
             digests["sample.csv"] = hashlib.sha256(data.read_bytes()).hexdigest()
+            digests["sim/manifest.json"] = self.digest(sim / "manifest.json")
             shape = ("--kind", case, "--k", "2")
         else:
             data = tmp_path / "comp.csv"
