@@ -32,7 +32,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
-from .errors import DataError, NumericalError, UnsolvableError, UsageError
+from .errors import DataError, NumericalError, UsageError
 from .settings import (
     _GRID_POINTS,
     _KINDS,
@@ -59,7 +59,7 @@ _NUMERIC = {
                 "TimeGrid", "_sorted_quantile", "mean_time_posterior", "reliability_band",
                 "system_band",
             ),
-            ".dists": ("GeneratorSpec", "weibull_from_moments"),
+            ".dists": ("GeneratorSpec",),
             ".mcem": ("ComponentFit", "SystemFit", "fit_component", "fit_system"),
             ".sampler": ("PosteriorDraws",),
             ".simlab": ("_shared_fit", "generate_system_sample", "grid_specs", "run_scenario"),
@@ -184,19 +184,13 @@ def _parse_system_spec(path: str) -> tuple[str, int, int, list[GeneratorSpec]]:
             )
         except ValueError as e:
             raise UsageError(f"{path}: component {j}: {e}") from None
-    for j, g in enumerate(generators, start=1):
-        if g.family == "weibull":
-            # resolve the moment inversion up front so failures name the
-            # component instead of surfacing mid-sampling
-            try:
-                weibull_from_moments(g.mean, g.variance)
-            except UnsolvableError as e:
-                raise UnsolvableError(f"component {j}: {e}") from None
     return kind, n, seed, generators
 
 
 def cmd_simulate(args) -> dict:
     kind, n, spec_seed, generators = _parse_system_spec(args.spec)
+    # digest the spec before --out is written: it may hold the spec itself
+    inputs = {Path(args.spec).name: io.sha256_file(args.spec)}
     if args.seed is not None:
         _require_positive("--seed", args.seed, minimum=0)
     seed = spec_seed if args.seed is None else args.seed
@@ -220,7 +214,7 @@ def cmd_simulate(args) -> dict:
                 for g in generators
             ],
         },
-        "inputs": {Path(args.spec).name: io.sha256_file(args.spec)},
+        "inputs": inputs,
         "outputs": ["sample.csv"],
         "achieved_censoring_pct": censoring_pct,
     }

@@ -104,7 +104,6 @@ _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _M_LO = math.log(1e-3)
 _M_HI = math.log(1e3)
 _M_LIMIT = math.log(1e9)
-_M_EXPAND = math.log(1e3)
 _M_EDGE = 1e-3
 _M_TOL = 1e-6
 
@@ -135,13 +134,13 @@ def m_step(
     With ``weights``, non-negative importance weights of the values in any
     scale, the average is weighted: the objective needs only the weighted
     means of ``x`` and ``log x``.  Golden-section search on the log of the
-    mean, to 1e-6, over a bracket that starts at three decades around 1
-    and widens when the maximizer lands on an edge.
+    mean, to 1e-6, over [1e-3, 1e3]; a maximizer within 1e-3 of either end
+    (in log) is searched for once more over [1e-9, 1e9].
 
     Raises
     ------
     ConvergenceError
-        If the maximizer stays pinned at the widest bracket edge.
+        If the maximizer lands within 1e-3 of an end of [1e-9, 1e9].
     ValueError
         If ``values`` is empty or contains non-positive entries, or if
         ``weights`` do not match them, are negative or non-finite, or are
@@ -168,36 +167,15 @@ def m_step(
     def g(log_m: float) -> float:
         return _gamma_mean_objective(math.exp(log_m), v, mean_x, mean_log)
 
-    lo, hi = _M_LO, _M_HI
-    while True:
+    for lo, hi in ((_M_LO, _M_HI), (-_M_LIMIT, _M_LIMIT)):
         x = _golden_max(g, lo, hi, _M_TOL)
         if x - lo < _M_EDGE:
-            if lo <= -_M_LIMIT + 1e-9:
-                raise ConvergenceError(
-                    f"prior-mean update pinned at the lower bound {math.exp(lo):.3g}"
-                )
-            lo = max(lo - _M_EXPAND, -_M_LIMIT)
+            side, bound = "lower", lo
         elif hi - x < _M_EDGE:
-            if hi >= _M_LIMIT - 1e-9:
-                raise ConvergenceError(
-                    f"prior-mean update pinned at the upper bound {math.exp(hi):.3g}"
-                )
-            hi = min(hi + _M_EXPAND, _M_LIMIT)
+            side, bound = "upper", hi
         else:
             return math.exp(x)
-
-
-def _initial_priors(
-    c: ComponentSample, cfg: FitConfig
-) -> tuple[float, float, tuple[MeanVarGamma, MeanVarGamma]]:
-    m_beta = 1.0
-    m_eta = float(c.times.mean())
-    v = cfg.prior_variance
-    try:
-        priors = (MeanVarGamma(m_beta, v), MeanVarGamma(m_eta, v))
-    except ValueError as e:
-        raise NumericalError(f"initial hyper-means are unusable: {e}") from e
-    return m_beta, m_eta, priors
+    raise ConvergenceError(f"prior-mean update pinned at the {side} bound {math.exp(bound):.3g}")
 
 
 def _log_prior_ratio(x: np.ndarray, log_x: np.ndarray, m: float, m_gen: float, v: float):
@@ -224,8 +202,12 @@ def fit_component(
             "and the censoring pattern"
         )
 
-    m_beta, m_eta, priors = _initial_priors(c, cfg)
+    m_beta, m_eta = 1.0, float(c.times.mean())
     v = cfg.prior_variance
+    try:
+        priors = (MeanVarGamma(m_beta, v), MeanVarGamma(m_eta, v))
+    except ValueError as e:
+        raise NumericalError(f"initial hyper-means are unusable: {e}") from e
     em_mcmc = replace(cfg.final_mcmc, burn_in=cfg.final_mcmc.burn_in // 10)
     trace = [EmStep(0, m_beta, m_eta)]
     converged = False

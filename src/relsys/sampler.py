@@ -175,8 +175,6 @@ def run_chain(
 
 
 def _lag1(x: np.ndarray) -> float:
-    if x.size < 2:
-        return 0.0
     c = x - x.mean()
     denom = float(c @ c)
     if denom == 0.0:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .curves import mean_time_posterior
 from .dists import _FAMILIES, GeneratorSpec, sample
-from .errors import RelsysError
+from .errors import NumericalError, RelsysError
 from .mcem import fit_component
 from .settings import GRID_REPLICATES, _KINDS, _SIDES, FitConfig
 from .streams import RandomStream, as_stream
@@ -150,7 +150,8 @@ def generate_system_sample(
     observed time is the minimum (series) or maximum (parallel) and the
     cause is the achieving component.  Simultaneous failures have
     probability zero under continuous generators and are not arbitrated
-    beyond first index.
+    beyond first index.  A :class:`NumericalError` that a component's draw
+    raises is raised again with the component's number, from 1, in front.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
@@ -158,7 +159,13 @@ def generate_system_sample(
         raise ValueError("at least one component generator is required")
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    lifetimes = np.column_stack([sample(g, n, rng) for g in generators])
+    columns = []
+    for j, g in enumerate(generators, start=1):
+        try:
+            columns.append(sample(g, n, rng))
+        except NumericalError as e:
+            raise type(e)(f"component {j}: {e}") from None
+    lifetimes = np.column_stack(columns)
     pick = np.argmin if kind == "series" else np.argmax
     idx = pick(lifetimes, axis=1)
     return SystemSample(kind, len(generators), lifetimes[np.arange(n), idx], idx + 1)

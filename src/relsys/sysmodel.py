@@ -14,10 +14,10 @@ failure times and causes, a component sample its record times and
 censoring flags.  The decomposition shares the system's time array
 across all components and differs only in the flags.
 
-Each sample binds its likelihood once, from one log-time array and sums
-that do not depend on the parameters, so that repeated calls at new
-parameters (the Metropolis inner loop) cost one in-place exponential pass
-over one buffer, plus an in-place ``log(-expm1(-x))`` over its left
+Each kernel binds its sample's likelihood once, from one log-time array
+and sums that do not depend on the parameters, so that repeated calls at
+new parameters (the Metropolis inner loop) cost one in-place exponential
+pass over one buffer, plus an in-place ``log(-expm1(-x))`` over its left
 censorings.
 """
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -124,10 +123,6 @@ class ComponentSample:
     def n_exact(self) -> int:
         return self.n - int(np.count_nonzero(self.censored))
 
-    @cached_property
-    def _loglik(self) -> Callable[[float, float, float], float]:
-        return _bind_loglik(self)
-
 
 def decompose(s: SystemSample) -> tuple[ComponentSample, ...]:
     """Split masked system data into one censored sample per component.
@@ -171,9 +166,8 @@ def _bind_loglik(c: ComponentSample) -> Callable[[float, float, float], float]:
     lo, hi = float(log_t.min()), float(log_t.max())
     # below this exponent the sum of the powers stays finite too
     ceiling = _EXP_MAX - math.log(log_t.size)
-    # (t/eta)**beta is formed in place in this buffer, reused by every call,
-    # so the bound likelihood must not run in two threads at once; the out
-    # arguments are positional, which numpy parses faster
+    # (t/eta)**beta is formed in place in this buffer, reused by every call;
+    # the out arguments are positional, which numpy parses faster
     buf = np.empty_like(log_t)
     powers, fails = buf[:n_pow], buf[n_pow:]
     subtract, multiply, exp, add_reduce = np.subtract, np.multiply, np.exp, np.add.reduce
@@ -209,7 +203,7 @@ def _diagnose_nan(c: ComponentSample, p: tuple[float, float]) -> str:
     log_beta, log_eta = math.log(beta), math.log(eta)
     for i in range(c.n):
         one = ComponentSample(c.side, c.times[i : i + 1], c.censored[i : i + 1])
-        if math.isnan(one._loglik(beta, log_beta, log_eta)):
+        if math.isnan(_bind_loglik(one)(beta, log_beta, log_eta)):
             return (
                 f"log-likelihood is NaN at record {i} (time={float(c.times[i])}, "
                 f"censored={bool(c.censored[i])}) for beta={beta}, eta={eta}"
@@ -230,9 +224,11 @@ def make_log_kernel(
     The gamma normalizers are constant while the priors are, so a call
     evaluates the likelihood plus ``(a-1)*log(x) - b*x`` for each prior,
     sharing ``log(beta)`` and ``log(eta)`` with the likelihood.  A NaN
-    likelihood raises :class:`NumericalError` naming the record.
+    likelihood raises :class:`NumericalError` naming the record.  Each
+    kernel binds its own likelihood and scratch buffer, so one kernel must
+    not run in two threads at once; two kernels of one sample may.
     """
-    loglik = c._loglik
+    loglik = _bind_loglik(c)
     prior_beta, prior_eta = priors
     const = prior_beta.log_normalizer + prior_eta.log_normalizer
     a1_beta, b_beta = prior_beta.shape - 1.0, prior_beta.rate

@@ -26,7 +26,13 @@ from relsys.sampler import PosteriorDraws, run_chain
 from relsys.settings import FitConfig, McmcConfig
 from relsys.simlab import ScenarioSpec, generate_censored_sample, run_scenario
 from relsys.streams import RandomStream
-from relsys.sysmodel import ComponentSample, SystemSample, decompose, make_log_kernel
+from relsys.sysmodel import (
+    ComponentSample,
+    SystemSample,
+    _bind_loglik,
+    decompose,
+    make_log_kernel,
+)
 
 # desk-scale chains for replicated studies: short per-iteration chains and
 # a moderate final chain keep Monte-Carlo error well inside the tolerances
@@ -147,7 +153,7 @@ def test_05_system_loglik_factorizes_over_components():
         ]
         whole = masked_system_loglik(kind, s.times, s.causes, params)
         parts = sum(
-            c._loglik(p.beta, math.log(p.beta), math.log(p.eta))
+            _bind_loglik(c)(p.beta, math.log(p.beta), math.log(p.eta))
             for c, p in zip(decompose(s), params)
         )
         assert math.isfinite(whole)

@@ -599,6 +599,29 @@ class TestOutThatCannotBeADirectory:
         assert afile.read_text() == "kept\n"
 
 
+class TestInputInsideOut:
+    """A command whose input file lies in its ``--out`` directory, under the
+    name of the output it writes there, records the input as it was before
+    the run overwrote it."""
+
+    @pytest.mark.parametrize("command", ["simulate", "study"])
+    def test_inputs_hold_the_digest_from_before_the_run(self, tmp_path, command):
+        if command == "simulate":
+            src = tmp_path / "sample.csv"
+            src.write_text(SPEC)
+            argv = ("simulate", "--spec", src, "--seed", 7)
+        else:
+            src = tmp_path / "study.csv"
+            src.write_text(TestStudyCommand.SUBSET + "means = 2.0\ncensor-fractions = 0.0\n")
+            argv = ("study", "--grid", src, "--replicates", "1", "--workers", "1",
+                    *TestStudyCommand.FAST)
+        before = hashlib.sha256(src.read_bytes()).hexdigest()
+        assert cli(*argv, "--out", tmp_path) == 0
+        m = manifest_of(tmp_path)
+        assert m["inputs"] == {src.name: before}
+        assert m["outputs"][src.name] == hashlib.sha256(src.read_bytes()).hexdigest() != before
+
+
 class TestReliabilityCommand:
     def test_bands_on_default_grid(self, tmp_path):
         sim = simulate(tmp_path)

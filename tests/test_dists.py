@@ -29,7 +29,7 @@ from relsys.dists import (
 )
 from relsys.errors import NumericalError, UnsolvableError
 from relsys.sampler import PosteriorDraws
-from relsys.sysmodel import ComponentSample
+from relsys.sysmodel import ComponentSample, _bind_loglik
 
 
 def draws_of(beta, eta, copies=1):
@@ -47,7 +47,7 @@ def survival(p, times):
 def log_density(p, t):
     """Weibull log density at ``t`` as the bound likelihood of one exact record."""
     c = ComponentSample("right", np.array([t]), np.array([False]))
-    return c._loglik(p.beta, math.log(p.beta), math.log(p.eta))
+    return _bind_loglik(c)(p.beta, math.log(p.beta), math.log(p.eta))
 
 
 def weibull_moments(p):

@@ -66,14 +66,21 @@ def far_start_sample():
 
 
 class TestMStep:
-    @pytest.mark.parametrize("seed,v", [(3, 4.0), (4, 4.0), (5, 0.7), (6, 2.0)])
-    def test_matches_scipy_bounded_optimizer(self, seed, v):
+    # the last two maximizers lie above and below the first bracket,
+    # [1e-3, 1e3], so the M step searches [1e-9, 1e9] for them
+    @pytest.mark.parametrize(
+        "seed,v,scale",
+        [(3, 4.0, 1.0), (4, 4.0, 1.0), (5, 0.7, 1.0), (6, 2.0, 1.0),
+         (7, 1e10, 1e5), (8, 1e-10, 1e-5)],
+        ids=["3-4.0", "4-4.0", "5-0.7", "6-2.0", "above-1e3", "below-1e-3"],
+    )
+    def test_matches_scipy_bounded_optimizer(self, seed, v, scale):
         rng = np.random.default_rng(seed)
-        vals = rng.gamma(2.0, 1.3, 400)
+        vals = scale * rng.gamma(2.0, 1.3, 400)
         mx, ml = float(vals.mean()), float(np.log(vals).mean())
         ref = minimize_scalar(
             lambda lm: -_gamma_mean_objective(math.exp(lm), v, mx, ml),
-            bounds=(math.log(1e-3), math.log(1e3)),
+            bounds=(math.log(1e-9), math.log(1e9)),
             method="bounded",
             options={"xatol": 1e-10},
         )
@@ -113,10 +120,16 @@ class TestMStep:
             m_step([1.0, -2.0], 4.0)
 
     def test_hopeless_values_pin_the_bracket(self):
-        # values so large that, at fixed prior variance, no finite prior
-        # mean fits them; the maximizer runs off the widened bracket
-        with pytest.raises(ConvergenceError, match="pinned"):
-            m_step(np.full(50, 1e10), 4.0)
+        # values that no prior mean in [1e-9, 1e9] fits at the given
+        # variance: the maximizer runs off the wide bracket on either side
+        cases = [
+            (np.full(50, 1e10), 4.0, "lower bound 1e-09"),
+            (np.full(50, 1e12), 1e24, "upper bound 1e+09"),
+        ]
+        for vals, v, bound in cases:
+            with pytest.raises(ConvergenceError) as e:
+                m_step(vals, v)
+            assert str(e.value) == f"prior-mean update pinned at the {bound}"
 
 
 class TestEStepObjective:

@@ -5,7 +5,7 @@ import pytest
 
 from relsys import io, simlab
 from relsys.dists import GeneratorSpec, sample
-from relsys.errors import NumericalError
+from relsys.errors import NumericalError, UnsolvableError
 from relsys.settings import FitConfig, McmcConfig
 from relsys.simlab import (
     ScenarioSpec,
@@ -102,6 +102,19 @@ class TestSystemSample:
             generate_system_sample((), "series", 5, rng)
         with pytest.raises(ValueError, match="size"):
             generate_system_sample(self.GENS, "series", 0, rng)
+
+    def test_a_failing_draw_names_its_component(self):
+        # no Weibull shape in [1e-3, 1e3] has a variance this small, and a
+        # gamma of mean 3 and variance 1e6 (shape 9e-6) underflows to 0
+        cases = [
+            (GeneratorSpec("weibull", 2.0, 1e-12), 2, UnsolvableError, "no Weibull shape"),
+            (GeneratorSpec("gamma", 3.0, 1e6), 3, NumericalError, "gamma generator with mean 3"),
+        ]
+        for bad, j, error, text in cases:
+            gens = list(self.GENS)
+            gens[j - 1] = bad
+            with pytest.raises(error, match=f"^component {j}: {text}"):
+                generate_system_sample(gens, "series", 50, np.random.default_rng(0))
 
 
 class TestRunScenario:

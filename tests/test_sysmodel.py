@@ -11,12 +11,18 @@ from scipy.stats import gamma, weibull_min
 from oracles import gamma_logpdf, masked_system_loglik
 from relsys.dists import ComponentParams, MeanVarGamma
 from relsys.errors import NumericalError
-from relsys.sysmodel import ComponentSample, SystemSample, decompose, make_log_kernel
+from relsys.sysmodel import (
+    ComponentSample,
+    SystemSample,
+    _bind_loglik,
+    decompose,
+    make_log_kernel,
+)
 
 
 def loglik(c: ComponentSample, p: ComponentParams) -> float:
     """The sample's bound log-likelihood at ``p``."""
-    return c._loglik(p.beta, math.log(p.beta), math.log(p.eta))
+    return _bind_loglik(c)(p.beta, math.log(p.beta), math.log(p.eta))
 
 
 def prior_terms(priors, p: ComponentParams) -> float:
