@@ -34,6 +34,7 @@ from typing import Sequence
 
 from .errors import DataError, NumericalError, UsageError
 from .settings import (
+    _ABSURD_FACTOR,
     _GRID_POINTS,
     _KINDS,
     _LEVEL,
@@ -261,16 +262,27 @@ _MANIFEST_COMPONENT_KEYS = (
 )
 
 
-def _component_record(j: int, f: ComponentFit) -> dict:
-    """Component ``j``'s ``hyper_estimates.json`` entry."""
+def _component_record(j: int, f: ComponentFit, mean_time: float, sd_time: float,
+                      t_max: float) -> dict:
+    """Component ``j``'s ``hyper_estimates.json`` entry, given its posterior
+    lifetime moments and the largest time in the data.
+
+    A mean lifetime that is not finite, or above ``_ABSURD_FACTOR`` times
+    ``t_max``, adds a warning; a moment JSON cannot hold is written as null.
+    """
     d = f.draws
-    mean_time, sd_time = mean_time_posterior(d)
+    warnings = list(f.warnings)
+    if not mean_time <= _ABSURD_FACTOR * t_max:
+        warnings.append(
+            f"absurd posterior mean lifetime {mean_time:.6g} "
+            f"(the largest time in the data is {t_max:.6g})"
+        )
     return {
         "component": j,
         "m_beta": f.m_beta,
         "m_eta": f.m_eta,
-        "mean_time": mean_time,
-        "sd_time": sd_time,
+        "mean_time": _json_number(mean_time),
+        "sd_time": _json_number(sd_time),
         "converged": f.converged,
         "iterations": len(f.em_trace) - 1,
         "chains": f.chains,
@@ -279,7 +291,7 @@ def _component_record(j: int, f: ComponentFit) -> dict:
         "step_final": d.step_final,
         "lag1_beta": d.lag1_beta,
         "lag1_eta": d.lag1_eta,
-        "warnings": list(f.warnings),
+        "warnings": warnings,
     }
 
 
@@ -321,18 +333,20 @@ def cmd_fit(args) -> dict:
             f"{args.data}: unrecognized header {','.join(header)!r}; "
             "expected time,cause or time,event"
         )
+    ordered = np.sort(times)
     outputs = []
     records = []
     for j, f in enumerate(fits, start=1):
         name = io.draws_filename(j)
         io.write_draws_csv(out / name, j, f.draws)
         outputs.append(name)
-        r = _component_record(j, f)
+        mean_time, sd_time = mean_time_posterior(f.draws)
+        r = _component_record(j, f, mean_time, sd_time, float(ordered[-1]))
         records.append(r)
         state = "converged" if r["converged"] else "NOT converged"
         print(
             f"component {j}: m_beta={r['m_beta']:.6g} m_eta={r['m_eta']:.6g} "
-            f"mean_time={r['mean_time']:.6g} ({state}, "
+            f"mean_time={mean_time:.6g} ({state}, "
             f"acceptance {r['acceptance_rate']:.2f})"
         )
         for w in r["warnings"]:
@@ -340,7 +354,7 @@ def cmd_fit(args) -> dict:
     io.write_trace_csv(out / "em_trace.csv", fits)
     outputs.append("em_trace.csv")
     # np.percentile(times, 99.0) bit for bit, without the numpy.ma import it makes
-    t99 = float(_sorted_quantile(np.sort(times)[None, :], 0.99)[0])
+    t99 = float(_sorted_quantile(ordered[None, :], 0.99)[0])
     io.write_json(out / "hyper_estimates.json", {**shape, "t99": t99, "components": records})
     outputs.append("hyper_estimates.json")
     return {

@@ -183,8 +183,11 @@ def mean_time_posterior(d: PosteriorDraws) -> tuple[float, float]:
     Each draw contributes its own closed-form mean ``eta * Gamma(1 + 1/beta)``.
     """
     gl = np.array([log_gamma_fn(1.0 + 1.0 / b) for b in d.betas.tolist()])
-    values = d.etas * np.exp(gl)
-    return float(values.mean()), float(values.std(ddof=1))
+    # a heavy-tailed posterior can overflow a lifetime or the spread: the
+    # moment is then inf (nan for the spread of an inf), which callers flag
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = d.etas * np.exp(gl)
+        return float(values.mean()), float(values.std(ddof=1))
 
 
 def system_band(

@@ -23,6 +23,9 @@ _LEVEL = 0.95
 _GRID_POINTS = 200
 # replicates per cell of a study grid
 GRID_REPLICATES = 100
+# a mean-lifetime estimate this many times off its reference is absurd:
+# a study replicate's true mean, or a fit's largest sample time
+_ABSURD_FACTOR = 1e3
 
 
 @dataclass(frozen=True)

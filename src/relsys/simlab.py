@@ -25,7 +25,7 @@ from .curves import mean_time_posterior
 from .dists import _FAMILIES, GeneratorSpec, sample
 from .errors import NumericalError, RelsysError
 from .mcem import fit_component
-from .settings import GRID_REPLICATES, _KINDS, _SIDES, FitConfig
+from .settings import _ABSURD_FACTOR, _KINDS, _SIDES, GRID_REPLICATES, FitConfig
 from .streams import RandomStream, as_stream
 from .sysmodel import ComponentSample, SystemSample
 
@@ -50,9 +50,6 @@ GRID_CENSOR_FRACTIONS = (0.0, 0.2, 0.4)
 GRID_SIZES = (30, 100, 1000)
 GRID_SIDES = _SIDES
 GRID_VARIANCE = 5.0
-# a replicate estimate this many times above or below the true mean is
-# reported as absurd; it still counts toward bias and MSE
-_ABSURD_FACTOR = 1e3
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ paths.  Byte-level determinism across reruns is asserted explicitly.
 
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -396,6 +397,35 @@ class TestFitCommand:
                    "--thin", "1", "--out", out) == 3
         assert "prior-mean update pinned at the lower bound 1e-09" in capsys.readouterr().err
         assert out.is_dir() and list(out.iterdir()) == []
+
+    def test_absurd_mean_lifetime_is_flagged_and_written_as_strict_json(
+        self, tmp_path, capsys
+    ):
+        # at default chains component 1's lifetime posterior is so heavy
+        # tailed that its mean is ~3e237 and its spread overflows
+        data = tmp_path / "sample.csv"
+        data.write_text(
+            "time,cause\n2.843933884168326,2\n1.3657956793612256,2\n10.75087374522157,1\n"
+        )
+        out = tmp_path / "fit"
+        assert cli("fit", data, "--kind", "parallel", "--k", 2, "--out", out) == 0
+        captured = capsys.readouterr()
+
+        def reject(constant):
+            raise AssertionError(f"non-JSON constant {constant}")
+
+        for name in ("hyper_estimates.json", "manifest.json"):
+            json.loads((out / name).read_text(), parse_constant=reject)
+        c1, c2 = json.loads((out / "hyper_estimates.json").read_text())["components"]
+        assert c1["mean_time"] > 1e3 * 10.75087374522157
+        assert c1["sd_time"] is None
+        [warning] = c1["warnings"]
+        assert warning.startswith("absurd posterior mean lifetime ")
+        assert "(the largest time in the data is 10.7509)" in warning
+        assert f"component 1: warning: {warning}" in captured.err
+        assert f"mean_time={c1['mean_time']:.6g} " in captured.out
+        assert c2["warnings"] == [] and c2["sd_time"] is not None
+        assert "Warning" not in captured.err
 
 
 @pytest.mark.parametrize("key, value", [("v", "inf"), ("v", "nan"), ("tol", "nan"), ("tol", "inf")])
@@ -1276,6 +1306,35 @@ print("relsys.simlab" in sys.modules)
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def test_reliability_and_pooled_study_load_no_openssl(tmp_path):
+    """The band command, and a study whose fits all run in pool workers,
+    digest their files without hashlib, whose _hashlib maps OpenSSL."""
+    fit(tmp_path, simulate(tmp_path))
+    (tmp_path / "subset.cfg").write_text(
+        "families = weibull\nsides = right,left\nsizes = 8\n"
+        "censor-fractions = 0.25\nmeans = 2.0\n"
+    )
+    script = f"""
+import sys
+from relsys.cli import main
+tmp = {str(tmp_path)!r}
+assert main(["reliability", tmp + "/fit", "--grid-points", "5", "--out", tmp + "/bands"]) == 0
+loaded = ["_hashlib" in sys.modules]
+# two distinct fits (each side censors its own records) for two workers
+assert main(["study", "--grid", tmp + "/subset.cfg", "--replicates", "1", "--np", "20",
+             "--burnin", "40", "--thin", "1", "--tol", "0.5", "--max-iter", "2",
+             "--workers", "2", "--out", tmp + "/study"]) == 0
+print(loaded + ["_hashlib" in sys.modules])
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[False, False]"
+    assert json.loads((tmp_path / "study" / "manifest.json").read_text())["config"]["workers"] == 2
+
+
 def test_python_m_runs_commands_as_main_does(tmp_path):
     # run as __main__, the module binds its numeric names on a module object
     # of its own, not on relsys.cli
@@ -1354,6 +1413,21 @@ for argv in {PARSE_ARGVS!r}:
     assert len(lines) == len(PARSE_ARGVS)
     for argv, line in zip(PARSE_ARGVS, lines):
         assert numeric(line.split()) == [], argv
+
+
+@pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 1 << 20])
+def test_file_digest_is_hashlib_sha256(tmp_path, size):
+    # the sizes straddle the 64 KiB read chunk
+    data = np.random.default_rng(size).bytes(size)
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    assert io.sha256_file(path) == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_writer_refuses_non_finite_numbers(tmp_path, value):
+    with pytest.raises(ValueError):
+        io.write_json(tmp_path / "x.json", {"x": value})
 
 
 class TestRerunDeterminism:

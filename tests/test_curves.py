@@ -337,6 +337,14 @@ class TestMeanTimePosterior:
         assert mean == pytest.approx(vals.mean(), rel=1e-10)
         assert sd == pytest.approx(vals.std(ddof=1), rel=1e-10)
 
+    def test_overflowing_moments_read_inf_without_a_warning(self):
+        # Gamma(101) ~ 9e157: the mean is finite and the spread's squares
+        # overflow; Gamma(1 + 1e3) overflows the lifetime itself
+        mean, sd = mean_time_posterior(make_draws([0.01, 0.02], [1.0, 1.0]))
+        assert math.isfinite(mean) and sd == math.inf
+        mean, _ = mean_time_posterior(make_draws([0.001, 1.0], [1.0, 1.0]))
+        assert mean == math.inf
+
 
 class TestSystemBand:
     def test_single_component_series_equals_component_band(self):
