@@ -784,6 +784,21 @@ def _config_flags(path: str, command: str) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command on ``argv`` (default ``sys.argv[1:]``) and return
+    its exit code.
+
+    First, unless the process has already imported it, ``main`` marks
+    OpenSSL's ``_hashlib`` as absent, so that ``hashlib`` and ``hmac`` use
+    the interpreter's built-in hashes for the rest of the process and in
+    every forked study worker.  A program that calls ``main`` before it
+    imports ``hashlib`` gets those built-in hashes too.
+    """
+    # numpy.random imports secrets, which imports hmac and so hashlib, whose
+    # _hashlib maps OpenSSL: 3.4 MB resident in every fit, simulate and study
+    # worker, though relsys hashes nothing with it.  With the entry None, an
+    # import of _hashlib raises ImportError and both modules fall back to
+    # the built-in hashes
+    sys.modules.setdefault("_hashlib", None)
     try:
         argv = list(sys.argv[1:] if argv is None else argv)
         parser = _build_parser()

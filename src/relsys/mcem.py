@@ -137,6 +137,10 @@ def m_step(
     mean, to 1e-6, over [1e-3, 1e3]; a maximizer within 1e-3 of either end
     (in log) is searched for once more over [1e-9, 1e9].
 
+    The search assumes one maximum in log m.  When ``v`` is small against
+    the spread of the values, the objective can have two peaks, and the
+    search may return the lower one: which it finds depends on the bracket.
+
     Raises
     ------
     ConvergenceError

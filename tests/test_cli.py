@@ -1308,7 +1308,7 @@ print("relsys.simlab" in sys.modules)
 
 def test_reliability_and_pooled_study_load_no_openssl(tmp_path):
     """The band command, and a study whose fits all run in pool workers,
-    digest their files without hashlib, whose _hashlib maps OpenSSL."""
+    never load _hashlib, which maps OpenSSL: main leaves its entry None."""
     fit(tmp_path, simulate(tmp_path))
     (tmp_path / "subset.cfg").write_text(
         "families = weibull\nsides = right,left\nsizes = 8\n"
@@ -1319,20 +1319,86 @@ import sys
 from relsys.cli import main
 tmp = {str(tmp_path)!r}
 assert main(["reliability", tmp + "/fit", "--grid-points", "5", "--out", tmp + "/bands"]) == 0
-loaded = ["_hashlib" in sys.modules]
+blocked = [sys.modules.get("_hashlib") is None]
 # two distinct fits (each side censors its own records) for two workers
 assert main(["study", "--grid", tmp + "/subset.cfg", "--replicates", "1", "--np", "20",
              "--burnin", "40", "--thin", "1", "--tol", "0.5", "--max-iter", "2",
              "--workers", "2", "--out", tmp + "/study"]) == 0
-print(loaded + ["_hashlib" in sys.modules])
+print(blocked + [sys.modules.get("_hashlib") is None])
 """
     done = subprocess.run(
         [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[False, False]"
+    assert done.stdout.splitlines()[-1] == "[True, True]"
     assert json.loads((tmp_path / "study" / "manifest.json").read_text())["config"]["workers"] == 2
+
+
+def test_simulate_and_fit_load_no_openssl(tmp_path):
+    # both import numpy.random, whose secrets -> hmac -> hashlib chain would
+    # map OpenSSL but for main's None entry
+    script = f"""
+import sys
+from relsys.cli import main
+tmp = {str(tmp_path)!r}
+with open(tmp + "/system.cfg", "w") as f:
+    f.write({SPEC!r})
+assert main(["simulate", "--spec", tmp + "/system.cfg", "--seed", "7", "--out", tmp + "/sim"]) == 0
+assert main(["fit", tmp + "/sim/sample.csv", "--kind", "series", "--k", "2",
+             *{list(FAST_FIT)!r}, "--out", tmp + "/fit"]) == 0
+print("hashlib" in sys.modules, sys.modules["_hashlib"] is None)
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "True True"
+
+
+def test_python_m_fit_imports_no_hashlib_extension(tmp_path):
+    (tmp_path / "c.csv").write_text(COMPONENT_CSV)
+    # -v prints "import 'name' # loader" for each module a loader executes;
+    # -X importtime would also list the lookups that the None entry halts
+    done = subprocess.run(
+        [sys.executable, "-v", "-m", "relsys.cli", "fit", str(tmp_path / "c.csv"),
+         "--side", "right", *FAST_FIT, "--out", str(tmp_path / "fit")],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    imported = set(re.findall(r"^import '([^']+)' #", done.stderr, re.MULTILINE))
+    assert {"numpy.random", "hashlib"} <= imported
+    assert "_hashlib" not in imported
+
+
+def test_hashlib_imported_before_main_keeps_openssl(tmp_path):
+    # setdefault leaves an OpenSSL that the caller has loaded, and the
+    # manifest digests still match it
+    script = f"""
+import hashlib, json, sys
+from pathlib import Path
+from relsys.cli import main
+tmp = Path({str(tmp_path)!r})
+(tmp / "system.cfg").write_text({SPEC!r})
+assert main(["simulate", "--spec", str(tmp / "system.cfg"), "--seed", "7",
+             "--out", str(tmp / "sim")]) == 0
+assert main(["fit", str(tmp / "sim" / "sample.csv"), "--kind", "series", "--k", "2",
+             *{list(FAST_FIT)!r}, "--out", str(tmp / "fit")]) == 0
+assert sys.modules["_hashlib"] is not None
+for out in (tmp / "sim", tmp / "fit"):
+    digests = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert digests and all(
+        d == hashlib.sha256((out / name).read_bytes()).hexdigest() for name, d in digests.items()
+    ), out
+print("ok")
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "ok"
 
 
 def test_python_m_runs_commands_as_main_does(tmp_path):
