@@ -63,7 +63,10 @@ _NUMERIC = {
             ".dists": ("GeneratorSpec",),
             ".mcem": ("ComponentFit", "SystemFit", "fit_component", "fit_system"),
             ".sampler": ("PosteriorDraws",),
-            ".simlab": ("_shared_fit", "generate_system_sample", "grid_specs", "run_scenario"),
+            ".simlab": (
+                "_shared_fit", "generate_system_sample", "grid_specs", "run_forked",
+                "run_scenario",
+            ),
             ".streams": ("RandomStream",),
         }.items()
         for name in names
@@ -570,19 +573,13 @@ def cmd_study(args) -> dict:
     fits = {}
     for spec in specs:
         fits.setdefault(_shared_fit(spec), spec)
-    workers = min(workers, len(fits))
+    # a worker is a fork of this process; without fork the study runs here
+    workers = min(workers, len(fits)) if hasattr(os, "fork") else 1
     out = _out_dir(args)
 
     master = RandomStream(args.seed)
     runner = functools.partial(run_scenario, cfg=cfg, source=master)
-    if workers > 1:
-        # imported here: no other command or pool size loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = dict(zip(fits, pool.map(runner, fits.values())))
-    else:
-        done = {key: runner(spec) for key, spec in fits.items()}
+    done = dict(zip(fits, run_forked(runner, list(fits.values()), workers)))
 
     rows = []
     cells = {"replicate_failures": [], "not_converged": [], "absurd_estimates": [], "work": []}
@@ -764,7 +761,7 @@ def _build_parser() -> _Parser:
         "--workers",
         type=int,
         default=None,
-        help="process pool size, at most one per distinct fit "
+        help="worker processes, at most one per distinct fit "
         "(default: the CPUs this process may use)",
     )
     study.add_argument("--out", required=True, help="output directory")

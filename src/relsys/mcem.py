@@ -106,6 +106,20 @@ _M_HI = math.log(1e3)
 _M_LIMIT = math.log(1e9)
 _M_EDGE = 1e-3
 _M_TOL = 1e-6
+_M_SCAN = 0.5  # largest step of the grid that looks for a second peak
+
+
+def _higher_peak(f: Callable[[float], float], lo: float, hi: float, x: float) -> float:
+    """``x``, or the maximizer of a higher peak of ``f`` on [lo, hi] that a
+    grid of step at most ``_M_SCAN`` finds more than one step from ``x``."""
+    points = math.ceil((hi - lo) / _M_SCAN)
+    step = (hi - lo) / points
+    best = max((lo + i * step for i in range(points + 1)), key=f)
+    fx = f(x)
+    if abs(best - x) <= step or f(best) <= fx:
+        return x
+    y = _golden_max(f, max(lo, best - step), min(hi, best + step), _M_TOL)
+    return y if f(y) > fx else x
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
@@ -137,9 +151,14 @@ def m_step(
     mean, to 1e-6, over [1e-3, 1e3]; a maximizer within 1e-3 of either end
     (in log) is searched for once more over [1e-9, 1e9].
 
-    The search assumes one maximum in log m.  When ``v`` is small against
-    the spread of the values, the objective can have two peaks, and the
-    search may return the lower one: which it finds depends on the bracket.
+    When ``v`` is small against the spread of the values, the objective can
+    have two peaks in log m, and the golden section may find the lower one.
+    So after each search the objective is scanned over the same bracket on
+    a grid of step at most 0.5 in log m.  A grid point more than one step
+    from the found maximizer that beats it starts a second golden section
+    over the two steps around that point, and the higher of the two
+    maximizers is kept.  A one-peaked objective returns what the golden
+    section found; a peak narrower than the grid step can still be missed.
 
     Raises
     ------
@@ -172,7 +191,7 @@ def m_step(
         return _gamma_mean_objective(math.exp(log_m), v, mean_x, mean_log)
 
     for lo, hi in ((_M_LO, _M_HI), (-_M_LIMIT, _M_LIMIT)):
-        x = _golden_max(g, lo, hi, _M_TOL)
+        x = _higher_peak(g, lo, hi, _golden_max(g, lo, hi, _M_TOL))
         if x - lo < _M_EDGE:
             side, bound = "lower", lo
         elif hi - x < _M_EDGE:

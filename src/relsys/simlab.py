@@ -16,8 +16,10 @@ of the longer run.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "generate_system_sample",
     "generate_censored_sample",
     "run_scenario",
+    "run_forked",
     "grid_specs",
     "GRID_FAMILIES",
     "GRID_MEANS",
@@ -288,6 +291,103 @@ def run_scenario(
         iterations=iterations,
         min_weight_ess=min(weight_ess, default=math.nan),
     )
+
+
+def run_forked(
+    runner: Callable[[ScenarioSpec], ScenarioResult],
+    specs: Sequence[ScenarioSpec],
+    workers: int,
+) -> list[ScenarioResult]:
+    """``[runner(s) for s in specs]``, run by ``workers`` forked processes.
+
+    The specs are dealt round-robin in decreasing ``n * replicates``, ties in
+    the given order, so that the largest fits start first.  A worker inherits
+    this process's imports and ``runner``, sends its results pickled through
+    a pipe of its own and leaves by ``os._exit``: it runs no exit handler and
+    flushes no inherited buffer.  An exception a cell raises in a worker is
+    raised again here, from a :class:`RuntimeError` that holds the worker's
+    traceback; a worker that dies before it sends its results raises
+    :class:`RuntimeError`, naming its exit status or signal.  On any error,
+    ``KeyboardInterrupt`` included, the workers still running are killed,
+    and every worker is reaped before this returns or raises.  With one
+    worker the specs run in this process.
+    """
+    if workers <= 1:
+        return [runner(s) for s in specs]
+    # sorted is stable: equal sizes keep the given order
+    order = sorted(range(len(specs)), key=lambda i: -specs[i].n * specs[i].replicates)
+    results: list = [None] * len(specs)
+    readers = {}  # worker pid -> the read end of its pipe, until the worker is reaped
+    try:
+        for w in range(workers):
+            r, fd = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(runner, specs, order[w::workers], fd)
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                # the parent's copy, closed before the next fork so that each
+                # pipe's one writer is its own worker; the child never gets here
+                os.close(fd)
+            readers[pid] = open(r, "rb")
+        for pid, reader in list(readers.items()):
+            with reader:
+                data = reader.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del readers[pid]
+            if code != 0:
+                raise RuntimeError(f"a study worker {_death(code)} before it sent its results")
+            ok, reply = pickle.loads(data)
+            if not ok:
+                error, trace = reply
+                raise error from RuntimeError(f"in a study worker:\n{trace}")
+            for i, result in reply:
+                results[i] = result
+    finally:
+        if readers:  # only an error leaves workers unreaped
+            import signal
+        for pid, reader in readers.items():
+            reader.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+    return results
+
+
+def _serve(runner, specs, share, fd: int) -> None:
+    """A forked worker's whole life: run its share of ``specs``, write
+    ``(True, [(index, result), ...])`` or ``(False, (exception, its
+    traceback's text))`` to ``fd`` and leave the process; it never returns."""
+    code = 1
+    try:
+        try:
+            reply = True, [(i, runner(specs[i])) for i in share]
+        except Exception as e:
+            import traceback
+
+            reply = False, (e, traceback.format_exc())
+        with open(fd, "wb") as pipe:
+            pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _death(code: int) -> str:
+    """How a worker ended, from its ``os.waitstatus_to_exitcode`` value."""
+    if code > 0:
+        return f"exited with status {code}"
+    import signal
+
+    try:
+        return f"was killed by {signal.Signals(-code).name}"
+    except ValueError:
+        return f"was killed by signal {-code}"
 
 
 def grid_specs(

@@ -11,6 +11,7 @@ import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -1095,12 +1096,26 @@ class TestStudyCommand:
         assert rc == 1
         assert "upward" in capsys.readouterr().err
 
-    def test_worker_pool_matches_serial_run(self, tmp_path):
-        subset = "families = weibull\nsides = right\nsizes = 8\n" \
-                 "censor-fractions = 0.0\n"
-        serial = self.run_subset(tmp_path, "serial", subset, "--workers", "1")
-        pooled = self.run_subset(tmp_path, "pooled", subset, "--workers", "2")
-        assert (serial / "study.csv").read_bytes() == (pooled / "study.csv").read_bytes()
+    def test_worker_pool_matches_serial_run(self, tmp_path, capsys):
+        # six distinct fits of three sizes: each worker count deals them
+        # differently, and every one must print and write the same
+        subset = "families = weibull\nsides = right\nsizes = 8, 12, 16\n" \
+                 "censor-fractions = 0.0, 0.25\nmeans = 2.0\n"
+        runs = []
+        for workers in (1, 2, 3):
+            out = self.run_subset(tmp_path, f"w{workers}", subset, "--workers", workers)
+            m = manifest_of(out)
+            assert m["config"].pop("workers") == workers
+            del m["timestamps"]
+            runs.append(((out / "study.csv").read_bytes(), m, capsys.readouterr()))
+        assert runs[0][1]["cells"] == 6
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_without_fork_the_study_runs_one_worker(self, tmp_path, monkeypatch):
+        subset = self.SUBSET + "censor-fractions = 0.2\nmeans = 2.0, 7.0\n"
+        monkeypatch.delattr(os, "fork")
+        out = self.run_subset(tmp_path, "study", subset, "--workers", "2")
+        assert manifest_of(out)["config"]["workers"] == 1
 
     def test_workers_capped_at_cell_count(self, tmp_path):
         subset = self.SUBSET + "censor-fractions = 0.0\nmeans = 2.0\n"
@@ -1246,8 +1261,8 @@ class TestStudyCommand:
 
 
 def test_commands_load_no_process_pool_or_masked_arrays(tmp_path):
-    """simulate, fit, reliability and a one-worker study import neither
-    the process pool (nor multiprocessing through it) nor numpy.ma."""
+    """simulate, fit, reliability and a study on one worker or on two
+    import neither a process pool nor multiprocessing nor numpy.ma."""
     script = f"""
 import sys
 from relsys.cli import main
@@ -1256,7 +1271,7 @@ with open(tmp + "/system.cfg", "w") as f:
     f.write({SPEC!r})
 with open(tmp + "/subset.cfg", "w") as f:
     f.write("families = weibull\\nsides = right\\nsizes = 8\\n"
-            "censor-fractions = 0.0\\nmeans = 2.0\\n")
+            "censor-fractions = 0.0\\nmeans = 2.0, 7.0\\n")
 chains = ["--np", "20", "--burnin", "40", "--thin", "1", "--tol", "0.5", "--max-iter", "2"]
 for argv in (
     ["simulate", "--spec", tmp + "/system.cfg", "--out", tmp + "/sim"],
@@ -1265,6 +1280,8 @@ for argv in (
     ["reliability", tmp + "/fit", "--grid-points", "10", "--out", tmp + "/bands"],
     ["study", "--grid", tmp + "/subset.cfg", "--replicates", "1", *chains,
      "--workers", "1", "--out", tmp + "/study"],
+    ["study", "--grid", tmp + "/subset.cfg", "--replicates", "1", *chains,
+     "--workers", "2", "--out", tmp + "/pooled"],
 ):
     assert main(argv) == 0, argv
 print(",".join(m for m in ("concurrent.futures", "multiprocessing", "numpy.ma")
@@ -1276,6 +1293,8 @@ print(",".join(m for m in ("concurrent.futures", "multiprocessing", "numpy.ma")
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == ""
+    # the second study did run on two workers: its two means are two fits
+    assert json.loads((tmp_path / "pooled" / "manifest.json").read_text())["config"]["workers"] == 2
 
 
 def src_env() -> dict:
@@ -1333,6 +1352,82 @@ print(blocked + [sys.modules.get("_hashlib") is None])
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[True, True]"
     assert json.loads((tmp_path / "study" / "manifest.json").read_text())["config"]["workers"] == 2
+
+
+# what the n = 12 cell does in its worker, and what the study must raise
+# (its type, its message, and whether it comes with the worker's traceback);
+# the interrupting cell waits until both workers are forked, then outlives
+# any test unless the study kills it
+WORKER_FAULTS = {
+    "a cell raises": (
+        "raise RuntimeError('cell n=12 broke on purpose')",
+        ["RuntimeError", "cell n=12 broke on purpose", True],
+    ),
+    "a worker is killed": (
+        "os.kill(os.getpid(), signal.SIGKILL)",
+        ["RuntimeError", "a study worker was killed by SIGKILL before it sent its results",
+         False],
+    ),
+    "the study is interrupted": (
+        "time.sleep(0.5); os.kill(os.getppid(), signal.SIGINT); time.sleep(600)",
+        ["KeyboardInterrupt", "", False],
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", WORKER_FAULTS)
+def test_study_worker_fault_stops_the_study_and_leaves_no_process(tmp_path, fault):
+    """A fault in one of two forked workers reaches the study's caller, which
+    then has no child process left and no manifest written."""
+    (tmp_path / "subset.cfg").write_text(
+        "families = weibull\nsides = right\nsizes = 8, 12\n"
+        "censor-fractions = 0.25\nmeans = 2.0\n"
+    )
+    action, expected = WORKER_FAULTS[fault]
+    script = f"""
+import json, os, signal, sys, time
+from relsys import cli
+from relsys.simlab import run_scenario
+tmp = {str(tmp_path)!r}
+
+def runner(spec, **kw):
+    if spec.n == 12:
+        {action}
+    return run_scenario(spec, **kw)
+
+# the forked workers inherit the patched name
+cli.run_scenario = runner
+try:
+    cli.main(["study", "--grid", tmp + "/subset.cfg", "--replicates", "1", "--np", "20",
+              "--burnin", "40", "--thin", "1", "--tol", "0.5", "--max-iter", "2",
+              "--workers", "2", "--out", tmp + "/study"])
+    raised = None
+except BaseException as e:
+    # a cell's exception comes from one that holds the worker's traceback
+    raised = [type(e).__name__, str(e), "in runner" in str(e.__cause__)]
+try:
+    left = os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    left = None
+print(json.dumps([raised, left]))
+"""
+    # in a session of its own, so that a worker the study fails to stop
+    # is killed with the rest of the group and outlives no failed test
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], env=src_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    assert proc.returncode == 0, stderr
+    assert json.loads(stdout.splitlines()[-1]) == [expected, None]
+    assert not (tmp_path / "study" / "manifest.json").exists()
 
 
 def test_simulate_and_fit_load_no_openssl(tmp_path):

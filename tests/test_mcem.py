@@ -86,6 +86,24 @@ class TestMStep:
         )
         assert m_step(vals, v) == pytest.approx(math.exp(ref.x), rel=1e-5)
 
+    # values whose objective has a low peak near m = sqrt(v) and a higher
+    # one near their mean; a golden section alone returns the low one
+    # (2.178e-8 and 0.2128)
+    @pytest.mark.parametrize(
+        "seed,scale,shape,n,v",
+        [(10, 1e-6, 20.0, 400, 1e-14), (11, 10.0, 30.0, 200, 1.0)],
+        ids=["tiny-v", "values-near-10"],
+    )
+    def test_finds_the_higher_of_two_peaks(self, seed, scale, shape, n, v):
+        vals = scale * np.random.default_rng(seed).gamma(shape, 1.0 / shape, n)
+        mx, ml = float(vals.mean()), float(np.log(vals).mean())
+        grid = np.linspace(math.log(1e-9), math.log(1e9), 200_001)
+        dense = [_gamma_mean_objective(math.exp(lm), v, mx, ml) for lm in grid]
+        best = int(np.argmax(dense))
+        m = m_step(vals, v)
+        assert m == pytest.approx(math.exp(grid[best]), rel=1e-3)
+        assert _gamma_mean_objective(m, v, mx, ml) >= dense[best]
+
     def test_maximizes_e_step_objective_coordinatewise(self):
         rng = np.random.default_rng(8)
         draws = run_chain(
