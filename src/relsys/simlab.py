@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -293,6 +295,10 @@ def run_scenario(
     )
 
 
+# POSIX's least PIPE_BUF: a write of at most this many bytes reaches a pipe whole
+_PIPE_ATOMIC = 512
+
+
 def run_forked(
     runner: Callable[[ScenarioSpec], ScenarioResult],
     specs: Sequence[ScenarioSpec],
@@ -300,44 +306,56 @@ def run_forked(
 ) -> list[ScenarioResult]:
     """``[runner(s) for s in specs]``, run by ``workers`` forked processes.
 
-    The specs are dealt round-robin in decreasing ``n * replicates``, ties in
-    the given order, so that the largest fits start first.  A worker inherits
-    this process's imports and ``runner``, sends its results pickled through
-    a pipe of its own and leaves by ``os._exit``: it runs no exit handler and
-    flushes no inherited buffer.  An exception a cell raises in a worker is
-    raised again here, from a :class:`RuntimeError` that holds the worker's
-    traceback; a worker that dies before it sends its results raises
-    :class:`RuntimeError`, naming its exit status or signal.  On any error,
-    ``KeyboardInterrupt`` included, the workers still running are killed,
-    and every worker is reaped before this returns or raises.  With one
-    worker the specs run in this process.
+    Each worker takes the next spec, in the given order, when it is free: it
+    reads the spec's index from a task pipe that all the workers share.  A
+    worker inherits this process's imports and ``runner``, sends its results
+    pickled through a pipe of its own once the tasks run out and leaves by
+    ``os._exit``: it runs no exit handler and flushes no inherited buffer.
+    A worker keeps SIGINT blocked, so an interrupt is this process's alone.
+    An exception a cell raises in a worker is raised again here, from a
+    :class:`RuntimeError` that holds the worker's traceback; a worker that
+    dies before it sends its results raises :class:`RuntimeError`, naming its
+    exit status or signal.  On any error, ``KeyboardInterrupt`` included, the
+    workers still running are killed, and every worker is reaped before this
+    returns or raises.  With one worker the specs run in this process.
     """
     if workers <= 1:
         return [runner(s) for s in specs]
-    # sorted is stable: equal sizes keep the given order
-    order = sorted(range(len(specs)), key=lambda i: -specs[i].n * specs[i].replicates)
     results: list = [None] * len(specs)
-    readers = {}  # worker pid -> the read end of its pipe, until the worker is reaped
+    readers = {}  # worker pid -> the read end of its results pipe, until the worker is reaped
+    r, w = os.pipe()
+    tasks, feed = open(r, "rb", buffering=0), open(w, "wb", buffering=0)
     try:
-        for w in range(workers):
-            r, fd = os.pipe()
+        for _ in range(workers):
+            r, w = os.pipe()
+            reader = open(r, "rb", buffering=0)
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _serve(runner, specs, order[w::workers], fd)
-            except BaseException:
-                os.close(r)
-                raise
+                with _sigint_held():  # no interrupt between the fork and its record
+                    pid = os.fork()
+                    if pid == 0:
+                        _serve(runner, specs, tasks, feed, w)
+                    readers[pid] = reader
             finally:
-                # the parent's copy, closed before the next fork so that each
-                # pipe's one writer is its own worker; the child never gets here
-                os.close(fd)
-            readers[pid] = open(r, "rb")
+                # the parent's copy, closed before the next fork so that the
+                # pipe's one writer is its worker; a worker never gets here
+                os.close(w)
+        # the workers' alone now: should they all die, writing fails, not blocks
+        tasks.close()
+        # each spec's index in four bytes, written so that no write splits one
+        order = np.arange(len(specs), dtype="<u4").tobytes()
+        try:
+            for k in range(0, len(order), _PIPE_ATOMIC):
+                feed.write(order[k : k + _PIPE_ATOMIC])
+        except BrokenPipeError:
+            pass  # no worker is left to take them; the results pipes say why
+        feed.close()
         for pid, reader in list(readers.items()):
-            with reader:
-                data = reader.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del readers[pid]
+            data = reader.readall()
+            with _sigint_held():  # at EOF the worker has closed its pipe and is leaving
+                status = os.waitpid(pid, 0)[1]
+                del readers[pid]
+                reader.close()
+            code = os.waitstatus_to_exitcode(status)
             if code != 0:
                 raise RuntimeError(f"a study worker {_death(code)} before it sent its results")
             ok, reply = pickle.loads(data)
@@ -347,26 +365,43 @@ def run_forked(
             for i, result in reply:
                 results[i] = result
     finally:
-        if readers:  # only an error leaves workers unreaped
-            import signal
-        for pid, reader in readers.items():
-            reader.close()
-            try:
+        tasks.close()
+        feed.close()
+        # only an error leaves workers unreaped; an interrupt waits until they are
+        with _sigint_held():
+            for pid, reader in readers.items():
+                reader.close()
                 os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
+                os.waitpid(pid, 0)
     return results
 
 
-def _serve(runner, specs, share, fd: int) -> None:
-    """A forked worker's whole life: run its share of ``specs``, write
-    ``(True, [(index, result), ...])`` or ``(False, (exception, its
-    traceback's text))`` to ``fd`` and leave the process; it never returns."""
+@contextmanager
+def _sigint_held():
+    """Block SIGINT for the body: an interrupt that comes meanwhile is raised
+    as the body ends, never between two of its steps.  A process forked in
+    the body keeps SIGINT blocked."""
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+
+
+def _serve(runner, specs, tasks, feed, fd: int) -> None:
+    """A forked worker's whole life: run ``specs[i]`` for each index ``i``
+    it reads from ``tasks`` until they run out, write ``(True, [(i, result),
+    ...])`` or ``(False, (exception, its traceback's text))`` to ``fd`` and
+    leave the process; it never returns."""
     code = 1
     try:
+        feed.close()  # or the tasks would never run out
         try:
-            reply = True, [(i, runner(specs[i])) for i in share]
+            done = []
+            while index := tasks.read(4):
+                i = int.from_bytes(index, "little")
+                done.append((i, runner(specs[i])))
+            reply = True, done
         except Exception as e:
             import traceback
 
@@ -382,8 +417,6 @@ def _death(code: int) -> str:
     """How a worker ended, from its ``os.waitstatus_to_exitcode`` value."""
     if code > 0:
         return f"exited with status {code}"
-    import signal
-
     try:
         return f"was killed by {signal.Signals(-code).name}"
     except ValueError:

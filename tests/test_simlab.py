@@ -1,5 +1,8 @@
 """Tests for simulation scenarios, censoring mechanics and the study grid."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from relsys.simlab import (
     generate_censored_sample,
     generate_system_sample,
     grid_specs,
+    run_forked,
     run_scenario,
 )
 from relsys.streams import RandomStream
@@ -201,6 +205,25 @@ class TestRunGrid:
         a = [run_scenario(spec, FAST, RandomStream(32)) for spec in grid_specs(**kw)]
         b = [run_scenario(spec, FAST, RandomStream(32)) for spec in grid_specs(**kw)]
         assert a == b
+
+
+def _pid_after(seconds):
+    time.sleep(seconds)
+    return os.getpid()
+
+
+class TestRunForked:
+    def test_a_free_worker_takes_the_next_spec(self):
+        # the slow first spec holds one worker; the other takes all the rest,
+        # where dealing the specs out up front would give the slow one some
+        pids = run_forked(_pid_after, [0.5, 0, 0, 0, 0, 0], 2)
+        assert len(set(pids)) == 2 and os.getpid() not in pids
+        assert pids[0] not in pids[1:]
+
+    def test_more_indices_than_a_pipe_buffer_holds(self):
+        # 80,000 bytes of indices: the parent's writes block until workers read
+        n = 20_000
+        assert run_forked(lambda i: -i, range(n), 3) == [-i for i in range(n)]
 
 
 class TestScenarioSpec:
