@@ -42,7 +42,6 @@ from .settings import (
     _SIDES,
     GRID_REPLICATES,
     FitConfig,
-    McmcConfig,
 )
 
 __all__ = ["main"]
@@ -234,11 +233,11 @@ def _chain_flags() -> dict[str, tuple]:
     return {
         "v": (float, d.prior_variance, None, "prior variance (default %(default)g)"),
         # the posterior standard deviations need two draws
-        "np": (int, d.final_mcmc.n_p, 2,
+        "np": (int, d.n_p, 2,
                "posterior draws kept per chain, at least 2 (default %(default)s)"),
-        "burnin": (int, d.final_mcmc.burn_in, 0,
+        "burnin": (int, d.burn_in, 0,
                    "final-chain burn-in; EM chains use a tenth (default %(default)s)"),
-        "thin": (int, d.final_mcmc.thin, 1, "keep every thin-th state (default %(default)s)"),
+        "thin": (int, d.thin, 1, "keep every thin-th state (default %(default)s)"),
         "tol": (float, d.tol, None,
                 "stop when both prior means move less than this (default %(default)g)"),
         "max-iter": (int, d.max_iter, 1, "cap on EM iterations (default %(default)s)"),
@@ -252,11 +251,10 @@ def _chain_settings(args) -> tuple[dict, FitConfig]:
     s = {flag: getattr(args, flag.replace("-", "_")) for flag in flags}
     for flag, (_, _, least, _) in flags.items():
         _require_positive(f"--{flag}", s[flag], minimum=least)
-    final = McmcConfig(n_p=s["np"], burn_in=s["burnin"], thin=s["thin"])
-    fit_cfg = FitConfig(
-        prior_variance=s["v"], tol=s["tol"], max_iter=s["max-iter"], final_mcmc=final
+    return s, FitConfig(
+        prior_variance=s["v"], tol=s["tol"], max_iter=s["max-iter"],
+        n_p=s["np"], burn_in=s["burnin"], thin=s["thin"],
     )
-    return s, fit_cfg
 
 
 # the fields of a component's hyper_estimates.json record its manifest entry repeats
@@ -569,22 +567,21 @@ def cmd_study(args) -> dict:
     except ValueError as e:
         raise UsageError(f"invalid study grid: {e}") from None
     replicates = specs[0].replicates
-    # each distinct fit runs once, as the first cell that needs it
-    fits = {}
-    for spec in specs:
-        fits.setdefault(_shared_fit(spec), spec)
+    # each distinct fit runs once, under the key of the cells that share it
+    keys = [_shared_fit(spec) for spec in specs]
+    fits = list(dict.fromkeys(keys))
     # a worker is a fork of this process; without fork the study runs here
     workers = min(workers, len(fits)) if hasattr(os, "fork") else 1
     out = _out_dir(args)
 
     master = RandomStream(args.seed)
     runner = functools.partial(run_scenario, cfg=cfg, source=master)
-    done = dict(zip(fits, run_forked(runner, list(fits.values()), workers)))
+    done = dict(zip(fits, run_forked(runner, fits, workers)))
+    results = [done[key] for key in keys]
 
     rows = []
     cells = {"replicate_failures": [], "not_converged": [], "absurd_estimates": [], "work": []}
-    for spec in specs:
-        r = done[_shared_fit(spec)]
+    for spec, r in zip(specs, results):
         c = spec.coords
         cell = (
             f"{c['side']} {c['family']} censor={c['censor_pct']:.0f}% "
@@ -636,7 +633,7 @@ def cmd_study(args) -> dict:
         "inputs": inputs,
         "outputs": ["study.csv"],
         "cells": len(specs),
-        "failed_replicates": sum(done[_shared_fit(spec)].n_failed for spec in specs),
+        "failed_replicates": sum(r.n_failed for r in results),
         **cells,
     }
 

@@ -34,7 +34,7 @@ import numpy as np
 from .dists import MeanVarGamma, log_gamma_fn
 from .errors import ConvergenceError, NumericalError, RelsysError
 from .sampler import PosteriorDraws, run_chain
-from .settings import FitConfig
+from .settings import _KINDS, FitConfig
 from .streams import RandomStream, as_stream
 from .sysmodel import ComponentSample, SystemSample, decompose, make_log_kernel
 
@@ -83,6 +83,10 @@ class SystemFit:
 
     kind: str
     components: tuple[ComponentFit, ...]
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
 
     @property
     def k(self) -> int:
@@ -231,7 +235,7 @@ def fit_component(
         priors = (MeanVarGamma(m_beta, v), MeanVarGamma(m_eta, v))
     except ValueError as e:
         raise NumericalError(f"initial hyper-means are unusable: {e}") from e
-    em_mcmc = replace(cfg.final_mcmc, burn_in=cfg.final_mcmc.burn_in // 10)
+    em_cfg = replace(cfg, burn_in=cfg.burn_in // 10)
     trace = [EmStep(0, m_beta, m_eta)]
     converged = False
     em_stream = st.child(0)
@@ -242,7 +246,7 @@ def fit_component(
     for it in range(1, cfg.max_iter + 1):
         if ess < _MIN_WEIGHT_ESS:
             rng = em_stream.child(chains).generator()
-            d = run_chain(make_log_kernel(c, priors), em_mcmc, rng, init=(m_beta, m_eta))
+            d = run_chain(make_log_kernel(c, priors), em_cfg, rng, init=(m_beta, m_eta))
             chains += 1
             gen_beta, gen_eta = m_beta, m_eta
             log_betas, log_etas = np.log(d.betas), np.log(d.etas)
@@ -276,7 +280,7 @@ def fit_component(
         float(np.average(d.etas, weights=weights)),
     )
     kernel, rng = make_log_kernel(c, priors), st.child(1).generator()
-    d = run_chain(kernel, cfg.final_mcmc, rng, init=init, step=d.step_final)
+    d = run_chain(kernel, cfg, rng, init=init, step=d.step_final)
     warnings.extend(d.warnings)
     return ComponentFit(
         m_beta=m_beta,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dists import ComponentParams, _freeze_arrays
 from .errors import NumericalError
-from .settings import McmcConfig
+from .settings import FitConfig
 
 __all__ = ["PosteriorDraws", "run_chain"]
 
@@ -72,7 +72,7 @@ class PosteriorDraws:
 
 def run_chain(
     log_kernel: Callable[[tuple[float, float]], float],
-    cfg: McmcConfig,
+    cfg: FitConfig,
     rng: np.random.Generator,
     init: tuple[float, float] = (1.0, 1.0),
     step: float = 0.5,
@@ -87,8 +87,9 @@ def run_chain(
         called with ``init`` first and then with plain float tuples
         whose log-magnitudes are below 300, so both entries are finite and
         > 0 and the kernel need not check them.
-    cfg : McmcConfig
-        Chain settings.
+    cfg : FitConfig
+        Its ``n_p``, ``burn_in`` and ``thin`` set the chain's length; the
+        other settings are not read here.
     rng : numpy.random.Generator
         Source of proposal noise; the chain is a pure function of it.
     init : (float, float)

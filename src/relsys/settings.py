@@ -1,6 +1,6 @@
 """Settings and defaults: the one home of every value the command line parser reads.
 
-The chain-length and fit settings with their defaults, the system kinds,
+The six settings of a fit with their defaults, the system kinds,
 the censoring sides, the band methods and levels, the grid size and the
 study's replicate count all live here.  The module imports no numeric
 code, so ``relsys --help``, each command's help and every usage error are
@@ -10,9 +10,9 @@ parsed before numpy loads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["McmcConfig", "FitConfig", "GRID_REPLICATES"]
+__all__ = ["FitConfig", "GRID_REPLICATES"]
 
 _KINDS = ("series", "parallel")
 _SIDES = ("right", "left")
@@ -29,34 +29,14 @@ _ABSURD_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
-class McmcConfig:
-    """Chain-length settings.
-
-    ``n_p`` draws are collected after ``burn_in`` adaptation steps, keeping
-    every ``thin``-th state.
-    """
-
-    n_p: int = 1000
-    burn_in: int = 10_000
-    thin: int = 10
-
-    def __post_init__(self):
-        # a posterior standard deviation (ddof=1) needs two draws
-        if self.n_p < 2:
-            raise ValueError(f"n_p must be >= 2, got {self.n_p}")
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.thin < 1:
-            raise ValueError(f"thin must be >= 1, got {self.thin}")
-
-
-@dataclass(frozen=True)
 class FitConfig:
     """Settings for one component fit, and the home of their defaults.
 
-    ``prior_variance`` is the fixed variance of both gamma priors.
-    ``final_mcmc`` configures the single long chain run at the converged
-    prior means; each EM chain runs with its settings at a tenth of its
+    ``prior_variance`` is the fixed variance of both gamma priors; EM stops
+    when both prior means move less than ``tol``, or after ``max_iter``
+    iterations.  The single long chain run at the converged prior means
+    collects ``n_p`` draws after ``burn_in`` adaptation steps, keeping every
+    ``thin``-th state; each EM chain runs the same way at a tenth of the
     burn-in.  Where each chain starts, and its first proposal scale, follow
     from the fit itself.
     """
@@ -64,7 +44,9 @@ class FitConfig:
     prior_variance: float = 4.0
     tol: float = 1e-3
     max_iter: int = 200
-    final_mcmc: McmcConfig = field(default_factory=McmcConfig)
+    n_p: int = 1000
+    burn_in: int = 10_000
+    thin: int = 10
 
     def __post_init__(self):
         if not (math.isfinite(self.prior_variance) and self.prior_variance > 0.0):
@@ -75,3 +57,10 @@ class FitConfig:
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        # a posterior standard deviation (ddof=1) needs two draws
+        if self.n_p < 2:
+            raise ValueError(f"n_p must be >= 2, got {self.n_p}")
+        if self.burn_in < 0:
+            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
+        if self.thin < 1:
+            raise ValueError(f"thin must be >= 1, got {self.thin}")

@@ -41,19 +41,15 @@ __all__ = [
     "run_scenario",
     "run_forked",
     "grid_specs",
-    "GRID_FAMILIES",
     "GRID_MEANS",
     "GRID_CENSOR_FRACTIONS",
     "GRID_SIZES",
-    "GRID_SIDES",
     "GRID_VARIANCE",
 ]
 
-GRID_FAMILIES = _FAMILIES
 GRID_MEANS = (2.0, 7.0)
 GRID_CENSOR_FRACTIONS = (0.0, 0.2, 0.4)
 GRID_SIZES = (30, 100, 1000)
-GRID_SIDES = _SIDES
 GRID_VARIANCE = 5.0
 
 
@@ -78,8 +74,8 @@ class ScenarioSpec:
             raise ValueError(
                 f"censor_fraction must be in [0, 1), got {self.censor_fraction}"
             )
-        if self.side not in GRID_SIDES:
-            raise ValueError(f"side must be one of {GRID_SIDES}, got {self.side!r}")
+        if self.side not in _SIDES:
+            raise ValueError(f"side must be one of {_SIDES}, got {self.side!r}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         c = _censored_count(self.censor_fraction, self.n)
@@ -187,8 +183,8 @@ def generate_censored_sample(
     censoring replaces the ``c`` smallest with the ``(c+1)``-th.  The
     threshold itself stays exact, and ties are broken by draw order.
     """
-    if side not in GRID_SIDES:
-        raise ValueError(f"side must be one of {GRID_SIDES}, got {side!r}")
+    if side not in _SIDES:
+        raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"censor fraction must be in [0, 1), got {fraction}")
     c = _censored_count(fraction, n)
@@ -212,7 +208,7 @@ def _scenario_key(spec: ScenarioSpec) -> tuple[int, ...]:
     # the side is deliberately absent: zero-censoring cells must replay
     # identical substreams on both sides
     return (
-        GRID_FAMILIES.index(spec.generator.family),
+        _FAMILIES.index(spec.generator.family),
         round(spec.generator.mean * 1000),
         round(spec.generator.variance * 1000),
         round(spec.censor_fraction * 1000),
@@ -230,7 +226,7 @@ def _shared_fit(spec: ScenarioSpec) -> ScenarioSpec:
     either.
     """
     if _censored_count(spec.censor_fraction, spec.n) == 0:
-        return replace(spec, side=GRID_SIDES[0])
+        return replace(spec, side=_SIDES[0])
     return spec
 
 
@@ -424,17 +420,17 @@ def _death(code: int) -> str:
 
 
 def grid_specs(
-    families: Sequence[str] = GRID_FAMILIES,
+    families: Sequence[str] = _FAMILIES,
     means: Sequence[float] = GRID_MEANS,
     censor_fractions: Sequence[float] = GRID_CENSOR_FRACTIONS,
     sizes: Sequence[int] = GRID_SIZES,
-    sides: Sequence[str] = GRID_SIDES,
+    sides: Sequence[str] = _SIDES,
     variance: float = GRID_VARIANCE,
     replicates: int = GRID_REPLICATES,
 ) -> tuple[ScenarioSpec, ...]:
     """Enumerate the scenario cross product in canonical order.
 
-    Cells are ordered by side, family (in ``GRID_FAMILIES`` order), censor
+    Cells are ordered by side, family (in ``dists._FAMILIES`` order), censor
     fraction, mean and sample size.
     """
     specs = []

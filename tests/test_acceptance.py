@@ -23,7 +23,7 @@ from relsys.dists import ComponentParams, GeneratorSpec, MeanVarGamma, weibull_f
 from relsys.errors import RelsysError
 from relsys.mcem import fit_component
 from relsys.sampler import PosteriorDraws, run_chain
-from relsys.settings import FitConfig, McmcConfig
+from relsys.settings import FitConfig
 from relsys.simlab import ScenarioSpec, generate_censored_sample, run_scenario
 from relsys.streams import RandomStream
 from relsys.sysmodel import (
@@ -36,9 +36,7 @@ from relsys.sysmodel import (
 
 # desk-scale chains for replicated studies: short per-iteration chains and
 # a moderate final chain keep Monte-Carlo error well inside the tolerances
-STUDY_CFG = FitConfig(
-    final_mcmc=McmcConfig(n_p=500, burn_in=1000, thin=2),
-)
+STUDY_CFG = FitConfig(n_p=500, burn_in=1000, thin=2)
 
 
 def cli(*argv) -> int:
@@ -93,10 +91,7 @@ def test_02_bias_grows_with_censoring_fraction():
 
 
 def test_03_zero_censoring_is_side_blind():
-    cfg = FitConfig(
-        tol=0.02,
-        final_mcmc=McmcConfig(n_p=200, burn_in=400, thin=2),
-    )
+    cfg = FitConfig(tol=0.02, n_p=200, burn_in=400, thin=2)
     rows = []
     for side in ("right", "left"):
         spec = ScenarioSpec(
@@ -174,10 +169,7 @@ TINY_DATASETS = [
 def test_06_tiny_sample_posteriors_match_quadrature():
     # wide tiny-sample posteriors need a loose EM tolerance; the grid
     # posterior is evaluated at whatever hyper-means the fit settles on
-    cfg = FitConfig(
-        tol=5e-3,
-        final_mcmc=McmcConfig(n_p=3000, burn_in=5000, thin=10),
-    )
+    cfg = FitConfig(tol=5e-3, n_p=3000, burn_in=5000, thin=10)
     worst = 0.0
     for i, (side, recs) in enumerate(TINY_DATASETS):
         times, censored = zip(*recs)
@@ -215,7 +207,7 @@ def test_07_sampler_reproduces_known_gamma_means():
     for seed in (11, 12, 13):
         d = run_chain(
             kernel,
-            McmcConfig(n_p=2000, burn_in=3000, thin=5),
+            FitConfig(n_p=2000, burn_in=3000, thin=5),
             np.random.default_rng(seed),
         )
         zb = abs(d.betas.mean() - 2.0) / se(d.betas, d.lag1_beta)

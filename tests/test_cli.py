@@ -27,7 +27,7 @@ from relsys.cli import main
 from relsys.errors import DataError, NumericalError, UsageError
 from relsys.mcem import fit_system
 from relsys.sampler import PosteriorDraws
-from relsys.settings import FitConfig, McmcConfig
+from relsys.settings import FitConfig
 from relsys.simlab import grid_specs
 from relsys.streams import RandomStream
 
@@ -200,11 +200,7 @@ class TestFitCommand:
                      "em_trace.csv", "hyper_estimates.json", "manifest.json"):
             assert (out / name).exists()
         sample = io.read_system_csv(sim / "sample.csv", "series", 2)
-        cfg = FitConfig(
-            prior_variance=4.0,
-            tol=0.02,
-            final_mcmc=McmcConfig(n_p=60, burn_in=200, thin=2),
-        )
+        cfg = FitConfig(prior_variance=4.0, tol=0.02, n_p=60, burn_in=200, thin=2)
         fits = fit_system(sample, cfg, RandomStream(11)).components
         for j, f in enumerate(fits, start=1):
             betas, etas = io.read_draws_csv(out / io.draws_filename(j), j)
@@ -347,10 +343,8 @@ class TestFitCommand:
 
         def recording(comp, cfg, source):
             built.append(cfg)
-            return mcem.fit_component(comp, FitConfig(
-                tol=0.02,
-                final_mcmc=McmcConfig(n_p=60, burn_in=200, thin=2),
-            ), source)
+            short = FitConfig(tol=0.02, n_p=60, burn_in=200, thin=2)
+            return mcem.fit_component(comp, short, source)
 
         monkeypatch.setattr(cli_module, "fit_component", recording)
         data = tmp_path / "comp.csv"
@@ -361,9 +355,9 @@ class TestFitCommand:
         assert built == [d]
         expect = {
             "v": d.prior_variance,
-            "np": d.final_mcmc.n_p,
-            "burnin": d.final_mcmc.burn_in,
-            "thin": d.final_mcmc.thin,
+            "np": d.n_p,
+            "burnin": d.burn_in,
+            "thin": d.thin,
             "tol": d.tol,
             "max-iter": d.max_iter,
         }
@@ -378,9 +372,9 @@ class TestFitCommand:
         text = " ".join(help_text[help_text.index("options:"):].split())
         for flag, value in [
             ("--v V", f"{d.prior_variance:g}"),
-            ("--np NP", d.final_mcmc.n_p),
-            ("--burnin BURNIN", d.final_mcmc.burn_in),
-            ("--thin THIN", d.final_mcmc.thin),
+            ("--np NP", d.n_p),
+            ("--burnin BURNIN", d.burn_in),
+            ("--thin THIN", d.thin),
             ("--tol TOL", f"{d.tol:g}"),
             ("--max-iter MAX_ITER", d.max_iter),
         ]:

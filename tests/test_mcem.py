@@ -7,7 +7,7 @@ the fitted hyper-means against the exact EM fixed point on a grid.
 """
 
 import math
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,13 +18,14 @@ from relsys.dists import GeneratorSpec, MeanVarGamma, sample
 from relsys.errors import ConvergenceError, NumericalError
 from relsys.mcem import (
     _MIN_WEIGHT_ESS,
+    SystemFit,
     _gamma_mean_objective,
     fit_component,
     fit_system,
     m_step,
 )
 from relsys.sampler import run_chain
-from relsys.settings import FitConfig, McmcConfig
+from relsys.settings import FitConfig
 from relsys.simlab import generate_censored_sample, generate_system_sample
 from relsys.streams import RandomStream
 from relsys.sysmodel import (
@@ -35,9 +36,7 @@ from relsys.sysmodel import (
 )
 
 # small chains keep the EM tests quick; assertions are sized accordingly
-FAST = FitConfig(
-    final_mcmc=McmcConfig(n_p=500, burn_in=1500, thin=4),
-)
+FAST = FitConfig(n_p=500, burn_in=1500, thin=4)
 
 
 def average_log_prior(d, v_beta, v_eta):
@@ -108,7 +107,7 @@ class TestMStep:
         rng = np.random.default_rng(8)
         draws = run_chain(
             lambda p: gamma_logpdf(p[0], 2.0, 1.0) + gamma_logpdf(p[1], 3.0, 1.0),
-            McmcConfig(n_p=300, burn_in=500, thin=2),
+            FitConfig(n_p=300, burn_in=500, thin=2),
             rng,
         )
         mb = m_step(draws.betas, 4.0)
@@ -155,7 +154,7 @@ class TestEStepObjective:
         rng = np.random.default_rng(12)
         draws = run_chain(
             lambda p: gamma_logpdf(p[0], 2.0, 0.5) + gamma_logpdf(p[1], 2.5, 0.5),
-            McmcConfig(n_p=40, burn_in=200, thin=2),
+            FitConfig(n_p=40, burn_in=200, thin=2),
             rng,
         )
         # the M step maximizes each coordinate's term, reduced to two draw statistics
@@ -173,7 +172,7 @@ class TestChainAgreesWithQuadrature:
         c = weibull_sample(21, 40, side=side)
         kernel = make_log_kernel(c, (MeanVarGamma(1.5, 4.0), MeanVarGamma(2.0, 4.0)))
         d = run_chain(
-            kernel, McmcConfig(n_p=2000, burn_in=2000, thin=5), np.random.default_rng(9)
+            kernel, FitConfig(n_p=2000, burn_in=2000, thin=5), np.random.default_rng(9)
         )
         qb, qe = quadrature_posterior_means(kernel, (-2.5, 2.5), (-2.5, 2.5), 220)
 
@@ -247,11 +246,7 @@ class TestFitComponent:
         assert any("no exact failure" in w for w in fit.warnings)
 
     def test_iteration_cap_reports_nonconvergence(self):
-        cfg = FitConfig(
-            tol=1e-9,
-            max_iter=2,
-            final_mcmc=FAST.final_mcmc,
-        )
+        cfg = replace(FAST, tol=1e-9, max_iter=2)
         fit = fit_component(weibull_sample(31, 40), cfg, RandomStream(7))
         assert not fit.converged
         assert len(fit.em_trace) == 3
@@ -297,7 +292,7 @@ class TestExactEmOracle:
     def test_hyper_means_match_exact_em_fixed_point(self, index):
         c = oracle_samples()[index]
         cfg = FitConfig()
-        assert cfg.final_mcmc.n_p == self.DRAWS
+        assert cfg.n_p == self.DRAWS
         fit = fit_component(c, cfg, RandomStream(0).child(index))
         oracle = ExactEm(c, cfg.prior_variance)
         m_beta, m_eta = oracle.fixed_point(fit.em_trace[0].m_beta, fit.em_trace[0].m_eta)
@@ -339,52 +334,35 @@ class TestFitSystem:
         with pytest.raises(NumericalError, match="component 1.*component 2"):
             fit_system(s, FAST, RandomStream(0))
 
+    def test_unknown_kind_is_rejected(self):
+        # a band reads any kind but "series" as parallel, so a misspelt kind
+        # must stop here rather than yield a parallel band
+        with pytest.raises(ValueError, match="kind must be one of"):
+            SystemFit("Series", ())
+
 
 # tiny chains, and a tolerance the base fit misses until max_iter stops it,
 # so that both tol and max_iter decide where the EM trace ends
-GUARD_BASE = FitConfig(
-    tol=1e-6,
-    max_iter=3,
-    final_mcmc=McmcConfig(n_p=20, burn_in=20, thin=1),
-)
-# a value differing from GUARD_BASE's for every setting, nested as the configs
+GUARD_BASE = FitConfig(tol=1e-6, max_iter=3, n_p=20, burn_in=20, thin=1)
+# a value differing from GUARD_BASE's for every setting
 GUARD_CHANGED = {
     "prior_variance": 2.0,
     "tol": 0.05,
     "max_iter": 4,
-    "final_mcmc": {"n_p": 21, "burn_in": 21, "thin": 2},
+    "n_p": 21,
+    "burn_in": 21,
+    "thin": 2,
 }
 
 
-def setting_paths(cfg, prefix=()):
-    """Every leaf setting of a config, as a path of field names."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if is_dataclass(value):
-            yield from setting_paths(value, prefix + (f.name,))
-        else:
-            yield prefix + (f.name,)
-
-
-def with_setting(cfg, path, value):
-    head, *rest = path
-    if rest:
-        value = with_setting(getattr(cfg, head), rest, value)
-    return replace(cfg, **{head: value})
-
-
 class TestFitConfig:
-    @pytest.mark.parametrize(
-        "path", list(setting_paths(GUARD_BASE)), ids=".".join
-    )
-    def test_every_setting_changes_the_fit(self, path):
-        changed = GUARD_CHANGED
-        for name in path:
-            changed = changed[name]
+    @pytest.mark.parametrize("name", [f.name for f in fields(FitConfig)])
+    def test_every_setting_changes_the_fit(self, name):
         c = weibull_sample(31, 40)
         base = fit_component(c, GUARD_BASE, RandomStream(7))
         assert not base.converged and len(base.em_trace) == GUARD_BASE.max_iter + 1
-        fit = fit_component(c, with_setting(GUARD_BASE, path, changed), RandomStream(7))
+        changed = replace(GUARD_BASE, **{name: GUARD_CHANGED[name]})
+        fit = fit_component(c, changed, RandomStream(7))
         same_draws = np.array_equal(fit.draws.betas, base.draws.betas) and np.array_equal(
             fit.draws.etas, base.draws.etas
         )

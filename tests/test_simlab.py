@@ -9,7 +9,7 @@ import pytest
 from relsys import io, simlab
 from relsys.dists import GeneratorSpec, sample
 from relsys.errors import NumericalError, UnsolvableError
-from relsys.settings import FitConfig, McmcConfig
+from relsys.settings import FitConfig
 from relsys.simlab import (
     ScenarioSpec,
     generate_censored_sample,
@@ -20,9 +20,7 @@ from relsys.simlab import (
 )
 from relsys.streams import RandomStream
 
-FAST = FitConfig(
-    final_mcmc=McmcConfig(n_p=300, burn_in=800, thin=3),
-)
+FAST = FitConfig(n_p=300, burn_in=800, thin=3)
 
 WEIBULL = GeneratorSpec("weibull", 2.0, 5.0)
 
