@@ -324,8 +324,8 @@ def write_band_csv(path: str | Path, band: ReliabilityBand) -> None:
 def write_trace_csv(path: str | Path, fits: Sequence[ComponentFit]) -> None:
     rows = []
     for j, f in enumerate(fits, start=1):
-        for step in f.em_trace:
-            rows.append((step.iteration, j, step.m_beta, step.m_eta))
+        for i, step in enumerate(f.em_trace):
+            rows.append((i, j, step.m_beta, step.m_eta))
     write_table(path, TRACE_HEADER, rows)
 
 

@@ -4,7 +4,8 @@ Each component's shape and scale carry independent gamma priors whose
 variances are held fixed, so only the two prior means are estimated.  The
 E step needs posterior draws under the current prior means; the M step
 moves each prior mean to the maximizer of the average gamma log density
-over those draws.
+over those draws, which reads them only through the (weighted) means of
+``x`` and ``log x`` that ``fit_component`` forms and ``m_step`` takes.
 
 Between iterations only the priors change, in closed form, so draws made
 under one pair of prior means serve the next pair exactly once they are
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -50,9 +51,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EmStep:
-    """Prior means after one EM iteration (iteration 0 is the start point)."""
+    """Prior means after EM iteration ``i``, a trace's ``i``-th entry (0: the start)."""
 
-    iteration: int
     m_beta: float
     m_eta: float
 
@@ -142,20 +142,16 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
     return 0.5 * (lo + hi)
 
 
-def m_step(
-    values: Sequence[float] | np.ndarray,
-    v: float,
-    weights: np.ndarray | None = None,
-) -> float:
-    """Prior mean maximizing the average gamma log density of ``values``.
+def m_step(mean_x: float, mean_log: float, v: float) -> float:
+    """Prior mean maximizing the average gamma log density of a draw set.
 
-    With ``weights``, non-negative importance weights of the values in any
-    scale, the average is weighted: the objective needs only the weighted
-    means of ``x`` and ``log x``.  Golden-section search on the log of the
-    mean, to 1e-6, over [1e-3, 1e3]; a maximizer within 1e-3 of either end
-    (in log) is searched for once more over [1e-9, 1e9].
+    The average over the draws, weighted or not, needs only their means of
+    ``x`` and ``log x``, ``mean_x`` and ``mean_log``; ``fit_component``
+    forms them.  Golden-section search on the log of the mean, to 1e-6,
+    over [1e-3, 1e3]; a maximizer within 1e-3 of either end (in log) is
+    searched for once more over [1e-9, 1e9].
 
-    When ``v`` is small against the spread of the values, the objective can
+    When ``v`` is small against the spread of the draws, the objective can
     have two peaks in log m, and the golden section may find the lower one.
     So after each search the objective is scanned over the same bracket on
     a grid of step at most 0.5 in log m.  A grid point more than one step
@@ -168,40 +164,28 @@ def m_step(
     ------
     ConvergenceError
         If the maximizer lands within 1e-3 of an end of [1e-9, 1e9].
+    NumericalError
+        If the gamma shape ``m^2 / v`` underflows or its log-gamma overflows.
     ValueError
-        If ``values`` is empty or contains non-positive entries, or if
-        ``weights`` do not match them, are negative or non-finite, or are
-        all zero.
+        If ``mean_x`` is not finite and > 0 or ``mean_log`` is not finite.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("m_step needs at least one value")
-    if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
-        raise ValueError("m_step values must be finite and > 0")
-    if weights is None:
-        mean_x = float(arr.mean())
-        mean_log = float(np.log(arr).mean())
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != arr.shape or not (np.all(np.isfinite(w)) and np.all(w >= 0.0)):
-            raise ValueError("m_step weights must match the values and be finite and >= 0")
-        total = float(w.sum())
-        if total == 0.0:
-            raise ValueError("m_step weights must not all be 0")
-        mean_x = float(w @ arr) / total
-        mean_log = float(w @ np.log(arr)) / total
+    if not (math.isfinite(mean_x) and mean_x > 0.0 and math.isfinite(mean_log)):
+        raise ValueError(f"m_step needs finite means, mean_x > 0; got {mean_x}, {mean_log}")
 
     def g(log_m: float) -> float:
         return _gamma_mean_objective(math.exp(log_m), v, mean_x, mean_log)
 
-    for lo, hi in ((_M_LO, _M_HI), (-_M_LIMIT, _M_LIMIT)):
-        x = _higher_peak(g, lo, hi, _golden_max(g, lo, hi, _M_TOL))
-        if x - lo < _M_EDGE:
-            side, bound = "lower", lo
-        elif hi - x < _M_EDGE:
-            side, bound = "upper", hi
-        else:
-            return math.exp(x)
+    try:
+        for lo, hi in ((_M_LO, _M_HI), (-_M_LIMIT, _M_LIMIT)):
+            x = _higher_peak(g, lo, hi, _golden_max(g, lo, hi, _M_TOL))
+            if x - lo < _M_EDGE:
+                side, bound = "lower", lo
+            elif hi - x < _M_EDGE:
+                side, bound = "upper", hi
+            else:
+                return math.exp(x)
+    except (ValueError, OverflowError) as e:
+        raise NumericalError(f"prior-mean update failed at prior variance {v:g}: {e}") from e
     raise ConvergenceError(f"prior-mean update pinned at the {side} bound {math.exp(bound):.3g}")
 
 
@@ -210,6 +194,24 @@ def _log_prior_ratio(x: np.ndarray, log_x: np.ndarray, m: float, m_gen: float, v
     to a constant: their shapes differ by ``(m^2 - m_gen^2)/v`` and their
     rates by ``(m - m_gen)/v``, and normalizing the weights removes the rest."""
     return ((m * m - m_gen * m_gen) / v) * log_x - ((m - m_gen) / v) * x
+
+
+def _draw_means(x: np.ndarray, log_x: np.ndarray, w: np.ndarray | None) -> tuple[float, float]:
+    """The means of ``x`` and ``log x``, weighted by ``w`` (in any scale) if given."""
+    if w is None:
+        return float(x.mean()), float(log_x.mean())
+    total = float(w.sum())
+    return float(w @ x) / total, float(w @ log_x) / total
+
+
+def _log_kernel(c: ComponentSample, m_beta: float, m_eta: float, v: float):
+    """``c``'s posterior kernel under gamma priors of means ``m_beta``, ``m_eta``."""
+    try:
+        return make_log_kernel(c, (MeanVarGamma(m_beta, v), MeanVarGamma(m_eta, v)))
+    except (ValueError, OverflowError) as e:
+        raise NumericalError(
+            f"hyper-means {m_beta:g}, {m_eta:g} are unusable at prior variance {v:g}: {e}"
+        ) from e
 
 
 def fit_component(
@@ -231,33 +233,28 @@ def fit_component(
 
     m_beta, m_eta = 1.0, float(c.times.mean())
     v = cfg.prior_variance
-    try:
-        priors = (MeanVarGamma(m_beta, v), MeanVarGamma(m_eta, v))
-    except ValueError as e:
-        raise NumericalError(f"initial hyper-means are unusable: {e}") from e
     em_cfg = replace(cfg, burn_in=cfg.burn_in // 10)
-    trace = [EmStep(0, m_beta, m_eta)]
+    trace = [EmStep(m_beta, m_eta)]
     converged = False
     em_stream = st.child(0)
     chains = 0
     min_ess = 1.0
     ess = 0.0  # no draws yet, so the first iteration runs a chain
 
-    for it in range(1, cfg.max_iter + 1):
+    for _ in range(cfg.max_iter):
         if ess < _MIN_WEIGHT_ESS:
             rng = em_stream.child(chains).generator()
-            d = run_chain(make_log_kernel(c, priors), em_cfg, rng, init=(m_beta, m_eta))
+            d = run_chain(_log_kernel(c, m_beta, m_eta, v), em_cfg, rng, init=(m_beta, m_eta))
             chains += 1
             gen_beta, gen_eta = m_beta, m_eta
             log_betas, log_etas = np.log(d.betas), np.log(d.etas)
             weights, ess = None, 1.0
         min_ess = min(min_ess, ess)
-        new_beta = m_step(d.betas, v, weights)
-        new_eta = m_step(d.etas, v, weights)
-        trace.append(EmStep(it, new_beta, new_eta))
+        new_beta = m_step(*_draw_means(d.betas, log_betas, weights), v)
+        new_eta = m_step(*_draw_means(d.etas, log_etas, weights), v)
+        trace.append(EmStep(new_beta, new_eta))
         delta = max(abs(new_beta - m_beta), abs(new_eta - m_eta))
         m_beta, m_eta = new_beta, new_eta
-        priors = (MeanVarGamma(m_beta, v), MeanVarGamma(m_eta, v))
         log_w = _log_prior_ratio(d.betas, log_betas, m_beta, gen_beta, v)
         log_w += _log_prior_ratio(d.etas, log_etas, m_eta, gen_eta, v)
         weights = np.exp(log_w - log_w.max())
@@ -279,7 +276,7 @@ def fit_component(
         float(np.average(d.betas, weights=weights)),
         float(np.average(d.etas, weights=weights)),
     )
-    kernel, rng = make_log_kernel(c, priors), st.child(1).generator()
+    kernel, rng = _log_kernel(c, m_beta, m_eta, v), st.child(1).generator()
     d = run_chain(kernel, cfg, rng, init=init, step=d.step_final)
     warnings.extend(d.warnings)
     return ComponentFit(

@@ -107,6 +107,41 @@ def test_every_exported_name_is_used_by_the_package():
     assert [n for n in names if n not in loaded] == []
 
 
+def unused_imports(source):
+    """Names ``source`` imports but never uses: a name is used where it
+    appears as a ``Name`` node or as a string in ``__all__``."""
+    tree = ast.parse(source)
+    imported, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names if a.name != "*"]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [n for n in imported if n not in used]
+
+
+def test_unused_import_check_finds_an_unused_name():
+    source = "from typing import Callable, Sequence\nimport os.path\nf: Callable = os.path.join\n"
+    assert unused_imports(source) == ["Sequence"]
+    assert unused_imports("from .a import b\n__all__ = ['b']\n") == []
+
+
+@pytest.mark.parametrize("tree", ["src", "tests"])
+def test_no_module_imports_a_name_it_never_uses(tree):
+    unused = {
+        str(path.relative_to(ROOT)): names
+        for path in sorted((ROOT / tree).rglob("*.py"))
+        if (names := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
+
+
 def test_readme_library_examples_run():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]

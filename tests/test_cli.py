@@ -393,6 +393,18 @@ class TestFitCommand:
         assert "prior-mean update pinned at the lower bound 1e-09" in capsys.readouterr().err
         assert out.is_dir() and list(out.iterdir()) == []
 
+    # at --v 1e-300 the M step's gamma shape overflows log-gamma, and at
+    # --v 1e308 it underflows to 0: the fit fails with a numerical error
+    @pytest.mark.parametrize("v", ["1e-300", "1e308"])
+    def test_extreme_prior_variance_is_a_numerical_error(self, tmp_path, capsys, v):
+        data = tmp_path / "comp.csv"
+        data.write_text("time,event\n0.4,1\n0.9,1\n1.3,0\n1.8,1\n2.5,1\n3.1,0\n")
+        assert cli("fit", data, "--side", "right", "--v", v, "--np", "50", "--burnin",
+                   "100", "--thin", "1", "--out", tmp_path / "fit") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: prior-mean update failed at prior variance {float(v):g}: ")
+        assert "Traceback" not in err
+
     def test_absurd_mean_lifetime_is_flagged_and_written_as_strict_json(
         self, tmp_path, capsys
     ):
@@ -1234,6 +1246,19 @@ class TestStudyCommand:
             assert cell["chains"] >= 2 * 2
             assert cell["iterations"] >= 2
             assert 0.5 <= cell["min_weight_ess"] <= 1.0
+
+    @pytest.mark.parametrize("v", ["1e-300", "1e308"])
+    def test_extreme_prior_variance_fails_the_replicates(self, tmp_path, capsys, v):
+        subset = self.SUBSET + "censor-fractions = 0.0\nmeans = 2.0\n"
+        out = self.run_subset(tmp_path, "study", subset, "--v", v)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        m = manifest_of(out)
+        assert m["failed_replicates"] == 2
+        [cell] = m["replicate_failures"]
+        assert [f["replicate"] for f in cell["failures"]] == [0, 1]
+        reason = f"prior-mean update failed at prior variance {float(v):g}: "
+        assert all(f["reason"].startswith(reason) for f in cell["failures"])
 
     def test_absurd_estimates_are_flagged(self, tmp_path, capsys):
         # a variance of 1e6 at mean 2 makes weibull samples whose fitted

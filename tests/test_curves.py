@@ -40,7 +40,7 @@ def make_fit(d):
         m_beta=1.0,
         m_eta=2.0,
         draws=d,
-        em_trace=(EmStep(0, 1.0, 2.0),),
+        em_trace=(EmStep(1.0, 2.0),),
         converged=True,
         warnings=(),
         chains=2,

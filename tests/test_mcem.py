@@ -19,6 +19,7 @@ from relsys.errors import ConvergenceError, NumericalError
 from relsys.mcem import (
     _MIN_WEIGHT_ESS,
     SystemFit,
+    _draw_means,
     _gamma_mean_objective,
     fit_component,
     fit_system,
@@ -26,7 +27,7 @@ from relsys.mcem import (
 )
 from relsys.sampler import run_chain
 from relsys.settings import FitConfig
-from relsys.simlab import generate_censored_sample, generate_system_sample
+from relsys.simlab import GRID_VARIANCE, generate_censored_sample, generate_system_sample
 from relsys.streams import RandomStream
 from relsys.sysmodel import (
     ComponentSample,
@@ -49,6 +50,11 @@ def average_log_prior(d, v_beta, v_eta):
         )
 
     return q
+
+
+def means(x):
+    """The M step's two inputs: the mean of ``x`` and of ``log x``."""
+    return float(x.mean()), float(np.log(x).mean())
 
 
 def weibull_sample(seed, n, censor_every=3, side="right"):
@@ -83,7 +89,7 @@ class TestMStep:
             method="bounded",
             options={"xatol": 1e-10},
         )
-        assert m_step(vals, v) == pytest.approx(math.exp(ref.x), rel=1e-5)
+        assert m_step(mx, ml, v) == pytest.approx(math.exp(ref.x), rel=1e-5)
 
     # values whose objective has a low peak near m = sqrt(v) and a higher
     # one near their mean; a golden section alone returns the low one
@@ -99,7 +105,7 @@ class TestMStep:
         grid = np.linspace(math.log(1e-9), math.log(1e9), 200_001)
         dense = [_gamma_mean_objective(math.exp(lm), v, mx, ml) for lm in grid]
         best = int(np.argmax(dense))
-        m = m_step(vals, v)
+        m = m_step(mx, ml, v)
         assert m == pytest.approx(math.exp(grid[best]), rel=1e-3)
         assert _gamma_mean_objective(m, v, mx, ml) >= dense[best]
 
@@ -110,8 +116,8 @@ class TestMStep:
             FitConfig(n_p=300, burn_in=500, thin=2),
             rng,
         )
-        mb = m_step(draws.betas, 4.0)
-        me = m_step(draws.etas, 4.0)
+        mb = m_step(*means(draws.betas), 4.0)
+        me = m_step(*means(draws.etas), 4.0)
         q = average_log_prior(draws, 4.0, 4.0)
         best = q(mb, me)
         for eps in (1e-3, 0.05, 0.5):
@@ -123,18 +129,24 @@ class TestMStep:
     def test_weights_act_as_repeat_counts(self):
         vals = np.random.default_rng(9).gamma(2.0, 1.3, 50)
         counts = np.arange(50) % 3
-        assert m_step(vals, 4.0, 0.25 * counts) == pytest.approx(
-            m_step(np.repeat(vals, counts), 4.0), rel=1e-9
-        )
-        for bad in (np.zeros(50), -np.ones(50), np.full(50, np.nan), np.ones(49)):
-            with pytest.raises(ValueError, match="weights"):
-                m_step(vals, 4.0, bad)
+        weighted = _draw_means(vals, np.log(vals), 0.25 * counts)
+        repeated = np.repeat(vals, counts)
+        assert weighted == pytest.approx(means(repeated), rel=1e-12)
+        assert m_step(*weighted, 4.0) == pytest.approx(m_step(*means(repeated), 4.0), rel=1e-9)
 
-    def test_rejects_empty_and_nonpositive(self):
-        with pytest.raises(ValueError, match="at least one"):
-            m_step([], 4.0)
-        with pytest.raises(ValueError, match="finite and > 0"):
-            m_step([1.0, -2.0], 4.0)
+    def test_rejects_unusable_means(self):
+        for mean_x, mean_log in [(0.0, 0.0), (-1.0, 0.0), (math.inf, 0.0), (math.nan, 0.0),
+                                 (1.0, math.nan), (1.0, -math.inf)]:
+            with pytest.raises(ValueError, match="m_step needs finite means, mean_x > 0"):
+                m_step(mean_x, mean_log, 4.0)
+
+    # at v = 1e-300 the gamma shape m^2/v at the bracket's top overflows
+    # log-gamma; at v = 1e308 it underflows to 0 at the bracket's foot
+    @pytest.mark.parametrize("v", [1e-300, 1e308])
+    def test_unrepresentable_objective_is_a_numerical_error(self, v):
+        with pytest.raises(NumericalError) as e:
+            m_step(1.5, 0.3, v)
+        assert str(e.value).startswith(f"prior-mean update failed at prior variance {v:g}: ")
 
     def test_hopeless_values_pin_the_bracket(self):
         # values that no prior mean in [1e-9, 1e9] fits at the given
@@ -145,7 +157,7 @@ class TestMStep:
         ]
         for vals, v, bound in cases:
             with pytest.raises(ConvergenceError) as e:
-                m_step(vals, v)
+                m_step(*means(vals), v)
             assert str(e.value) == f"prior-mean update pinned at the {bound}"
 
 
@@ -196,8 +208,6 @@ class TestFitComponent:
     def test_converges_and_traces(self):
         fit = fit_component(weibull_sample(31, 60), FAST, RandomStream(101))
         assert fit.converged
-        assert fit.em_trace[0].iteration == 0
-        assert [s.iteration for s in fit.em_trace] == list(range(len(fit.em_trace)))
         last, prev = fit.em_trace[-1], fit.em_trace[-2]
         assert abs(last.m_beta - prev.m_beta) < FAST.tol
         assert abs(last.m_eta - prev.m_eta) < FAST.tol
@@ -257,6 +267,13 @@ class TestFitComponent:
         with pytest.raises(NumericalError, match="hyper-mean"):
             fit_component(c, FAST, RandomStream(0))
 
+    def test_prior_normalizer_overflow_raises(self):
+        # times near 600 at variance 1e-300 give the scale prior a shape of
+        # 3.6e305, whose log-gamma overflows
+        c = ComponentSample("right", np.linspace(590.0, 610.0, 6), np.zeros(6, bool))
+        with pytest.raises(NumericalError, match="hyper-means 1, 600 are unusable"):
+            fit_component(c, replace(FAST, prior_variance=1e-300), RandomStream(0))
+
 
 SHOWCASE = (
     GeneratorSpec("weibull", 2.0, 4.0),
@@ -266,13 +283,20 @@ SHOWCASE = (
 
 
 def oracle_samples():
-    """The README showcase's three components (series, n=100, seed 24) and
-    a left-censored weibull sample (n=100, 30% censored)."""
+    """The README showcase's three components (series, n=100, seed 24), a
+    left-censored weibull sample (n=100, 30% censored), and two samples of
+    the study's weibull mean 2 shape at n=30 and 40% censored, right (seed
+    6) and left (seed 7), whose 12 censorings each share one time."""
     s = generate_system_sample(SHOWCASE, "series", 100, RandomStream(24).generator())
     left = generate_censored_sample(
         GeneratorSpec("weibull", 2.0, 4.0), 100, 0.3, "left", RandomStream(5).generator()
     )
-    return (*decompose(s), left)
+    study_shape = GeneratorSpec("weibull", 2.0, GRID_VARIANCE)
+    tied = [
+        generate_censored_sample(study_shape, 30, 0.4, side, RandomStream(seed).generator())
+        for side, seed in (("right", 6), ("left", 7))
+    ]
+    return (*decompose(s), left, *tied)
 
 
 class TestExactEmOracle:
@@ -283,12 +307,15 @@ class TestExactEmOracle:
     # autocorrelation by sqrt((1 + rho) / (1 - rho)) at a lag-1 of LAG1,
     # which the thinned chain must not exceed.  Bounds per coordinate,
     # (beta, eta): 0.025/0.048, 0.062/0.032, 0.024/0.028 on the showcase
-    # components and 0.016/0.028 on the left-censored sample.
+    # components, 0.016/0.028 on the left-censored sample, and 0.030/0.062
+    # (right) and 0.025/0.059 (left) on the tied n=30 samples.
     Z = 4.0
     LAG1 = 0.25
     DRAWS = 1000
 
-    @pytest.mark.parametrize("index", range(4), ids=["c1", "c2", "c3", "left"])
+    @pytest.mark.parametrize(
+        "index", range(6), ids=["c1", "c2", "c3", "left", "tied-right-n30", "tied-left-n30"]
+    )
     def test_hyper_means_match_exact_em_fixed_point(self, index):
         c = oracle_samples()[index]
         cfg = FitConfig()
