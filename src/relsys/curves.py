@@ -106,19 +106,19 @@ class ReliabilityBand:
 
 
 def _survival_matrix(
-    betas: np.ndarray, log_etas: np.ndarray, times: np.ndarray
+    betas: np.ndarray, log_etas: np.ndarray, times: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-draw survival curves of the draws ``betas`` and ``exp(log_etas)``,
-    one row per time point.
+    one row per time point, written into ``out`` if given.
 
     ``exp(-exp(beta * (log t - log eta)))`` is formed in place in the one
-    matrix that the subtraction allocates.  A band takes each component's
+    matrix that the subtraction fills.  A band takes each component's
     ``log_etas`` once, not once per block of rows.
     """
     with np.errstate(divide="ignore", over="ignore"):
         log_t = np.log(times)[:, None]
         # beta * log(t/eta); -inf at t = 0 exponentiates to survival 1
-        m = np.subtract(log_t, log_etas)
+        m = np.subtract(log_t, log_etas, out=out)
         np.multiply(betas, m, out=m)
         np.exp(m, out=m)
         np.negative(m, out=m)
@@ -128,41 +128,80 @@ def _survival_matrix(
 def _band_from_matrix(
     r: np.ndarray, level: float, method: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, lower and upper bound of each row of ``r``, which it sorts in place.
+    """Mean, lower and upper bound of each row of ``r``, whose rows it
+    reorders in place.
 
-    The mean is taken first, over the unsorted rows; both bounds are then
-    read from the sorted rows, so no copy of ``r`` is made.  The hpd bounds
-    of a row are the shortest window holding ``ceil(level * n)`` of its
-    ``n`` values, and at least one, the lowest one on ties, found one row at
-    a time.  ``level * n`` is rounded to 9 decimals first, so that a product
-    such as ``0.68 * 75 = 51.00000000000001`` does not add a value.  The
-    quantile bounds at ``q = (1 - level) / 2`` and ``1 - q`` are numpy's default
-    "linear" quantiles: the two order statistics around ``q * (n - 1)``,
-    interpolated exactly as ``np.quantile`` does, so the bounds equal its
-    result bit for bit.  Every statistic is per row, so the rows of a matrix
-    may be reduced in any grouping with the same result.
+    The mean is taken first, over the unsorted rows.  Both bounds are then
+    read from the few order statistics of each row that they need, which
+    single-``kth`` partitions put in place, so no copy of ``r`` is made.
+    The hpd bounds of a row are the shortest window holding
+    ``w = ceil(level * n)`` of its ``n`` values, and at least one, the
+    lowest one on ties.  ``level * n`` is rounded to 9 decimals first, so
+    that a product such as ``0.68 * 75 = 51.00000000000001`` does not add a
+    value.  A window starts at one of the lowest ``n - w + 1`` values and
+    ends at one of the highest ``n - w + 1``, so only those two tails are
+    sorted, and the window widths are taken a few rows at a time, at most
+    ``n`` of them alive.  The quantile bounds at ``q = (1 - level) / 2`` and
+    ``1 - q`` are numpy's default "linear" quantiles: the two order
+    statistics around ``q * (n - 1)``, interpolated exactly as
+    ``np.quantile`` does, so the bounds equal its result bit for bit.
+    Where the two tails overlap (hpd at a level of about 0.5 or below) or
+    the four order statistics are not distinct (tiny ``n``), the rows are
+    sorted whole.  Every statistic is per row, so the rows of a matrix may
+    be reduced in any grouping with the same result.
     """
-    # before the sort: the pairwise sum depends on the element order
+    # before any reordering: the pairwise sum depends on the element order
     mean = r.mean(axis=1)
-    r.sort(axis=1)
     n = r.shape[1]
     if method == "hpd":
         w = min(max(math.ceil(round(level * n, 9)), 1), n)
-        # the window widths of one row at a time: at most n values alive
-        i = np.array([np.argmin(row[w - 1 :] - row[: n - w + 1]) for row in r])
-        rows = np.arange(r.shape[0])
-        return mean, r[rows, i], r[rows, i + w - 1]
+        # the windows start at 0 .. k and end at w - 1 .. n - 1
+        k = n - w
+        if k > w - 1:
+            r.sort(axis=1)
+        else:
+            r.partition(k, axis=1)
+            r[:, :k].sort(axis=1)
+            if w - 1 > k:
+                r[:, k + 1 :].partition(w - 2 - k, axis=1)
+            r[:, w:].sort(axis=1)
+        # the window widths of a few rows at a time: at most n values alive
+        i = np.empty(r.shape[0], dtype=np.intp)
+        rows = n // (k + 1)
+        for a in range(0, r.shape[0], rows):
+            b = a + rows
+            i[a:b] = np.argmin(r[a:b, w - 1 :] - r[a:b, : k + 1], axis=1)
+        at = np.arange(r.shape[0])
+        return mean, r[at, i], r[at, i + w - 1]
     half = (1.0 - level) / 2.0
+    lo, hi = _neighbours(n, half), _neighbours(n, 1.0 - half)
+    if lo[0] < lo[1] < hi[0] < hi[1]:
+        # the two inner statistics over the row and the rest, then the two
+        # outer ones, each over the short slice beyond an inner one
+        r.partition(lo[1], axis=1)
+        r[:, lo[1] + 1 :].partition(hi[0] - lo[1] - 1, axis=1)
+        r[:, : lo[1]].partition(lo[0], axis=1)
+        r[:, hi[0] + 1 :].partition(hi[1] - hi[0] - 1, axis=1)
+    else:
+        r.sort(axis=1)
     return mean, _sorted_quantile(r, half), _sorted_quantile(r, 1.0 - half)
 
 
+def _neighbours(n: int, q: float) -> tuple[int, int]:
+    """The indices of the two order statistics that numpy's "linear"
+    quantile ``q`` of ``n`` values interpolates."""
+    lo = math.floor((n - 1) * q)
+    # at (n - 1) * q = n - 1 both are the last value, as numpy clips them
+    return lo, min(lo + 1, n - 1)
+
+
 def _sorted_quantile(r: np.ndarray, q: float) -> np.ndarray:
-    """numpy's "linear" quantile ``q`` of each row of the row-sorted ``r``."""
+    """numpy's "linear" quantile ``q`` of each row of ``r``, which holds
+    the two order statistics around ``q * (n - 1)`` in place, as a
+    row-sorted ``r`` does."""
     n = r.shape[1]
     v = (n - 1) * q
-    # at v = n - 1 both neighbours are the last value, as numpy clips them
-    lo = math.floor(v)
-    hi = min(lo + 1, n - 1)
+    lo, hi = _neighbours(n, q)
     g = v - lo
     a, b = r[:, lo], r[:, hi]
     diff = b - a
@@ -207,30 +246,36 @@ def _band(
     """Band of the ``kind`` system whose components carry ``draws``.
 
     The curves are built one block of about ``_BLOCK_BYTES``, and at least
-    one grid row, at a time: each component's block is folded into the
-    block's product in place and dropped before the next one is built, and
-    the product is reduced, sorted in place, before the next block.  So at
-    most two blocks are alive at once, whatever the grid size.
+    one grid row, at a time, into buffers made once: the first component's
+    block is written into the product buffer, each further one into a
+    second buffer and folded into the product in place, and the product is
+    reduced, its rows reordered in place, before the next block.  So at most
+    two blocks are alive at once, whatever the grid size.
     """
     sizes = {d.n for d in draws}
     if len(sizes) != 1:
         raise ValueError(f"components carry unequal draw counts {sorted(sizes)}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     parallel = kind != "series"
     curves = [(d.betas, np.log(d.etas)) for d in draws]
     out = np.empty((3, grid.n))
-    step = max(1, _BLOCK_BYTES // (8 * sizes.pop()))
+    n = sizes.pop()
+    step = min(max(1, _BLOCK_BYTES // (8 * n)), grid.n)
+    prod = np.empty((step, n))
+    part = np.empty((step, n)) if len(curves) > 1 else None
     for start in range(0, grid.n, step):
-        block = slice(start, start + step)
-        r = None
-        for betas, log_etas in curves:
-            m = _survival_matrix(betas, log_etas, grid.points[block])
+        times = grid.points[start : start + step]
+        r = prod[: times.size]
+        for j, (betas, log_etas) in enumerate(curves):
+            m = _survival_matrix(betas, log_etas, times, part[: times.size] if j else r)
             if parallel:
                 np.subtract(1.0, m, out=m)
-            r = m if r is None else np.multiply(r, m, out=r)
-            del m
+            if j:
+                np.multiply(r, m, out=r)
         if parallel:
             np.subtract(1.0, r, out=r)
-        out[:, block] = _band_from_matrix(r, level, method)
+        out[:, start : start + step] = _band_from_matrix(r, level, method)
     return ReliabilityBand(grid, *out, level, method)

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import weibull_min
 
 import oracles
+from relsys import curves
 from relsys.curves import (
     _BLOCK_BYTES,
     ReliabilityBand,
@@ -238,6 +239,26 @@ class TestQuantileBand:
             assert np.array_equal(x, y)
 
 
+class TestHpdBand:
+    # a window of w = ceil(level * n) values starts among the lowest
+    # n - w + 1 values and ends among the highest n - w + 1; at level 0.5
+    # those two tails share one value at n = 1, 3 and 41 (selection) and
+    # overlap at n = 2, 500 and 8000 (whole rows sorted); at 4e-14 the
+    # window holds one value, so they overlap for every n >= 2
+    @pytest.mark.parametrize("lattice", [None, 4])
+    @pytest.mark.parametrize("level", [4e-14, 0.5, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("n", [1, 2, 3, 41, 500, 8000])
+    def test_bounds_equal_full_sort_bit_for_bit(self, n, level, lattice):
+        rng = np.random.default_rng(n)
+        if lattice is None:
+            r = rng.random((25, n))
+        else:
+            r = rng.integers(0, lattice + 1, (25, n)) / lattice
+        got = _band_from_matrix(r.copy(), level, "hpd")
+        for x, y in zip(got, one_shot_band(r, level, "hpd")):
+            assert np.array_equal(x, y)
+
+
 class TestPercentile99:
     """``relsys fit`` writes its ``t99`` anchor as the 0.99 quantile of the
     sorted sample, which must equal ``np.percentile(x, 99.0)`` bit for bit
@@ -310,6 +331,23 @@ class TestReliabilityBand:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
             reliability_band(random_draws(1, 10), TimeGrid.regular(2.0, 4), method="层")
+
+    @pytest.mark.parametrize("band", [reliability_band, system_band])
+    def test_unknown_method_rejected_before_any_block_is_built(self, band, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _survival_matrix(*args)
+
+        monkeypatch.setattr(curves, "_survival_matrix", counted)
+        d = random_draws(2, 100)
+        arg = d if band is reliability_band else SystemFit("series", (make_fit(d), make_fit(d)))
+        with pytest.raises(ValueError, match="method must be one of"):
+            band(arg, TimeGrid.regular(2.0, 400), method="HPD")
+        assert calls == []
+        band(arg, TimeGrid.regular(2.0, 4), method="hpd")
+        assert calls
 
     def test_band_validation(self):
         grid = TimeGrid.regular(1.0, 3)
@@ -413,7 +451,7 @@ def one_shot_band(r, level, method):
     s = np.sort(r, axis=1)
     n = r.shape[1]
     if method == "hpd":
-        w = min(math.ceil(round(level * n, 9)), n)
+        w = min(max(math.ceil(round(level * n, 9)), 1), n)
         i = np.argmin(s[:, w - 1 :] - s[:, : n - w + 1], axis=1)
         rows = np.arange(r.shape[0])
         return mean, s[rows, i], s[rows, i + w - 1]

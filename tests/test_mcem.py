@@ -284,17 +284,18 @@ SHOWCASE = (
 
 def oracle_samples():
     """The README showcase's three components (series, n=100, seed 24), a
-    left-censored weibull sample (n=100, 30% censored), and two samples of
-    the study's weibull mean 2 shape at n=30 and 40% censored, right (seed
-    6) and left (seed 7), whose 12 censorings each share one time."""
+    left-censored weibull sample (n=100, 30% censored), and four samples of
+    the study's weibull mean 2 shape at 40% censored, whose censorings each
+    share one time: n=30, right (seed 6) and left (seed 7), and n=100,
+    right (seed 8) and left (seed 9)."""
     s = generate_system_sample(SHOWCASE, "series", 100, RandomStream(24).generator())
     left = generate_censored_sample(
         GeneratorSpec("weibull", 2.0, 4.0), 100, 0.3, "left", RandomStream(5).generator()
     )
     study_shape = GeneratorSpec("weibull", 2.0, GRID_VARIANCE)
     tied = [
-        generate_censored_sample(study_shape, 30, 0.4, side, RandomStream(seed).generator())
-        for side, seed in (("right", 6), ("left", 7))
+        generate_censored_sample(study_shape, n, 0.4, side, RandomStream(seed).generator())
+        for n, side, seed in ((30, "right", 6), (30, "left", 7), (100, "right", 8), (100, "left", 9))
     ]
     return (*decompose(s), left, *tied)
 
@@ -307,14 +308,18 @@ class TestExactEmOracle:
     # autocorrelation by sqrt((1 + rho) / (1 - rho)) at a lag-1 of LAG1,
     # which the thinned chain must not exceed.  Bounds per coordinate,
     # (beta, eta): 0.025/0.048, 0.062/0.032, 0.024/0.028 on the showcase
-    # components, 0.016/0.028 on the left-censored sample, and 0.030/0.062
-    # (right) and 0.025/0.059 (left) on the tied n=30 samples.
+    # components, 0.016/0.028 on the left-censored sample, 0.030/0.062
+    # (right) and 0.025/0.059 (left) on the tied n=30 samples, and
+    # 0.015/0.034 (right) and 0.013/0.033 (left) on the tied n=100 samples.
     Z = 4.0
     LAG1 = 0.25
     DRAWS = 1000
 
     @pytest.mark.parametrize(
-        "index", range(6), ids=["c1", "c2", "c3", "left", "tied-right-n30", "tied-left-n30"]
+        "index",
+        range(8),
+        ids=["c1", "c2", "c3", "left", "tied-right-n30", "tied-left-n30",
+             "tied-right-n100", "tied-left-n100"],
     )
     def test_hyper_means_match_exact_em_fixed_point(self, index):
         c = oracle_samples()[index]
