@@ -16,12 +16,14 @@ every file byte for byte; only the manifest's ``timestamps`` entry moves.
 Seeds come exclusively from ``--seed`` flags or config files (default 0);
 no environment variable is consulted.  Exit codes: 0 success (including
 fits that stop at the iteration cap with ``converged`` false), 1 usage
-error, 2 malformed data, 3 numerical failure.
+error (and a run too large to allocate), 2 malformed data, 3 numerical
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import importlib
 import math
@@ -226,35 +228,19 @@ def cmd_simulate(args) -> dict:
 # --------------------------------------------------------------------- fit
 
 
-def _chain_flags() -> dict[str, tuple]:
-    """Each chain flag as the manifest keys it: its type, its ``FitConfig()``
-    default, its least value (None: finite and > 0) and its help text."""
-    d = FitConfig()
-    return {
-        "v": (float, d.prior_variance, None, "prior variance (default %(default)g)"),
-        # the posterior standard deviations need two draws
-        "np": (int, d.n_p, 2,
-               "posterior draws kept per chain, at least 2 (default %(default)s)"),
-        "burnin": (int, d.burn_in, 0,
-                   "final-chain burn-in; EM chains use a tenth (default %(default)s)"),
-        "thin": (int, d.thin, 1, "keep every thin-th state (default %(default)s)"),
-        "tol": (float, d.tol, None,
-                "stop when both prior means move less than this (default %(default)g)"),
-        "max-iter": (int, d.max_iter, 1, "cap on EM iterations (default %(default)s)"),
-    }
+# the chain settings, each a FitConfig field that declares its flag
+_CHAIN_FIELDS = dataclasses.fields(FitConfig)
 
 
 def _chain_settings(args) -> tuple[dict, FitConfig]:
     """The chain settings keyed as the manifest records them, and the
     :class:`FitConfig` they make."""
-    flags = _chain_flags()
-    s = {flag: getattr(args, flag.replace("-", "_")) for flag in flags}
-    for flag, (_, _, least, _) in flags.items():
-        _require_positive(f"--{flag}", s[flag], minimum=least)
-    return s, FitConfig(
-        prior_variance=s["v"], tol=s["tol"], max_iter=s["max-iter"],
-        n_p=s["np"], burn_in=s["burnin"], thin=s["thin"],
-    )
+    s, kwargs = {}, {}
+    for f in _CHAIN_FIELDS:
+        flag = f.metadata["flag"]
+        s[flag] = kwargs[f.name] = getattr(args, flag.replace("-", "_"))
+        _require_positive(f"--{flag}", s[flag], minimum=f.metadata["least"])
+    return s, FitConfig(**kwargs)
 
 
 # the fields of a component's hyper_estimates.json record its manifest entry repeats
@@ -642,15 +628,16 @@ def cmd_study(args) -> dict:
 
 # the settings a --config file may give, as the flags they name
 _CONFIG_KEYS = {
-    "fit": ("kind", "k", "side", *_chain_flags(), "seed"),
+    "fit": ("kind", "k", "side", *(f.metadata["flag"] for f in _CHAIN_FIELDS), "seed"),
     "reliability": ("grid-max", "grid-points", "level", "method"),
 }
 _CONFIG_HELP = "file of key = value lines, read as the flags they name; flags win"
 
 
-def _add_chain_flags(p: argparse.ArgumentParser) -> None:
-    for flag, (conv, default, _, text) in _chain_flags().items():
-        p.add_argument(f"--{flag}", type=conv, default=default, help=text)
+def _add_chain_settings(p: argparse.ArgumentParser) -> None:
+    for f in _CHAIN_FIELDS:
+        p.add_argument(f"--{f.metadata['flag']}", type=type(f.default), default=f.default,
+                       help=f.metadata["help"])
 
 
 def _build_parser() -> _Parser:
@@ -692,7 +679,7 @@ def _build_parser() -> _Parser:
         default=None,
         help="censoring side for time,event data",
     )
-    _add_chain_flags(fit)
+    _add_chain_settings(fit)
     fit.add_argument("--seed", type=int, default=0, help="root seed (default %(default)s)")
     fit.add_argument("--out", required=True, help="output directory")
     fit.set_defaults(func=cmd_fit)
@@ -752,7 +739,7 @@ def _build_parser() -> _Parser:
         help=f"replicates per cell (default: the --grid file's replicates key, "
         f"else {GRID_REPLICATES})",
     )
-    _add_chain_flags(study)
+    _add_chain_settings(study)
     study.add_argument("--seed", type=int, default=0, help="root seed (default %(default)s)")
     study.add_argument(
         "--workers",
@@ -823,6 +810,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, DataError, NumericalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1 if isinstance(e, UsageError) else 2 if isinstance(e, DataError) else 3
+    except MemoryError as e:
+        # chain or sample settings too large to allocate: a usage error
+        print(f"error: not enough memory for this run: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -157,8 +157,12 @@ def m_step(mean_x: float, mean_log: float, v: float) -> float:
     a grid of step at most 0.5 in log m.  A grid point more than one step
     from the found maximizer that beats it starts a second golden section
     over the two steps around that point, and the higher of the two
-    maximizers is kept.  A one-peaked objective returns what the golden
-    section found; a peak narrower than the grid step can still be missed.
+    maximizers is kept.  When ``mean_x^2 / v`` is large the higher peak sits
+    by ``mean_x`` and is only about ``sqrt(v) / mean_x`` wide in log m, so
+    the grid can step over it: a last golden section searches 0.5 either
+    side of ``log mean_x`` (within [1e-9, 1e9]), and its maximizer replaces
+    the one found when it lies more than 1e-3 away and is strictly higher.
+    A one-peaked objective returns what the first golden section found.
 
     Raises
     ------
@@ -178,15 +182,22 @@ def m_step(mean_x: float, mean_log: float, v: float) -> float:
     try:
         for lo, hi in ((_M_LO, _M_HI), (-_M_LIMIT, _M_LIMIT)):
             x = _higher_peak(g, lo, hi, _golden_max(g, lo, hi, _M_TOL))
-            if x - lo < _M_EDGE:
-                side, bound = "lower", lo
-            elif hi - x < _M_EDGE:
-                side, bound = "upper", hi
-            else:
-                return math.exp(x)
+            if not (x - lo < _M_EDGE or hi - x < _M_EDGE):
+                break
+        # the peak by the draws' mean can be narrower than the scan's step
+        c = math.log(mean_x)
+        if abs(c) < _M_LIMIT:
+            y = _golden_max(g, max(c - _M_SCAN, -_M_LIMIT), min(c + _M_SCAN, _M_LIMIT), _M_TOL)
+            if abs(y - x) > _M_EDGE and g(y) > g(x):
+                x = y
     except (ValueError, OverflowError) as e:
         raise NumericalError(f"prior-mean update failed at prior variance {v:g}: {e}") from e
-    raise ConvergenceError(f"prior-mean update pinned at the {side} bound {math.exp(bound):.3g}")
+    if x + _M_LIMIT < _M_EDGE or _M_LIMIT - x < _M_EDGE:
+        side, bound = ("lower", -_M_LIMIT) if x < 0.0 else ("upper", _M_LIMIT)
+        raise ConvergenceError(
+            f"prior-mean update pinned at the {side} bound {math.exp(bound):.3g}"
+        )
+    return math.exp(x)
 
 
 def _log_prior_ratio(x: np.ndarray, log_x: np.ndarray, m: float, m_gen: float, v: float):

@@ -1,7 +1,8 @@
 """Settings and defaults: the one home of every value the command line parser reads.
 
-The six settings of a fit with their defaults, the system kinds,
-the censoring sides, the band methods and levels, the grid size and the
+The six settings of a fit, each declared once as a ``FitConfig`` field
+with its default, flag, least value and help, the system kinds, the
+censoring sides, the band methods and levels, the grid size and the
 study's replicate count all live here.  The module imports no numeric
 code, so ``relsys --help``, each command's help and every usage error are
 parsed before numpy loads.
@@ -10,7 +11,7 @@ parsed before numpy loads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 __all__ = ["FitConfig", "GRID_REPLICATES"]
 
@@ -28,9 +29,16 @@ GRID_REPLICATES = 100
 _ABSURD_FACTOR = 1e3
 
 
+def _setting(default, flag: str, least, help: str):
+    """A :class:`FitConfig` field: its default, the command line flag that
+    sets it (and keys it in a manifest and a ``--config`` file), its least
+    value (None: finite and > 0) and the flag's help."""
+    return field(default=default, metadata={"flag": flag, "least": least, "help": help})
+
+
 @dataclass(frozen=True)
 class FitConfig:
-    """Settings for one component fit, and the home of their defaults.
+    """Settings for one component fit, and the one declaration of each.
 
     ``prior_variance`` is the fixed variance of both gamma priors; EM stops
     when both prior means move less than ``tol``, or after ``max_iter``
@@ -41,26 +49,26 @@ class FitConfig:
     from the fit itself.
     """
 
-    prior_variance: float = 4.0
-    tol: float = 1e-3
-    max_iter: int = 200
-    n_p: int = 1000
-    burn_in: int = 10_000
-    thin: int = 10
+    # in the order --help lists the flags
+    prior_variance: float = _setting(4.0, "v", None, "prior variance (default %(default)g)")
+    # a posterior standard deviation (ddof=1) needs two draws
+    n_p: int = _setting(
+        1000, "np", 2, "posterior draws kept per chain, at least 2 (default %(default)s)"
+    )
+    burn_in: int = _setting(
+        10_000, "burnin", 0, "final-chain burn-in; EM chains use a tenth (default %(default)s)"
+    )
+    thin: int = _setting(10, "thin", 1, "keep every thin-th state (default %(default)s)")
+    tol: float = _setting(
+        1e-3, "tol", None, "stop when both prior means move less than this (default %(default)g)"
+    )
+    max_iter: int = _setting(200, "max-iter", 1, "cap on EM iterations (default %(default)s)")
 
     def __post_init__(self):
-        if not (math.isfinite(self.prior_variance) and self.prior_variance > 0.0):
-            raise ValueError(
-                f"prior_variance must be finite and > 0, got {self.prior_variance}"
-            )
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        # a posterior standard deviation (ddof=1) needs two draws
-        if self.n_p < 2:
-            raise ValueError(f"n_p must be >= 2, got {self.n_p}")
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.thin < 1:
-            raise ValueError(f"thin must be >= 1, got {self.thin}")
+        for f in fields(self):
+            value, least = getattr(self, f.name), f.metadata["least"]
+            if least is None:
+                if not (math.isfinite(value) and value > 0.0):
+                    raise ValueError(f"{f.name} must be finite and > 0, got {value}")
+            elif value < least:
+                raise ValueError(f"{f.name} must be >= {least}, got {value}")

@@ -459,6 +459,33 @@ def test_non_finite_chain_setting_is_usage_error(tmp_path, capsys, key, value, f
     assert not (out / "study.csv").exists()
 
 
+# each asks for arrays larger than the 128 TiB user address space, so the
+# allocation fails at once and nothing is touched
+@pytest.mark.parametrize("command", ["fit", "simulate", "study-1", "study-2"])
+def test_a_run_too_large_for_memory_is_a_usage_error(tmp_path, capsys, command):
+    huge_chain = ("--np", "1000000000", "--thin", "100000")
+    out = tmp_path / "out"
+    if command == "fit":
+        data = tmp_path / "comp.csv"
+        data.write_text(COMPONENT_CSV)
+        rc = cli("fit", data, "--side", "right", *huge_chain, "--out", out)
+    elif command == "simulate":
+        spec = tmp_path / "system.cfg"
+        spec.write_text(SPEC.replace("n = 25", "n = 1000000000000000"))
+        rc = cli("simulate", "--spec", spec, "--out", out)
+    else:
+        grid = tmp_path / "pair.cfg"
+        grid.write_text("families = weibull\nsides = right\nmeans = 2.0, 7.0\n"
+                        "censor-fractions = 0.2\nsizes = 30\n")
+        rc = cli("study", "--grid", grid, "--replicates", "1", *huge_chain,
+                 "--workers", command[-1], "--out", out)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory for this run: ")
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
 class TestConfigFiles:
     """``--config`` on ``fit`` and ``reliability``: a file of ``key = value``
     lines acts as the flags it names, and the command line's flags win."""

@@ -93,11 +93,14 @@ class TestMStep:
 
     # values whose objective has a low peak near m = sqrt(v) and a higher
     # one near their mean; a golden section alone returns the low one
-    # (2.178e-8 and 0.2128)
+    # (2.178e-8 and 0.2128).  Near 100 at v = 4 the higher peak is about
+    # sqrt(v) / 100 = 0.02 wide in log m, so the 0.5-step scan steps over
+    # it too (0.0804 without the search by the values' mean)
     @pytest.mark.parametrize(
         "seed,scale,shape,n,v",
-        [(10, 1e-6, 20.0, 400, 1e-14), (11, 10.0, 30.0, 200, 1.0)],
-        ids=["tiny-v", "values-near-10"],
+        [(10, 1e-6, 20.0, 400, 1e-14), (11, 10.0, 30.0, 200, 1.0),
+         (0, 100.0, 400.0, 400, 4.0)],
+        ids=["tiny-v", "values-near-10", "narrow-peak-near-100"],
     )
     def test_finds_the_higher_of_two_peaks(self, seed, scale, shape, n, v):
         vals = scale * np.random.default_rng(seed).gamma(shape, 1.0 / shape, n)
@@ -250,6 +253,18 @@ class TestFitComponent:
                                 zip(fit.draws.betas, fit.draws.etas)]))
         assert 1.2 < mean_t < 3.2
 
+    def test_hyper_mean_follows_a_narrow_peak_at_the_draws(self):
+        # lifetimes near 100 at the default v = 4: the scale prior's higher
+        # peak is narrower than the M step's scan, and a fit that misses it
+        # reports m_eta 0.071 while its draws of eta average 113
+        c = generate_censored_sample(
+            GeneratorSpec("weibull", 100.0, 1000.0), 100, 0.2, "right",
+            np.random.default_rng(3),
+        )
+        fit = fit_component(c, FitConfig(n_p=200, burn_in=2000, thin=5), RandomStream(0))
+        assert fit.converged
+        assert 0.8 < fit.m_eta / fit.draws.etas.mean() < 1.25
+
     def test_all_censored_sample_warns(self):
         c = ComponentSample("right", np.array([1.0, 1.5, 2.0, 3.0]), np.ones(4, bool))
         fit = fit_component(c, FAST, RandomStream(5))
@@ -284,18 +299,23 @@ SHOWCASE = (
 
 def oracle_samples():
     """The README showcase's three components (series, n=100, seed 24), a
-    left-censored weibull sample (n=100, 30% censored), and four samples of
-    the study's weibull mean 2 shape at 40% censored, whose censorings each
-    share one time: n=30, right (seed 6) and left (seed 7), and n=100,
-    right (seed 8) and left (seed 9)."""
+    left-censored weibull sample (n=100, 30% censored), and eight samples of
+    the study's weibull mean 2 shape, whose censorings each share one time:
+    at 40% censored, n=30, right (seed 6) and left (seed 7), and n=100,
+    right (seed 8) and left (seed 9); at 20% censored, n=30, right (seed 10)
+    and left (seed 11), and n=100, right (seed 12) and left (seed 13)."""
     s = generate_system_sample(SHOWCASE, "series", 100, RandomStream(24).generator())
     left = generate_censored_sample(
         GeneratorSpec("weibull", 2.0, 4.0), 100, 0.3, "left", RandomStream(5).generator()
     )
     study_shape = GeneratorSpec("weibull", 2.0, GRID_VARIANCE)
     tied = [
-        generate_censored_sample(study_shape, n, 0.4, side, RandomStream(seed).generator())
-        for n, side, seed in ((30, "right", 6), (30, "left", 7), (100, "right", 8), (100, "left", 9))
+        generate_censored_sample(study_shape, n, fraction, side, RandomStream(seed).generator())
+        for fraction, n, side, seed in (
+            (0.4, 30, "right", 6), (0.4, 30, "left", 7), (0.4, 100, "right", 8),
+            (0.4, 100, "left", 9), (0.2, 30, "right", 10), (0.2, 30, "left", 11),
+            (0.2, 100, "right", 12), (0.2, 100, "left", 13),
+        )
     ]
     return (*decompose(s), left, *tied)
 
@@ -308,18 +328,21 @@ class TestExactEmOracle:
     # autocorrelation by sqrt((1 + rho) / (1 - rho)) at a lag-1 of LAG1,
     # which the thinned chain must not exceed.  Bounds per coordinate,
     # (beta, eta): 0.025/0.048, 0.062/0.032, 0.024/0.028 on the showcase
-    # components, 0.016/0.028 on the left-censored sample, 0.030/0.062
-    # (right) and 0.025/0.059 (left) on the tied n=30 samples, and
-    # 0.015/0.034 (right) and 0.013/0.033 (left) on the tied n=100 samples.
+    # components, 0.016/0.028 on the left-censored sample; at 40% censored,
+    # 0.030/0.062 (right) and 0.025/0.059 (left) on the tied n=30 samples,
+    # and 0.015/0.034 (right) and 0.013/0.033 (left) on the tied n=100
+    # samples; at 20% censored, 0.030/0.041 (right) and 0.021/0.072 (left)
+    # at n=30, and 0.013/0.035 (right) and 0.012/0.030 (left) at n=100.
     Z = 4.0
     LAG1 = 0.25
     DRAWS = 1000
 
     @pytest.mark.parametrize(
         "index",
-        range(8),
+        range(12),
         ids=["c1", "c2", "c3", "left", "tied-right-n30", "tied-left-n30",
-             "tied-right-n100", "tied-left-n100"],
+             "tied-right-n100", "tied-left-n100", "tied20-right-n30", "tied20-left-n30",
+             "tied20-right-n100", "tied20-left-n100"],
     )
     def test_hyper_means_match_exact_em_fixed_point(self, index):
         c = oracle_samples()[index]
