@@ -44,13 +44,14 @@ from .settings import (
     _SIDES,
     GRID_REPLICATES,
     FitConfig,
+    _within,
 )
 
 __all__ = ["main"]
 
 # the names the commands take from numpy and the numeric modules, each with
-# its home and the attribute bound there (None: the module itself); they
-# load on first use, so that parsing, help and usage errors import none
+# its home and the attribute bound there (None: the module itself); they load
+# on first use, so that help and usage errors, each flag's bound too, import none
 _NUMERIC = {
     "np": ("numpy", None),
     "io": (".io", None),
@@ -113,12 +114,23 @@ def _convert(conv, name: str, raw: str):
         raise UsageError(f"config value {name}={raw!r} is not a valid {kind}") from None
 
 
-def _require_positive(name: str, value, minimum=None) -> None:
-    """Reject ``value`` unless it is finite and > 0, or >= ``minimum`` if given."""
-    ok = (value > 0) if minimum is None else (value >= minimum)
-    if not (ok and math.isfinite(value)):
-        bound = "finite and positive" if minimum is None else f">= {minimum}"
-        raise UsageError(f"{name} must be {bound}, got {value}")
+def _checked(conv, flag: str, ok, must: str):
+    """The argparse ``type`` of ``--flag``: ``conv`` of the string, if it passes
+    ``ok``; else a UsageError, which argparse lets through to ``main``."""
+    def convert(raw: str):
+        value = conv(raw)
+        if not ok(value):
+            raise UsageError(f"--{flag} must {must}, got {value}")
+        return value
+
+    convert.__name__ = conv.__name__  # argparse's own "invalid int value: 'abc'"
+    return convert
+
+
+def _at_least(conv, flag: str, least=None):
+    """``_checked`` for ``value >= least``, or finite and > 0 with no ``least``."""
+    must = "be finite and positive" if least is None else f"be >= {least}"
+    return _checked(conv, flag, functools.partial(_within, least=least), must)
 
 
 def _out_dir(args) -> Path:
@@ -196,8 +208,6 @@ def cmd_simulate(args) -> dict:
     kind, n, spec_seed, generators = _parse_system_spec(args.spec)
     # digest the spec before --out is written: it may hold the spec itself
     inputs = {Path(args.spec).name: io.sha256_file(args.spec)}
-    if args.seed is not None:
-        _require_positive("--seed", args.seed, minimum=0)
     seed = spec_seed if args.seed is None else args.seed
     k = len(generators)
     sample = generate_system_sample(generators, kind, n, RandomStream(seed).generator())
@@ -239,8 +249,11 @@ def _chain_settings(args) -> tuple[dict, FitConfig]:
     for f in _CHAIN_FIELDS:
         flag = f.metadata["flag"]
         s[flag] = kwargs[f.name] = getattr(args, flag.replace("-", "_"))
-        _require_positive(f"--{flag}", s[flag], minimum=f.metadata["least"])
-    return s, FitConfig(**kwargs)
+    try:
+        return s, FitConfig(**kwargs)
+    except ValueError as e:
+        # each flag's own bound is parsed; what is left is the chain's length
+        raise UsageError(str(e)) from None
 
 
 # the fields of a component's hyper_estimates.json record its manifest entry repeats
@@ -284,10 +297,7 @@ def _component_record(j: int, f: ComponentFit, mean_time: float, sd_time: float,
 
 def cmd_fit(args) -> dict:
     kind, k, side, seed = args.kind, args.k, args.side, args.seed
-    if k is not None:
-        _require_positive("--k", k, minimum=1)
     s, cfg = _chain_settings(args)
-    _require_positive("--seed", seed, minimum=0)
     input_digest = io.sha256_file(args.data)
     header = io.read_header(args.data)
     if header == io.SYSTEM_HEADER:
@@ -299,6 +309,11 @@ def cmd_fit(args) -> dict:
             raise UsageError("data has a 'time,cause' header; --k is required")
         sample = io.read_system_csv(args.data, kind, k)
         times = sample.times
+        # the fit splits the sample into one per component before any chain
+        # runs; beyond one component per record, at least k - n have no
+        # failure, and a huge --k would fill the memory with empty ones
+        if k > times.size:
+            raise UsageError(f"--k must be <= {times.size}, the number of records, got {k}")
         out = _out_dir(args)
         fits = fit_system(sample, cfg, RandomStream(seed)).components
         shape = {"kind": kind, "k": k}
@@ -391,10 +406,6 @@ def cmd_reliability(args) -> dict:
     grid_max, grid_points, level, method = (
         args.grid_max, args.grid_points, args.level, args.method
     )
-    if not 0.0 < level < 1.0:
-        raise UsageError(f"--level must lie strictly between 0 and 1, got {level}")
-    _require_positive("--grid-points", grid_points, minimum=1)
-
     src = Path(args.draws)
     if Path(args.out).resolve() == src.resolve():
         # the bands' manifest would replace the one that records the fit
@@ -448,7 +459,6 @@ def cmd_reliability(args) -> dict:
         ):
             raise DataError(f"{hyper_path}: t99 must be a finite number > 0, got {t99!r}")
         grid_max = float(t99)
-    _require_positive("--grid-max", grid_max)
     try:
         grid = (
             TimeGrid(np.array([grid_max]))
@@ -539,14 +549,11 @@ def _usable_cpus() -> int:
 
 
 def cmd_study(args) -> dict:
-    _require_positive("--seed", args.seed, minimum=0)
     workers = args.workers if args.workers is not None else _usable_cpus()
-    _require_positive("--workers", workers, minimum=1)
     s, cfg = _chain_settings(args)
 
     kwargs, inputs = _grid_settings(args.grid)
     if args.replicates is not None:
-        _require_positive("--replicates", args.replicates, minimum=1)
         kwargs["replicates"] = args.replicates
     try:
         specs = grid_specs(**kwargs)
@@ -636,11 +643,12 @@ _CONFIG_HELP = "file of key = value lines, read as the flags they name; flags wi
 
 def _add_chain_settings(p: argparse.ArgumentParser) -> None:
     for f in _CHAIN_FIELDS:
-        p.add_argument(f"--{f.metadata['flag']}", type=type(f.default), default=f.default,
-                       help=f.metadata["help"])
+        p.add_argument(f"--{f.metadata['flag']}", default=f.default, help=f.metadata["help"],
+                       type=_at_least(type(f.default), f.metadata["flag"], f.metadata["least"]))
 
 
 def _build_parser() -> _Parser:
+    seed = _at_least(int, "seed", 0)
     p = _Parser(
         prog="relsys",
         description="Hierarchical Bayesian reliability estimation for masked "
@@ -655,7 +663,7 @@ def _build_parser() -> _Parser:
         "lifetime distributions and write it as a time,cause CSV.",
     )
     sim.add_argument("--spec", required=True, help="flat key=value system description")
-    sim.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
+    sim.add_argument("--seed", type=seed, default=None, help="root seed (default 0)")
     sim.add_argument("--out", required=True, help="output directory")
     sim.set_defaults(func=cmd_simulate)
 
@@ -670,9 +678,8 @@ def _build_parser() -> _Parser:
     fit.add_argument(
         "--kind", choices=_KINDS, default=None, help="system structure, for time,cause data"
     )
-    fit.add_argument(
-        "--k", type=int, default=None, help="number of components, for time,cause data"
-    )
+    fit.add_argument("--k", type=_at_least(int, "k", 1), default=None,
+                     help="number of components, for time,cause data")
     fit.add_argument(
         "--side",
         choices=_SIDES,
@@ -680,7 +687,7 @@ def _build_parser() -> _Parser:
         help="censoring side for time,event data",
     )
     _add_chain_settings(fit)
-    fit.add_argument("--seed", type=int, default=0, help="root seed (default %(default)s)")
+    fit.add_argument("--seed", type=seed, default=0, help="root seed (default %(default)s)")
     fit.add_argument("--out", required=True, help="output directory")
     fit.set_defaults(func=cmd_fit)
 
@@ -694,21 +701,19 @@ def _build_parser() -> _Parser:
     rel.add_argument("--config", default=None, help=_CONFIG_HELP)
     rel.add_argument(
         "--grid-max",
-        dest="grid_max",
-        type=float,
+        type=_at_least(float, "grid-max"),
         default=None,
         help="largest grid time (default: the fit's 99th-percentile anchor)",
     )
     rel.add_argument(
         "--grid-points",
-        dest="grid_points",
-        type=int,
+        type=_at_least(int, "grid-points", 1),
         default=_GRID_POINTS,
         help="number of grid times from 0 (default %(default)s)",
     )
-    rel.add_argument(
-        "--level", type=float, default=_LEVEL, help="credible level (default %(default)g)"
-    )
+    level = _checked(float, "level", lambda value: 0 < value < 1, "lie strictly between 0 and 1")
+    rel.add_argument("--level", type=level, default=_LEVEL,
+                     help="credible level (default %(default)g)")
     rel.add_argument(
         "--method",
         choices=_METHODS,
@@ -734,16 +739,16 @@ def _build_parser() -> _Parser:
     )
     study.add_argument(
         "--replicates",
-        type=int,
+        type=_at_least(int, "replicates", 1),
         default=None,
         help=f"replicates per cell (default: the --grid file's replicates key, "
         f"else {GRID_REPLICATES})",
     )
     _add_chain_settings(study)
-    study.add_argument("--seed", type=int, default=0, help="root seed (default %(default)s)")
+    study.add_argument("--seed", type=seed, default=0, help="root seed (default %(default)s)")
     study.add_argument(
         "--workers",
-        type=int,
+        type=_at_least(int, "workers", 1),
         default=None,
         help="worker processes, at most one per distinct fit "
         "(default: the CPUs this process may use)",

@@ -3,14 +3,15 @@
 The six settings of a fit, each declared once as a ``FitConfig`` field
 with its default, flag, least value and help, the system kinds, the
 censoring sides, the band methods and levels, the grid size and the
-study's replicate count all live here.  The module imports no numeric
-code, so ``relsys --help``, each command's help and every usage error are
-parsed before numpy loads.
+study's replicate count all live here, with ``_within``, the bound test of
+``FitConfig`` and the flags.  The module imports no numeric code, so help
+and every usage error, a flag's bound too, are parsed before numpy loads.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 __all__ = ["FitConfig", "GRID_REPLICATES"]
@@ -27,6 +28,14 @@ GRID_REPLICATES = 100
 # a mean-lifetime estimate this many times off its reference is absurd:
 # a study replicate's true mean, or a fit's largest sample time
 _ABSURD_FACTOR = 1e3
+# the most steps a chain may take: numpy addresses no larger block of its
+# noise, one (step, 2) array of float64 normals
+_MAX_STEPS = sys.maxsize // 16
+
+
+def _within(value, least=None) -> bool:
+    """``value >= least``, else ``0 < value < inf``: no int becomes a float; NaN fails."""
+    return 0 < value < math.inf if least is None else value >= least
 
 
 def _setting(default, flag: str, least, help: str):
@@ -67,8 +76,12 @@ class FitConfig:
     def __post_init__(self):
         for f in fields(self):
             value, least = getattr(self, f.name), f.metadata["least"]
-            if least is None:
-                if not (math.isfinite(value) and value > 0.0):
-                    raise ValueError(f"{f.name} must be finite and > 0, got {value}")
-            elif value < least:
-                raise ValueError(f"{f.name} must be >= {least}, got {value}")
+            if not _within(value, least):
+                bound = "finite and > 0" if least is None else f">= {least}"
+                raise ValueError(f"{f.name} must be {bound}, got {value}")
+        steps = self.burn_in + self.n_p * self.thin
+        if steps > _MAX_STEPS:
+            raise ValueError(
+                f"the chain's steps, burn_in + n_p * thin (--burnin + --np * --thin), "
+                f"must be <= {_MAX_STEPS}, got {steps}"
+            )

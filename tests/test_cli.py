@@ -5,6 +5,7 @@ exit code, the files written, and the error text on the usual failure
 paths.  Byte-level determinism across reruns is asserted explicitly.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -484,6 +485,93 @@ def test_a_run_too_large_for_memory_is_a_usage_error(tmp_path, capsys, command):
     assert err.startswith("error: not enough memory for this run: ")
     assert "Traceback" not in err
     assert not (out / "manifest.json").exists()
+
+
+# an integer beyond float range, which a float flag reads as inf
+HUGE = "1" + "0" * 400
+# chains whose noise numpy cannot address: 2^63 steps and more, and 1e18
+# steps at the default --thin 10, beyond the ~5.8e17 of 16 bytes each
+LONG_CHAINS = {
+    "burnin": ("10000000000000000000", "100000000000000000000"),
+    "np": ("100000000000000000",),
+    "thin": ("100000000000000000",),
+}
+
+
+def rejected_values(f: dataclasses.Field) -> list[str]:
+    """Values of a chain flag that no fit takes: huge, zero, negative and,
+    for a float setting, non-finite."""
+    flag, least = f.metadata["flag"], f.metadata["least"]
+    if least is None:
+        return [HUGE, "0", "-1", "nan", "inf", "-inf"]
+    # --burnin 0 (no burn-in) and --max-iter 10^400 (a cap never reached)
+    # are settings like any other
+    values = [v for v in dict.fromkeys(("0", "-1", str(least - 1))) if int(v) < least]
+    return values + ([HUGE] if flag != "max-iter" else []) + list(LONG_CHAINS.get(flag, ()))
+
+
+def assert_rejected(capsys, argv, out) -> str:
+    """Run ``argv`` to ``out``; check that it exits 1 with one ``error:``
+    line before it makes ``out`` or allocates 4 MiB (the modules a first run
+    imports take ~1.2 MB), and return that line."""
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        rc = cli(*argv, "--out", out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 1, (argv, err)
+    [line] = err.splitlines()
+    assert line.startswith("error: "), (argv, err)
+    assert not out.exists(), argv
+    assert peak < 4 << 20, (argv, peak)
+    return line
+
+
+@pytest.mark.parametrize("f", dataclasses.fields(FitConfig), ids=lambda f: f.metadata["flag"])
+def test_every_chain_flag_out_of_bounds_exits_1_before_any_chain(
+    tmp_path, capsys, monkeypatch, f
+):
+    chains = []
+    monkeypatch.setattr(mcem, "run_chain", lambda *args, **kwargs: chains.append(args))
+    data = tmp_path / "comp.csv"
+    data.write_text(COMPONENT_CSV)
+    grid = tmp_path / "cell.cfg"
+    grid.write_text("families = weibull\nsides = right\nmeans = 2.0\n"
+                    "censor-fractions = 0.2\nsizes = 30\n")
+    cfg_file = tmp_path / "chains.cfg"
+    flag = f.metadata["flag"]
+    for value in rejected_values(f):
+        cfg_file.write_text(f"{flag} = {value}\n")
+        for argv in (
+            ("fit", data, "--side", "right", f"--{flag}", value),
+            ("fit", data, "--side", "right", "--config", cfg_file),
+            ("study", "--grid", grid, "--replicates", "1", f"--{flag}", value),
+        ):
+            line = assert_rejected(capsys, argv, tmp_path / "out")
+            assert "memory" not in line, (argv, line)
+    assert chains == []
+
+
+def test_k_beyond_the_record_count_exits_1_before_the_split(tmp_path, capsys, monkeypatch):
+    # a fit splits the sample into one per component before it runs a
+    # chain; at --k 10^20 the split alone would fill the memory
+    split = []
+    monkeypatch.setattr(mcem, "decompose", lambda s: split.append(s.k) or ())
+    data = tmp_path / "sample.csv"
+    data.write_text("time,cause\n1.0,1\n2.0,2\n3.0,1\n")
+    cfg_file = tmp_path / "shape.cfg"
+    for k in ("4", "100000000000000000000", HUGE):
+        cfg_file.write_text(f"k = {k}\n")
+        for argv in (
+            ("fit", data, "--kind", "series", "--k", k, *FAST_FIT),
+            ("fit", data, "--kind", "series", "--config", cfg_file, *FAST_FIT),
+        ):
+            line = assert_rejected(capsys, argv, tmp_path / "out")
+            assert line == f"error: --k must be <= 3, the number of records, got {k}"
+    assert split == []
 
 
 class TestConfigFiles:
@@ -1574,6 +1662,12 @@ PARSE_ARGVS = (
     ["reliability", "--help"],
     ["study", "--help"],
     ["fit", "--bogus"],
+    # a flag's bound is part of parsing it
+    ["fit", "data.csv", "--side", "right", "--np", "1", "--out", "out"],
+    ["fit", "data.csv", "--side", "right", "--v", "nan", "--out", "out"],
+    ["study", "--workers", "0", "--out", "out"],
+    ["reliability", "fit", "--level", "1.5", "--out", "out"],
+    ["simulate", "--spec", "system.cfg", "--seed", "-1", "--out", "out"],
 )
 
 
